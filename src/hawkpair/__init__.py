@@ -1,8 +1,8 @@
 """Entanglement degradation of a bosonic pair outside a Schwarzschild horizon.
 
 Closed-form entanglement and entropy measures driven by the squeezing
-parameter r = artanh(exp(-4 pi M omega)), cross-validated against a
-brute-force truncated Fock-space density-matrix oracle.
+parameter r = artanh(exp(-4 pi M omega)), cross-validated against an
+exact density-matrix oracle at a truncated Fock-space cutoff.
 """
 
 from .closed_form import (
@@ -24,6 +24,8 @@ from .density import (
     eig_symmetric,
     mutual_information_numeric,
     negativity_sum,
+    pair_measures,
+    pair_spectra,
     partial_trace,
     partial_transpose,
     reduced_density,

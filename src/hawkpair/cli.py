@@ -123,7 +123,7 @@ def _cmd_point(args) -> None:
     if args.r is not None:
         if args.mass is not None or args.omega is not None:
             raise ValueError("give either --r or --mass/--omega, not both")
-        report = run_point(r_a=args.r, cutoff=cutoff, methods=methods)
+        report = run_point(r_a=args.r, omega_prime=args.omega_prime, cutoff=cutoff, methods=methods)
     else:
         if args.mass is None or args.omega is None:
             raise ValueError("need --r, or --mass together with --omega")

@@ -47,8 +47,8 @@ class SeriesConfig:
     def __post_init__(self):
         if (self.n_max is None) == (self.tail_tol is None):
             raise ValueError("set exactly one of n_max and tail_tol")
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.n_max is not None and not 1 <= self.n_max <= HARD_SERIES_CAP:
+            raise ValueError(f"n_max must be in 1..{HARD_SERIES_CAP}, got {self.n_max}")
         if self.tail_tol is not None and not (0.0 < self.tail_tol < 1.0):
             raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
 
@@ -61,6 +61,8 @@ def resolve_cutoff(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) ->
     x = max(sq_a.tanh_r**2, sq_b.tanh_r**2)
     if x == 0.0:
         return 1
+    if x == 1.0:  # tanh r rounds to 1 for r >~ 19.07: no finite cutoff meets the tolerance
+        raise ConvergenceError(f"tanh^2 r rounds to 1 at r = {max(sq_a.r, sq_b.r)}: the series tail never falls")
     tol = cfg.tail_tol
     lx = math.log(x)
 

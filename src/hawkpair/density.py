@@ -1,8 +1,17 @@
-"""Brute-force density-matrix pipeline used as the numeric oracle.
+"""Density-matrix numeric oracle for the exterior pair.
 
-Partial trace straight from pure-state amplitudes, partial transpose,
-a deterministic cyclic Jacobi eigensolver, and spectrum functionals
-(von Neumann entropy in bits, negativity, mutual information).
+`pair_measures` is the production oracle. Every amplitude of the pair state
+sits at (n, n, q, q) or (n, n+1, q, q+1), so rho_AB is a direct sum of
+symmetric tridiagonal blocks of constant a - b, its partial transpose on B a
+direct sum of tridiagonal blocks of constant a + b, and rho_A, rho_B are
+diagonal. The blocks are read off two small matrices built from the mode
+amplitudes and diagonalised one by one; nothing of size (N+1)^4 is built.
+
+The brute-force path (`reduced_density`, `partial_trace`,
+`partial_transpose`, `mutual_information_numeric` on a `fock` pure state)
+builds the full matrices and is kept as the cross-check for the block
+oracle. Both share the eigensolver (`eig_symmetric`) and the spectrum
+functionals (von Neumann entropy in bits, negativity).
 """
 
 from __future__ import annotations
@@ -11,14 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import PureState
+from .fock import PureState, kruskal_one, kruskal_vacuum
+from .kinematics import SqueezeParam
 
 SYMMETRY_RTOL = 1e-13
 EIGENVALUE_CLAMP = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative routine fails to reach its tolerance."""
+    """Raised when a series cutoff cannot be resolved within its cap."""
 
 
 @dataclass(frozen=True)
@@ -130,13 +140,8 @@ def partial_transpose(rho: DensityMatrix, subsystem: str) -> DensityMatrix:
     )
 
 
-def eig_symmetric(matrix, tol: float = 1e-14, max_sweeps: int = 100) -> Spectrum:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run in a fixed row-major pivot order until the off-diagonal
-    Frobenius mass drops below tol * ||matrix||, so identical inputs give
-    bit-identical spectra.
-    """
+def eig_symmetric(matrix) -> Spectrum:
+    """Ascending eigenvalues of a real symmetric matrix (LAPACK, via numpy)."""
     if isinstance(matrix, DensityMatrix):
         matrix = matrix.entries
     a = np.array(matrix, dtype=float)
@@ -146,39 +151,7 @@ def eig_symmetric(matrix, tol: float = 1e-14, max_sweeps: int = 100) -> Spectrum
     if np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    trace = float(np.trace(a))
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return Spectrum(eigenvalues=np.zeros(n), trace_check=0.0)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= tol * fro:
-            return Spectrum(eigenvalues=np.sort(np.diag(a)), trace_check=trace)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(diff) > 2e150 * abs(apq):  # tan ~ apq/diff; avoid overflow in theta^2
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = (1.0 if theta >= 0 else -1.0) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise ConvergenceError(f"Jacobi sweep limit ({max_sweeps}) reached without convergence")
+    return Spectrum(eigenvalues=np.linalg.eigvalsh(a), trace_check=float(np.trace(a)))
 
 
 def vn_entropy(spec: Spectrum) -> float:
@@ -211,16 +184,17 @@ def negativity_sum(spec: Spectrum) -> NegativityResult:
     )
 
 
-def _normalized_entropy(rho: DensityMatrix) -> float:
-    spec = eig_symmetric(rho.entries)
-    lam = np.asarray(spec.eigenvalues, dtype=float)
+def _entropy_bits(eigenvalues) -> float:
+    """Entropy in bits of a spectrum's positive part, renormalised to trace 1
+    so the truncation deficit does not corrupt it."""
+    lam = np.asarray(eigenvalues, dtype=float)
     if np.any(lam < -EIGENVALUE_CLAMP):
         raise ValueError(f"non-physical reduced density: min eigenvalue {lam.min()}")
     lam = lam[lam > 0.0]
     tr = lam.sum()
     if tr <= 0.0:
         return 0.0
-    lam = lam / tr  # renormalize so truncation deficit does not corrupt the entropy
+    lam = lam / tr
     s = float(-np.sum(lam * np.log2(lam)))
     return s if s > 0.0 else 0.0  # also maps -0.0 to 0.0
 
@@ -236,12 +210,74 @@ def mutual_information_numeric(state: PureState) -> dict:
     rho_ab = reduced_density(state, keep=("A_out", "B_out"))
     rho_a = partial_trace(rho_ab, keep=("A_out",))
     rho_b = partial_trace(rho_ab, keep=("B_out",))
-    s_ab = _normalized_entropy(rho_ab)
-    s_a = _normalized_entropy(rho_a)
-    s_b = _normalized_entropy(rho_b)
+    s_ab, s_a, s_b = (_entropy_bits(eig_symmetric(rho).eigenvalues) for rho in (rho_ab, rho_a, rho_b))
     return {
         "s_a": s_a,
         "s_b": s_b,
         "s_ab": s_ab,
         "mutual_information": s_a + s_b - s_ab,
+    }
+
+
+def _block_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every symmetric tridiagonal block whose diagonal runs
+    along a diagonal of `diag` and whose off-diagonal runs along the same
+    diagonal of `off` (one row and column smaller)."""
+    n = diag.shape[0] - 1
+    spectra = []
+    for k in range(-n, n + 1):
+        d, e = np.diagonal(diag, k), np.diagonal(off, k)
+        spectra.append(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
+    return np.concatenate(spectra)
+
+
+def _mode_amplitudes(sq: SqueezeParam, n_max: int):
+    """V(k) and O(k) for k = 0..n_max, with O(n_max) = 0."""
+    v = np.diagonal(kruskal_vacuum(sq, n_max).amplitudes)
+    o = np.append(np.diagonal(kruskal_one(sq, n_max).amplitudes, 1), 0.0)
+    return v, o
+
+
+def pair_spectra(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int) -> tuple:
+    """Spectra (rho_AB, rho_AB^{T_B}, rho_A, rho_B) of the exterior pair at
+    cutoff n_max, from the block structure of rho_AB.
+
+    With V(k) and O(k) the vacuum and one-particle amplitudes at (k, k) and
+    (k, k+1) (O(N) = 0: |N, N+1> is truncated), rho_AB has diagonal
+    D[a, b] = (V_a(a)^2 V_b(b)^2 + O_a(a-1)^2 O_b(b-1)^2) / 2 and couples
+    (n, q) to (n+1, q+1) by C[n, q] = V_a(n) O_a(n) V_b(q) O_b(q) / 2. The
+    partial transpose moves that coupling to (n, q+1)-(n+1, q), so its blocks
+    run along the diagonals of the column-flipped D and C.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    va, oa = _mode_amplitudes(sq_a, n_max)
+    vb, ob = _mode_amplitudes(sq_b, n_max)
+    oa_prev, ob_prev = np.append(0.0, oa[:-1]), np.append(0.0, ob[:-1])
+    diag = 0.5 * (np.outer(va**2, vb**2) + np.outer(oa_prev**2, ob_prev**2))
+    off = 0.5 * np.outer((va * oa)[:-1], (vb * ob)[:-1])
+    trace = float(diag.sum())
+    return (
+        Spectrum(_block_eigenvalues(diag, off), trace),
+        Spectrum(_block_eigenvalues(diag[:, ::-1], off[:, ::-1]), trace),
+        Spectrum(diag.sum(axis=1), trace),
+        Spectrum(diag.sum(axis=0), trace),
+    )
+
+
+def pair_measures(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int) -> dict:
+    """The oracle's columns at cutoff n_max: negativity sum, paper measure
+    2|lambda_min| of the partial transpose, trace-renormalised entropies,
+    mutual information and the truncation trace deficit."""
+    ab, pt, a, b = pair_spectra(sq_a, sq_b, n_max)
+    neg = negativity_sum(pt)
+    s_ab, s_a, s_b = (_entropy_bits(spec.eigenvalues) for spec in (ab, a, b))
+    return {
+        "neg_sum_num": neg.negative_sum,
+        "e_n_num": neg.paper_measure,
+        "s_a_num": s_a,
+        "s_b_num": s_b,
+        "s_ab_num": s_ab,
+        "i_num": s_a + s_b - s_ab,
+        "trace_deficit": max(1.0 - ab.trace_check, 0.0),
     }

@@ -8,12 +8,13 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import closed_form as cf
-from .density import eig_symmetric, mutual_information_numeric, negativity_sum, partial_transpose, reduced_density
-from .fock import entangled_pair_state, squared_norm
-from .kinematics import ModeSpec, SqueezeParam, make_squeeze, squeezing_from_mode
+from .density import pair_measures
+from .kinematics import ModeSpec, make_squeeze, squeezing_from_mode
 
-# (N_max+1)^4 amplitudes: 14 keeps the state and its 225x225 reductions desk-scale
-DEFAULT_NUMERIC_CAP = 14
+# largest cutoff the numeric oracle runs at: it diagonalises 4N+2 tridiagonal
+# blocks of size up to N+1, so its time grows as N^4 (about 0.4 s at 200,
+# where fig2's numeric columns reach r = 1.65); memory stays O(N^2)
+DEFAULT_NUMERIC_CAP = 200
 CSV_HEADER = (
     "r_a,r_b,n_max,e_n_block00,neg_sum_num,e_n_num,s_a_closed,s_b_closed,"
     "s_ab_closed,i_closed,s_a_num,s_b_num,s_ab_num,i_num,trace_deficit"
@@ -21,7 +22,7 @@ CSV_HEADER = (
 
 
 class NumericCapError(RuntimeError):
-    """Requested numeric cutoff exceeds the memory cap."""
+    """Requested numeric cutoff exceeds the oracle's cap."""
 
 
 @dataclass(frozen=True)
@@ -83,23 +84,6 @@ class ComparisonReport:
     warnings: tuple
 
 
-def _numeric_measures(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int) -> dict:
-    state = entangled_pair_state(sq_a, sq_b, max(n_max, 1))
-    rho_ab = reduced_density(state, keep=("A_out", "B_out"))
-    pt_spec = eig_symmetric(partial_transpose(rho_ab, "B_out").entries)
-    neg = negativity_sum(pt_spec)
-    mi = mutual_information_numeric(state)
-    return {
-        "neg_sum_num": neg.negative_sum,
-        "e_n_num": neg.paper_measure,
-        "s_a_num": mi["s_a"],
-        "s_b_num": mi["s_b"],
-        "s_ab_num": mi["s_ab"],
-        "i_num": mi["mutual_information"],
-        "trace_deficit": max(1.0 - squared_norm(state), 0.0),
-    }
-
-
 def run_point(
     r_a: float | None = None,
     r_b: float | None = None,
@@ -114,8 +98,10 @@ def run_point(
         if r_a is not None or r_b is not None:
             raise ValueError("give either r values or a ModeSpec, not both")
         sq_a = squeezing_from_mode(mode)
-        sq_b = squeezing_from_mode(ModeSpec(mode.mass, omega_prime)) if omega_prime else sq_a
+        sq_b = squeezing_from_mode(ModeSpec(mode.mass, omega_prime)) if omega_prime is not None else sq_a
     else:
+        if omega_prime is not None:
+            raise ValueError("omega_prime (--omega-prime) applies to a mass and omega, not to r values")
         if r_a is None:
             raise ValueError("r_a (or a ModeSpec) is required")
         sq_a = make_squeeze(r_a)
@@ -143,16 +129,16 @@ def run_point(
     if "numeric" in methods:
         if n_max > numeric_cap:
             raise NumericCapError(
-                f"numeric method needs cutoff {n_max}, above the memory cap of "
-                f"{numeric_cap} ((N_max+1)^4 amplitudes)"
+                f"numeric method needs cutoff {n_max}, above the oracle cap of "
+                f"{numeric_cap} (its time grows as N_max^4)"
             )
-        values.update(_numeric_measures(sq_a, sq_b, n_max))
+        values.update(pair_measures(sq_a, sq_b, n_max))
     return EntanglementReport(r_a=sq_a.r, r_b=sq_b.r, n_max=n_max, **values)
 
 
 def run_sweep(cfg: SweepConfig) -> list:
     """One report per grid point, ascending r; numeric auto-disables per point
-    when the resolved cutoff exceeds the memory cap (noted once on stderr)."""
+    when the resolved cutoff exceeds the oracle cap (noted once on stderr)."""
     rows = []
     warned = False
     for k in range(cfg.steps):
@@ -168,7 +154,7 @@ def run_sweep(cfg: SweepConfig) -> list:
                 if not warned:
                     print(
                         f"note: numeric method disabled where the resolved cutoff "
-                        f"exceeds the memory cap of {cfg.numeric_cap}",
+                        f"exceeds the oracle cap of {cfg.numeric_cap}",
                         file=sys.stderr,
                     )
                     warned = True

@@ -41,6 +41,15 @@ def test_point_by_mass_omega():
     assert res.stdout.startswith(CSV_HEADER)
 
 
+def test_readme_mass_omega_example_has_numeric_columns():
+    # resolves cutoff 20: within the oracle cap, so both method families run
+    res = run_cli("point", "--mass", "0.05", "--omega", "1.0")
+    assert res.returncode == 0
+    cells = dict(zip(CSV_HEADER.split(","), res.stdout.strip().split("\n")[1].split(",")))
+    assert cells["n_max"] == "20"
+    assert cells["e_n_num"] != "" and cells["i_num"] != ""
+
+
 def test_point_json_format():
     res = run_cli("point", "--r", "0.3", "--format", "json")
     assert res.returncode == 0
@@ -86,10 +95,10 @@ def test_compare_reports_differences():
 
 
 def test_compare_respects_explicit_nmax_cap():
-    # an explicit cutoff above the numeric memory cap still refuses to run
-    res = run_cli("compare", "--r", "1.0", "--nmax", "20")
+    # an explicit cutoff above the numeric oracle cap still refuses to run
+    res = run_cli("compare", "--r", "1.0", "--nmax", "201")
     assert res.returncode == 3
-    assert "memory cap" in res.stderr
+    assert "oracle cap" in res.stderr
 
 
 # ------------------------------------------------------------------- exit 2
@@ -106,6 +115,8 @@ def test_compare_respects_explicit_nmax_cap():
         ("sweep", "--r-min", "0", "--r-max", "1", "--steps", "1"),
         ("nosuchcommand",),
         ("point", "--r", "0.5", "--nmax", "8", "--tail-tol", "1e-8"),  # mutually exclusive
+        ("point", "--r", "0.3", "--omega-prime", "5"),  # --omega-prime needs --mass/--omega
+        ("point", "--mass", "0.05", "--omega", "1.0", "--omega-prime", "0"),  # omega' must be positive
     ],
 )
 def test_invalid_arguments_exit_2(args):
@@ -123,10 +134,18 @@ def test_cutoff_cap_exit_3():
     assert "cap" in res.stderr
 
 
-def test_numeric_cap_exit_3():
-    res = run_cli("point", "--r", "1.0")  # resolved cutoff ~58 > numeric cap 14
+def test_saturated_squeezing_exit_3():
+    # tanh 20 == 1.0 in floating point: no cutoff can meet the tail tolerance
+    res = run_cli("point", "--r", "20", "--methods", "closed")
     assert res.returncode == 3
-    assert "memory cap" in res.stderr
+    assert "rounds to 1" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_numeric_cap_exit_3():
+    res = run_cli("point", "--r", "2.0")  # resolved cutoff 395 > numeric cap 200
+    assert res.returncode == 3
+    assert "oracle cap" in res.stderr
 
 
 # ------------------------------------------------------------------- exit 4

@@ -1,7 +1,7 @@
 """Tests for the analytic block and series expressions.
 
 Independent oracles: plain-Python running-product summation for the series,
-the density-engine Jacobi solver for block spectra, and doubled-cutoff
+the density engine's eigensolver for block spectra, and doubled-cutoff
 re-evaluation for truncation control.
 """
 
@@ -12,6 +12,7 @@ import pytest
 
 from hawkpair.closed_form import (
     DIRECT_GRID_CAP,
+    HARD_SERIES_CAP,
     SeriesConfig,
     _s_ab_direct,
     _s_ab_smooth,
@@ -271,6 +272,14 @@ def test_resolve_cutoff_cap_exceeded():
         resolve_cutoff(make_squeeze(7.0), make_squeeze(7.0), SeriesConfig(tail_tol=1e-10))
 
 
+def test_resolve_cutoff_saturated_tanh():
+    # tanh r == 1.0 in floating point for r >~ 19.07: log(tanh^2 r) is 0
+    sq = make_squeeze(20.0)
+    assert sq.tanh_r == 1.0
+    with pytest.raises(ConvergenceError, match="rounds to 1"):
+        resolve_cutoff(sq, make_squeeze(0.5), SeriesConfig(tail_tol=1e-10))
+
+
 def test_series_config_validation():
     with pytest.raises(ValueError):
         SeriesConfig()
@@ -278,6 +287,10 @@ def test_series_config_validation():
         SeriesConfig(n_max=10, tail_tol=1e-10)
     with pytest.raises(ValueError):
         SeriesConfig(n_max=0)
+    # an explicit cutoff obeys the same cap as a resolved one, before any allocation
+    assert SeriesConfig(n_max=HARD_SERIES_CAP).n_max == HARD_SERIES_CAP
+    with pytest.raises(ValueError, match="n_max"):
+        SeriesConfig(n_max=HARD_SERIES_CAP + 1)
     with pytest.raises(ValueError):
         SeriesConfig(tail_tol=0.0)
 

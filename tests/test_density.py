@@ -1,11 +1,10 @@
-"""Tests for the density-matrix oracle: partial trace/transpose, the Jacobi
-eigensolver, and the spectrum functionals."""
+"""Tests for the brute-force density-matrix path: partial trace/transpose,
+the eigensolver, and the spectrum functionals."""
 
 import numpy as np
 import pytest
 
 from hawkpair.density import (
-    ConvergenceError,
     DensityMatrix,
     Spectrum,
     eig_symmetric,
@@ -128,14 +127,6 @@ def test_eig_symmetric_examples():
 def test_eig_symmetric_rejects_non_symmetric():
     with pytest.raises(ValueError):
         eig_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_eig_symmetric_convergence_failure():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((20, 20))
-    m = m + m.T
-    with pytest.raises(ConvergenceError):
-        eig_symmetric(m, max_sweeps=1)
 
 
 @pytest.mark.parametrize(

@@ -81,7 +81,7 @@ def test_run_point_omega_prime_changes_bob_only():
 
 def test_run_point_numeric_cap():
     with pytest.raises(NumericCapError):
-        run_point(r_a=1.0, cutoff=SeriesConfig(tail_tol=1e-10))  # needs N ~ 58 > 14
+        run_point(r_a=1.0, cutoff=SeriesConfig(tail_tol=1e-10), numeric_cap=14)  # needs N = 49 > 14
     rep = run_point(r_a=1.0, cutoff=SeriesConfig(tail_tol=1e-10), numeric_cap=60)
     assert rep.i_num is not None
 
@@ -95,6 +95,10 @@ def test_run_point_argument_validation():
         run_point(r_a=0.5, methods=("nope",))
     with pytest.raises(ValueError):
         run_point(r_a=0.5, methods=())
+    with pytest.raises(ValueError, match="omega_prime"):
+        run_point(r_a=0.3, omega_prime=5.0)  # omega' has no meaning on the r path
+    with pytest.raises(ValueError, match="omega"):
+        run_point(mode=ModeSpec(mass=MW_FOR_HALF, omega=1.0), omega_prime=0.0)  # 0 is not "absent"
 
 
 def test_run_point_trace_deficit_is_state_norm_deficit():
@@ -134,13 +138,15 @@ def test_sweep_omega_ratio_squashes_bob():
 
 
 def test_sweep_numeric_auto_disable(capsys):
-    # numeric runs at small r, silently drops out past the memory cap
-    rows = run_sweep(SweepConfig(r_min=0.1, r_max=1.0, steps=4))
+    # numeric runs at small r, silently drops out past the oracle cap
+    # (r = 0.1, 0.7, 1.3 resolve N <= 200; r = 2.0 resolves N = 395)
+    rows = run_sweep(SweepConfig(r_min=0.1, r_max=2.0, steps=4))
     assert rows[0].i_num is not None
+    assert rows[-2].i_num is not None
     assert rows[-1].i_num is None
     assert rows[-1].i_closed is not None
     err = capsys.readouterr().err
-    assert err.count("memory cap") == 1
+    assert err.count("oracle cap") == 1
 
 
 def test_sweep_failure_names_the_point():
@@ -260,4 +266,4 @@ def test_report_fields_match_csv_header():
 
 
 def test_default_numeric_cap_is_desk_scale():
-    assert DEFAULT_NUMERIC_CAP == 14
+    assert DEFAULT_NUMERIC_CAP == 200
