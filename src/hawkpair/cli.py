@@ -18,6 +18,7 @@ from .sweep import (
     DEFAULT_NUMERIC_CAP,
     NumericCapError,
     SweepConfig,
+    SweepPointError,
     compare_closed_vs_numeric,
     csv_lines,
     emit_csv,
@@ -27,6 +28,8 @@ from .sweep import (
 )
 
 FIG_PRESET = dict(r_min=0.0, r_max=6.0, steps=121)
+# exit code of each error family, first match wins
+EXIT_CODES = ((ConvergenceError, 3), (NumericCapError, 3), (OSError, 4), (ValueError, 2))
 
 
 def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:
@@ -182,15 +185,14 @@ def main(argv=None) -> int:
             _cmd_fig(args, methods=("closed",))
         elif args.command == "compare":
             _cmd_compare(args)
-    except (ConvergenceError, NumericCapError) as exc:
+    except (ConvergenceError, NumericCapError, OSError, ValueError, SweepPointError) as exc:
+        # a failed sweep point exits as its cause would
+        cause = exc.__cause__ if isinstance(exc, SweepPointError) else exc
+        code = next((code for kind, code in EXIT_CODES if isinstance(cause, kind)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
     return 0
 
 

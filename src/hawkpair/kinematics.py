@@ -9,6 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# largest squeezing parameter accepted: the weights divide by cosh^2 r, which
+# overflows a float just above r = 355.6 (tanh r rounds to 1 from r ~ 19.1)
+R_MAX = 355.0
+
 
 @dataclass(frozen=True)
 class ModeSpec:
@@ -45,6 +49,8 @@ def make_squeeze(r: float) -> SqueezeParam:
     """Build a SqueezeParam directly from r (for sweeps over the r axis)."""
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be non-negative and finite, got {r}")
+    if r > R_MAX:
+        raise ValueError(f"r must be at most {R_MAX} (cosh^2 r overflows a float), got {r}")
     return SqueezeParam(r=r, tanh_r=math.tanh(r), cosh_r=math.cosh(r))
 
 

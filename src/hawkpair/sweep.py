@@ -25,6 +25,11 @@ class NumericCapError(RuntimeError):
     """Requested numeric cutoff exceeds the oracle's cap."""
 
 
+class SweepPointError(RuntimeError):
+    """A sweep point failed; the message names the point, and the original
+    error is its __cause__."""
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     r_min: float
@@ -147,24 +152,24 @@ def run_sweep(cfg: SweepConfig) -> list:
             r_b = r
         else:
             r_b = math.atanh(math.tanh(r) ** cfg.omega_ratio) if r > 0 else 0.0
-        methods = cfg.methods
-        if "numeric" in methods:
-            n_req = cf.resolve_cutoff(make_squeeze(r), make_squeeze(r_b), cfg.cutoff)
-            if n_req > cfg.numeric_cap:
-                if not warned:
-                    print(
-                        f"note: numeric method disabled where the resolved cutoff "
-                        f"exceeds the oracle cap of {cfg.numeric_cap}",
-                        file=sys.stderr,
-                    )
-                    warned = True
-                methods = tuple(m for m in methods if m != "numeric")
         try:
+            methods = cfg.methods
+            if "numeric" in methods:
+                n_req = cf.resolve_cutoff(make_squeeze(r), make_squeeze(r_b), cfg.cutoff)
+                if n_req > cfg.numeric_cap:
+                    if not warned:
+                        print(
+                            f"note: numeric method disabled where the resolved cutoff "
+                            f"exceeds the oracle cap of {cfg.numeric_cap}",
+                            file=sys.stderr,
+                        )
+                        warned = True
+                    methods = tuple(m for m in methods if m != "numeric")
             rows.append(
                 run_point(r_a=r, r_b=r_b, cutoff=cfg.cutoff, methods=methods, numeric_cap=cfg.numeric_cap)
             )
         except Exception as exc:
-            raise type(exc)(f"sweep failed at r = {r}: {exc}") from exc
+            raise SweepPointError(f"sweep failed at r = {r} (r_b = {r_b}): {exc}") from exc
     return rows
 
 

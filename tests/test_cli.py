@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from hawkpair.sweep import CSV_HEADER
+from hawkpair import cli
+from hawkpair import sweep as sweep_module
+from hawkpair.density import ConvergenceError
+from hawkpair.sweep import CSV_HEADER, NumericCapError, SweepPointError
 
 
 def run_cli(*args):
@@ -117,12 +120,15 @@ def test_compare_respects_explicit_nmax_cap():
         ("point", "--r", "0.5", "--nmax", "8", "--tail-tol", "1e-8"),  # mutually exclusive
         ("point", "--r", "0.3", "--omega-prime", "5"),  # --omega-prime needs --mass/--omega
         ("point", "--mass", "0.05", "--omega", "1.0", "--omega-prime", "0"),  # omega' must be positive
+        ("point", "--r", "1000", "--methods", "closed"),  # cosh r overflows a float
+        ("point", "--r", "800", "--nmax", "5"),
     ],
 )
 def test_invalid_arguments_exit_2(args):
     res = run_cli(*args)
     assert res.returncode == 2
     assert res.stderr != ""
+    assert "Traceback" not in res.stderr
 
 
 # ------------------------------------------------------------------- exit 3
@@ -146,6 +152,36 @@ def test_numeric_cap_exit_3():
     res = run_cli("point", "--r", "2.0")  # resolved cutoff 395 > numeric cap 200
     assert res.returncode == 3
     assert "oracle cap" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (ConvergenceError("stubbed: no cutoff"), 3),
+        (NumericCapError("stubbed: above the oracle cap"), 3),
+        (ValueError("stubbed: bad value"), 2),
+        (OSError("stubbed: disk gone"), 4),
+    ],
+)
+def test_sweep_point_failure_keeps_exit_code_of_cause(monkeypatch, capsys, error, code):
+    # a failed sweep point is reported with its r and exits as its cause would
+    def failing_point(**kwargs):
+        raise error
+
+    monkeypatch.setattr(sweep_module, "run_point", failing_point)
+    assert cli.main(["sweep", "--r-min", "0.1", "--r-max", "0.2", "--steps", "2", "--methods", "closed"]) == code
+    err = capsys.readouterr().err
+    assert "sweep failed at r = 0.1" in err and "stubbed" in err
+
+
+def test_sweep_point_failure_with_unmapped_cause_propagates(monkeypatch):
+    def failing_point(**kwargs):
+        raise KeyError("stubbed")
+
+    monkeypatch.setattr(sweep_module, "run_point", failing_point)
+    with pytest.raises(SweepPointError) as info:
+        cli.main(["sweep", "--r-min", "0.1", "--r-max", "0.2", "--steps", "2", "--methods", "closed"])
+    assert isinstance(info.value.__cause__, KeyError)
 
 
 # ------------------------------------------------------------------- exit 4

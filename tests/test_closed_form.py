@@ -6,16 +6,19 @@ re-evaluation for truncation control.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from hawkpair import closed_form
 from hawkpair.closed_form import (
-    DIRECT_GRID_CAP,
     HARD_SERIES_CAP,
+    SMOOTH_SCALE,
     SeriesConfig,
-    _s_ab_direct,
-    _s_ab_smooth,
+    _mixed_partial,
+    _moments,
     block_a,
     block_matrix,
     block_pt_eigenvalues,
@@ -66,6 +69,28 @@ def series_s_ab_oracle(r_a, r_b, n_max):
                 total -= p * math.log2(p)
             yq *= y
         xn *= x
+    return total
+
+
+def series_s_ab_grid(r_a, r_b, n_max):
+    """The same double series summed with numpy on the full (n, q) grid.
+
+    Rows and columns whose weight x^n underflows to 0 are left out: their
+    terms are exactly 0, as in series_s_ab_oracle.
+    """
+    ca2, cb2 = math.cosh(r_a) ** 2, math.cosh(r_b) ** 2
+    big_c = ca2 * cb2
+    idx = np.arange(n_max + 1, dtype=float)
+    wx, wy = math.tanh(r_a) ** (2 * idx), math.tanh(r_b) ** (2 * idx)
+    n, wx = idx[wx > 0.0], wx[wx > 0.0]
+    q, wy = idx[wy > 0.0], wy[wy > 0.0]
+    total = 0.0
+    rows = max(1, (1 << 20) // q.size)
+    for lo in range(0, n.size, rows):
+        sl = slice(lo, lo + rows)
+        p = np.outer(wx[sl], wy) / (2.0 * big_c) * (1.0 + np.outer(n[sl] + 1.0, q + 1.0) / big_c)
+        p = p[p > 0.0]
+        total -= float(np.sum(p * np.log2(p)))
     return total
 
 
@@ -196,17 +221,124 @@ def test_s_ab_doubled_cutoff_stable():
     assert doubled == pytest.approx(base, abs=1e-8)
 
 
-def test_smooth_path_matches_direct_on_overlap():
-    # same cutoff evaluated by the lattice sum and by Euler-Maclaurin
-    r = 3.2
+def test_smooth_path_matches_direct_on_overlap(monkeypatch):
+    # same cutoff evaluated by Euler-Maclaurin (decay lengths 1/(-ln tanh^2 r)
+    # of 75 to 152 lattice steps) and, with the threshold raised, term by term
+    pairs = [(2.85, 2.85), (3.2, 3.2), (3.2, 2.9), (3.1, 1.0)]
+    smooth = {}
+    for r_a, r_b in pairs:
+        sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
+        assert -math.log(sq_a.tanh_r**2) * SMOOTH_SCALE < 1.0
+        smooth[r_a, r_b] = s_ab_closed(sq_a, sq_b, SeriesConfig(tail_tol=1e-10))
+    monkeypatch.setattr(closed_form, "SMOOTH_SCALE", math.inf)
+    for r_a, r_b in pairs:
+        direct = s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), SeriesConfig(tail_tol=1e-10))
+        assert smooth[r_a, r_b] == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def test_grid_oracle_matches_loop_oracle():
+    for r_a, r_b, n_max in ((1.0, 1.0, 40), (1.3, 0.4, 60), (0.7, 0.0, 30)):
+        assert series_s_ab_grid(r_a, r_b, n_max) == pytest.approx(
+            series_s_ab_oracle(r_a, r_b, n_max), rel=1e-13, abs=0.0
+        )
+
+
+@pytest.mark.parametrize(
+    "r_a,r_b,cfg",
+    [
+        # omega'/omega = 150: tanh r_b = tanh^150 r_a, one long and one short axis
+        (3.4, math.atanh(math.tanh(3.4) ** 150), SeriesConfig(tail_tol=1e-10)),
+        (3.5, math.atanh(math.tanh(3.5) ** 150), SeriesConfig(tail_tol=1e-10)),
+        # explicit cutoffs far beyond the decay length of both axes
+        (0.5, 0.5, SeriesConfig(n_max=6001)),
+        (1.0, 1.0, SeriesConfig(n_max=7000)),
+        (2.0, 2.0, SeriesConfig(n_max=7000)),
+    ],
+    ids=["r3.4-ratio150", "r3.5-ratio150", "r0.5-n6001", "r1-n7000", "r2-n7000"],
+)
+def test_s_ab_short_decay_axis_matches_grid_sum(r_a, r_b, cfg):
+    # the summation path follows each axis' decay length, not the cutoff
+    sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
+    n_max = resolve_cutoff(sq_a, sq_b, cfg)
+    assert n_max > 6000
+    assert s_ab_closed(sq_a, sq_b, cfg) == pytest.approx(series_s_ab_grid(r_a, r_b, n_max), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [2.2, 2.65])
+def test_s_ab_below_smooth_scale_matches_grid_sum(r):
+    # decay lengths of 20 and 50 lattice steps: Euler-Maclaurin would be off
+    # by 2e-11 and 1.3e-13 there, so these axes are summed term by term
     sq = make_squeeze(r)
-    n_max = DIRECT_GRID_CAP + 500
-    x = sq.tanh_r**2
-    l2x = math.log2(x)
-    l2c = 4.0 * math.log2(sq.cosh_r)
-    direct = _s_ab_direct(l2x, l2x, l2c, n_max)
-    smooth = _s_ab_smooth(math.log(x), math.log(x), l2c * math.log(2.0), n_max)
-    assert smooth == pytest.approx(direct, abs=1e-9)
+    assert 1.0 < -math.log(sq.tanh_r**2) * SMOOTH_SCALE
+    n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
+    value = s_ab_closed(sq, sq, SeriesConfig(n_max=n_max))
+    assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "x,n_max",
+    [(0.0, 5), (0.3, 1), (0.3, 40), (0.9, 3), (0.9, 400), (0.9999, 5), (0.9999, 70_000), (0.9999, 200_000), (1.0, 7)],
+)
+def test_geometric_moments_match_term_sums(x, n_max):
+    n = np.arange(n_max + 1, dtype=float)
+    xn = x**n
+    expected = (xn.sum(), n @ xn, (n + 1.0) @ xn, (n * (n + 1.0)) @ xn)
+    np.testing.assert_allclose(_moments(x, n_max), expected, rtol=1e-13, atol=0.0)
+
+
+def _summand(s, t, lx, ly, c_inv):
+    z = 1.0 + (s + 1.0) * (t + 1.0) * c_inv
+    return math.exp(s * lx + t * ly) * z * math.log(z)
+
+
+@pytest.mark.parametrize("s,t", [(0.0, 0.0), (3.5, 12.0), (40.0, 7.0)])
+def test_mixed_partials_match_finite_differences(s, t):
+    # D^{a,b} of e^(s lx + t ly) z ln z, z = 1 + (s+1)(t+1)/C: each order
+    # against a first or second central difference of one already checked
+    lx, ly, c_inv = -0.08, -0.03, 1.0 / 37.0
+    step = 1e-3
+
+    def d(a, b, ds=0.0, dt=0.0):
+        g = _mixed_partial(a, b, np.array([s + ds]), np.array([t + dt]), lx, ly, c_inv)
+        return float(g[0, 0]) * math.exp((s + ds) * lx + (t + dt) * ly)
+
+    def shifted(a, b, axis, h):
+        return d(a, b, h, 0.0) if axis == 0 else d(a, b, 0.0, h)
+
+    def first(a, b, axis):
+        return (shifted(a, b, axis, step) - shifted(a, b, axis, -step)) / (2.0 * step)
+
+    def second(a, b, axis):
+        return (shifted(a, b, axis, step) - 2.0 * d(a, b) + shifted(a, b, axis, -step)) / step**2
+
+    assert d(0, 0) == pytest.approx(_summand(s, t, lx, ly, c_inv), rel=1e-14)
+    checks = {
+        (1, 0): first(0, 0, 0),
+        (0, 1): first(0, 0, 1),
+        (1, 1): first(1, 0, 1),
+        (3, 0): second(1, 0, 0),
+        (0, 3): second(0, 1, 1),
+        (3, 1): second(1, 1, 0),
+        (1, 3): second(1, 1, 1),
+        (3, 3): second(3, 1, 1),
+    }
+    for (a, b), estimate in checks.items():
+        assert d(a, b) == pytest.approx(estimate, rel=1e-6), (a, b)
+
+
+def test_s_ab_closed_needs_no_sympy():
+    # a cutoff beyond 1e5 takes the Euler-Maclaurin path with sympy blocked
+    code = (
+        "import sys; sys.modules['sympy'] = None\n"
+        "from hawkpair import SeriesConfig, make_squeeze, resolve_cutoff, s_ab_closed\n"
+        "sq = make_squeeze(5.0); cfg = SeriesConfig(tail_tol=1e-10)\n"
+        "assert resolve_cutoff(sq, sq, cfg) > 100_000\n"
+        "print(repr(s_ab_closed(sq, sq, cfg)))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    sq = make_squeeze(5.0)
+    assert float(res.stdout) == s_ab_closed(sq, sq, SeriesConfig(tail_tol=1e-10))
 
 
 def test_s_ab_asymmetric_parameters():

@@ -60,10 +60,16 @@ def test_mode_spec_rejects_bad_input(mass, omega):
         ModeSpec(mass=mass, omega=omega)
 
 
-@pytest.mark.parametrize("r", [-0.1, math.inf, math.nan])
+@pytest.mark.parametrize("r", [-0.1, math.inf, math.nan, 355.5, 800.0, 1000.0])
 def test_make_squeeze_rejects_bad_input(r):
     with pytest.raises(ValueError):
         make_squeeze(r)
+
+
+def test_make_squeeze_largest_r_has_finite_cosh_squared():
+    # r = 355 is the largest accepted; its cosh^2 r still fits a float
+    sq = make_squeeze(355.0)
+    assert math.isfinite(sq.cosh_r**2)
 
 
 @pytest.mark.parametrize("r,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])

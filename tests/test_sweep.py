@@ -9,6 +9,7 @@ import pytest
 
 from hawkpair.closed_form import SeriesConfig
 from hawkpair.density import ConvergenceError
+from hawkpair import sweep as sweep_module
 from hawkpair.kinematics import ModeSpec
 from hawkpair.sweep import (
     CSV_HEADER,
@@ -16,6 +17,7 @@ from hawkpair.sweep import (
     EntanglementReport,
     NumericCapError,
     SweepConfig,
+    SweepPointError,
     compare_closed_vs_numeric,
     csv_lines,
     emit_csv,
@@ -151,8 +153,29 @@ def test_sweep_numeric_auto_disable(capsys):
 
 def test_sweep_failure_names_the_point():
     cfg = SweepConfig(r_min=6.5, r_max=7.0, steps=2, methods=("closed",))
-    with pytest.raises(ConvergenceError, match=r"sweep failed at r = 6\.5"):
+    with pytest.raises(SweepPointError, match=r"sweep failed at r = 6\.5 \(r_b = 6\.5\)") as info:
         run_sweep(cfg)
+    assert isinstance(info.value.__cause__, ConvergenceError)
+
+
+class _TwoArgumentError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def test_sweep_failure_keeps_cause_with_other_constructor(monkeypatch):
+    # the point error wraps the original instead of rebuilding its type from a message
+    original = _TwoArgumentError(7, "stubbed failure")
+
+    def failing_point(**kwargs):
+        if kwargs["r_a"] > 0.5:
+            raise original
+        return run_point(**kwargs)
+
+    monkeypatch.setattr(sweep_module, "run_point", failing_point)
+    with pytest.raises(SweepPointError, match=r"sweep failed at r = 1\.0 .*7: stubbed failure") as info:
+        run_sweep(SweepConfig(r_min=0.0, r_max=1.0, steps=3, methods=("closed",)))
+    assert info.value.__cause__ is original
 
 
 def test_sweep_config_validation():
