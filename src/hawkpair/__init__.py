@@ -49,6 +49,7 @@ from .sweep import (
     compare_closed_vs_numeric,
     emit_csv,
     emit_json,
+    emit_rows,
     run_point,
     run_sweep,
 )

@@ -20,9 +20,8 @@ from .sweep import (
     SweepConfig,
     SweepPointError,
     compare_closed_vs_numeric,
-    csv_lines,
-    emit_csv,
-    emit_json,
+    emit_rows,
+    open_output,
     run_point,
     run_sweep,
 )
@@ -98,26 +97,13 @@ def _cutoff_from(args) -> cf.SeriesConfig:
 
 
 def _methods_from(args) -> tuple:
-    methods = tuple(m for m in args.methods.split(",") if m)
-    bad = set(methods) - {"closed", "numeric"}
-    if bad or not methods:
-        raise ValueError(f"--methods must name a subset of closed,numeric; got {args.methods!r}")
-    return methods
+    # run_point and SweepConfig check the names
+    return tuple(m for m in args.methods.split(",") if m)
 
 
 def _write_rows(rows, args) -> None:
-    if args.out is None:
-        if args.format == "csv":
-            sys.stdout.write("\n".join(csv_lines(rows)) + "\n")
-        else:
-            payload = [dataclasses.asdict(r) for r in rows]
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        return
-    if args.format == "csv":
-        emit_csv(rows, args.out)
-    else:
-        emit_json(rows, args.out)
+    with open_output(args.out) as stream:
+        emit_rows(rows, args.format, stream)
 
 
 def _cmd_point(args) -> None:
@@ -158,15 +144,8 @@ def _cmd_compare(args) -> None:
     cmp_report = compare_closed_vs_numeric(report, warn_threshold=args.warn_threshold)
     payload = dataclasses.asdict(cmp_report)
     payload["warnings"] = list(payload["warnings"])
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"failed to write {args.out}: {exc}") from exc
+    with open_output(args.out) as stream:
+        stream.write(json.dumps(payload, indent=2) + "\n")
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,14 @@ with Gauss-Legendre panel quadrature and boundary corrections through third
 order, whose derivatives are written out by the Leibniz rule (no generated
 kernels). The resolved cutoff reaches 1e5..1e6 in the large-r regime; only
 Euler-Maclaurin axes see it, so the cost per point stays bounded.
+
+The marginal series takes the same split, log2 p_n = n l2x - l2c2 and
+log2 p'_n = log2(n+1) + n l2x - 2 l2c2, so only the log moment
+sum (n+1) x^n ln(n+1) is summed numerically, by the same per-axis rule with
+one change: ln(n+1) is smooth on the lattice only from n ~ SMOOTH_SCALE on,
+so on the Euler-Maclaurin side its first SMOOTH_SCALE terms are added one by
+one and the panels start SMOOTH_SCALE wide. Neither series builds an array
+whose length grows with the cutoff.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ HARD_SERIES_CAP = 4_000_000
 SMOOTH_SCALE = 64.0
 # a term-by-term axis stops where its weight falls below 2^-60 of the first
 _CLIP_BITS = 60
-# cells of the joint-series grid evaluated at a time
+# cells of the joint-series grid (or terms of a moment) evaluated at a time
 _BLOCK_CELLS = 1 << 16
 
 _LN2 = math.log(2.0)
@@ -143,19 +151,25 @@ def s_a_closed(sq: SqueezeParam, cfg: SeriesConfig) -> float:
     """Marginal entropy series: two eigenvalue families treated as orthogonal.
 
     1 - (1/2) sum_n p_n log2 p_n - (1/2) sum_n p'_n log2 p'_n with
-    p_n = tanh^(2n) r / cosh^2 r and p'_n = (n+1) tanh^(2n) r / cosh^4 r.
+    p_n = x^n / c^2 and p'_n = (n+1) x^n / c^4, x = tanh^2 r, c = cosh r.
+    With log2 p_n = n l2x - l2c2 and log2 p'_n = log2(n+1) + n l2x - 2 l2c2,
+    every sum but one is a geometric moment (_moments); only
+    sum (n+1) x^n ln(n+1) is summed (_log_moment). No array of length N + 1
+    is built.
     """
     if sq.r == 0.0:
         return 1.0
     n_max = resolve_cutoff(sq, sq, cfg)
     x = sq.tanh_r**2
-    l2x = math.log2(x)
+    c2 = sq.cosh_r**2
     l2c2 = 2.0 * math.log2(sq.cosh_r)
-    n = np.arange(n_max + 1, dtype=float)
-    lp = n * l2x - l2c2
-    lpp = np.log2(n + 1.0) + n * l2x - 2.0 * l2c2
-    term1 = float(np.sum(np.exp2(lp) * lp))
-    term2 = float(np.sum(np.exp2(lpp) * lpp))
+    # tanh^2 r underflows to 0 below r ~ 1e-154; l2x then multiplies only
+    # moments that vanish
+    l2x = math.log2(x) if x > 0.0 else 0.0
+    a0, a1, b1, b2 = _moments(x, n_max)
+    term1 = (l2x * a1 - l2c2 * a0) / c2
+    log_moment = _log_moment(math.log(x) if x > 0.0 else -math.inf, n_max)
+    term2 = (l2x * b2 - 2.0 * l2c2 * b1 + log_moment / _LN2) / c2**2
     return 1.0 - 0.5 * term1 - 0.5 * term2
 
 
@@ -169,15 +183,19 @@ def _moments(x: float, n_max: int) -> tuple:
 
     Each is its infinite-series value minus the x^(N+1) tail (1 - x is exact
     in floating point for x >= 1/2). Where the tail is most of the infinite
-    value the closed forms would cancel, so the terms are added instead.
+    value the closed forms would cancel, so the terms are added instead, in
+    blocks of _BLOCK_CELLS.
     """
     if x == 0.0:
         return 1.0, 0.0, 1.0, 0.0
     k = n_max + 1
     if k * -math.log(x) < 8.0:
-        n = np.arange(k, dtype=float)
-        xn = x**n
-        return float(xn.sum()), float(n @ xn), float((n + 1.0) @ xn), float((n * (n + 1.0)) @ xn)
+        sums = np.zeros(4)
+        for lo in range(0, k, _BLOCK_CELLS):
+            n = np.arange(lo, min(k, lo + _BLOCK_CELLS), dtype=float)
+            xn = x**n
+            sums += (xn.sum(), n @ xn, (n + 1.0) @ xn, (n * (n + 1.0)) @ xn)
+        return tuple(float(v) for v in sums)
     d = 1.0 - x
     xk = x**k
     a0 = (1.0 - xk) / d
@@ -209,27 +227,34 @@ def _panel_points(hi: float, scale: float):
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def _axis_rule(lx: float, n_max: int) -> list:
+def _axis_rule(lx: float, n_max: int, head: float = 0.0) -> list:
     """Linear functional that sums f(n) over n = 0..N along one axis.
 
     Returned as (order, points, weights) triples standing for
     sum weights * f^(order)(points) / e^(points lx): the weights carry the
     factor e^(n lx) of the summand. An axis whose decay length 1/(-lx) is
     under SMOOTH_SCALE is summed term by term, up to where e^(n lx) falls
-    below 2^-60; a longer one by Euler-Maclaurin,
-    sum f = int_0^N f + (f(0)+f(N))/2 + (f'(N)-f'(0))/12 - (f'''(N)-f'''(0))/720,
-    with the integral on Gauss-Legendre panels.
+    below 2^-60. A longer one adds its first `head` terms one by one, then
+    sums n = h..N by Euler-Maclaurin,
+    sum f = int_h^N f + (f(h)+f(N))/2 + (f'(N)-f'(h))/12 - (f'''(N)-f'''(h))/720,
+    with the integral on Gauss-Legendre panels whose widths start at the
+    head's length, or at the decay length when there is no head, and double.
     """
     if lx == -math.inf:
         return [(0, np.zeros(1), np.ones(1))]
     if lx * SMOOTH_SCALE < -1.0:
         n = np.arange(min(n_max, math.ceil(_CLIP_BITS * _LN2 / -lx)) + 1, dtype=float)
         return [(0, n, np.exp(n * lx))]
-    pts, wts = _panel_points(float(n_max), -1.0 / lx if lx < 0.0 else math.inf)
-    ends = np.array([0.0, float(n_max)])
+    n = np.arange(min(head, n_max + 1), dtype=float)
+    if head > n_max:
+        return [(0, n, np.exp(n * lx))]
+    pts, wts = _panel_points(float(n_max - head), head or (-1.0 / lx if lx < 0.0 else math.inf))
+    ends = np.array([float(head), float(n_max)])
     e_ends = np.exp(ends * lx)
+    nodes = np.concatenate([n, pts + head, ends])
+    weights = np.concatenate([np.ones(n.size), wts, [0.5, 0.5]]) * np.exp(nodes * lx)
     return [
-        (0, np.concatenate([pts, ends]), np.concatenate([wts * np.exp(pts * lx), 0.5 * e_ends])),
+        (0, nodes, weights),
         (1, ends, np.array([-1.0, 1.0]) / 12.0 * e_ends),
         (3, ends, np.array([1.0, -1.0]) / 720.0 * e_ends),
     ]
@@ -247,6 +272,21 @@ def _h_derivatives(z: np.ndarray, c_inv: float, top: int) -> list:
     for m in range(3, top + 1):
         out.append(out[-1] * (-(m - 2) * c_inv / z))
     return out
+
+
+def _log_moment(lx: float, n_max: int) -> float:
+    """sum_{n=0..N} (n+1) x^n ln(n+1), with lx = ln x (-inf allowed).
+
+    ln(n+1) varies on the scale n itself, so a smooth axis adds its first
+    SMOOTH_SCALE terms one by one before Euler-Maclaurin takes over. The
+    derivatives of e^(n lx) g(n), g(n) = (n+1) ln(n+1), come from the Leibniz
+    rule; g^(m)(n) is _h_derivatives' h^(m) at z = n+1 with C = 1.
+    """
+    total = 0.0
+    for order, n, w in _axis_rule(lx, n_max, head=SMOOTH_SCALE):
+        g = _h_derivatives(n + 1.0, 1.0, order)
+        total += float(w @ sum(math.comb(order, k) * lx ** (order - k) * g[k] for k in range(order + 1)))
+    return total
 
 
 def _mixed_partial(a: int, b: int, s, t, lx: float, ly: float, c_inv: float) -> np.ndarray:

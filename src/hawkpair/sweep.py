@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from . import closed_form as cf
@@ -30,6 +31,13 @@ class SweepPointError(RuntimeError):
     error is its __cause__."""
 
 
+def _check_methods(methods) -> None:
+    """Refuse a methods tuple that is empty or names anything but closed and numeric."""
+    bad = set(methods) - {"closed", "numeric"}
+    if bad or not methods:
+        raise ValueError(f"methods must be a non-empty subset of closed, numeric; got {methods}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     r_min: float
@@ -49,9 +57,7 @@ class SweepConfig:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.omega_ratio <= 0:
             raise ValueError("omega_ratio must be positive")
-        bad = set(self.methods) - {"closed", "numeric"}
-        if bad or not self.methods:
-            raise ValueError(f"methods must be a non-empty subset of closed, numeric; got {self.methods}")
+        _check_methods(self.methods)
 
 
 @dataclass(frozen=True)
@@ -111,15 +117,14 @@ def run_point(
             raise ValueError("r_a (or a ModeSpec) is required")
         sq_a = make_squeeze(r_a)
         sq_b = make_squeeze(r_b) if r_b is not None else sq_a
-    bad = set(methods) - {"closed", "numeric"}
-    if bad or not methods:
-        raise ValueError(f"methods must be a non-empty subset of closed, numeric; got {methods}")
+    _check_methods(methods)
 
     n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
     values: dict = {}
     if "closed" in methods:
         s_a = cf.s_a_closed(sq_a, cutoff)
-        s_b = cf.s_b_closed(sq_b, cutoff)
+        # equal squeezing on both sides (every symmetric point) is one series
+        s_b = s_a if sq_b == sq_a else cf.s_b_closed(sq_b, cutoff)
         s_ab = cf.s_ab_closed(sq_a, sq_b, cutoff)
         values.update(
             e_n_block00=cf.e_n_paper(sq_a, sq_b),
@@ -217,21 +222,36 @@ def csv_lines(rows) -> list:
     return lines
 
 
-def emit_csv(rows, path: str) -> None:
+@contextmanager
+def open_output(path: str | None):
+    """The text stream output goes to: stdout when path is None, else the
+    file at path with LF line ends. An OSError names the path."""
+    if path is None:
+        yield sys.stdout
+        return
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(csv_lines(rows)) + "\n")
+            yield fh
     except OSError as exc:
-        raise OSError(f"failed to write CSV to {path}: {exc}") from exc
+        raise OSError(f"failed to write {path}: {exc}") from exc
+
+
+def emit_rows(rows, fmt: str, stream) -> None:
+    """Write reports to an open text stream as CSV (csv_lines) or as a JSON
+    list of objects (fmt "json")."""
+    if fmt == "csv":
+        stream.write("\n".join(csv_lines(rows)) + "\n")
+    else:
+        payload = [{f.name: getattr(row, f.name) for f in fields(EntanglementReport)} for row in rows]
+        json.dump(payload, stream, indent=2)
+        stream.write("\n")
+
+
+def emit_csv(rows, path: str) -> None:
+    with open_output(path) as fh:
+        emit_rows(rows, "csv", fh)
 
 
 def emit_json(rows, path: str) -> None:
-    payload = [
-        {f.name: getattr(row, f.name) for f in fields(EntanglementReport)} for row in rows
-    ]
-    try:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"failed to write JSON to {path}: {exc}") from exc
+    with open_output(path) as fh:
+        emit_rows(rows, "json", fh)

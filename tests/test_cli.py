@@ -104,6 +104,27 @@ def test_compare_respects_explicit_nmax_cap():
     assert "oracle cap" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("point", "--r", "0.3", "--format", "csv"),
+        ("point", "--r", "0.3", "--format", "json"),
+        ("sweep", "--r-min", "0", "--r-max", "0.4", "--steps", "3", "--format", "csv"),
+        ("sweep", "--r-min", "0", "--r-max", "0.4", "--steps", "3", "--format", "json"),
+        ("compare", "--r", "0.2"),
+    ],
+    ids=["point-csv", "point-json", "sweep-csv", "sweep-json", "compare"],
+)
+def test_stdout_and_out_file_are_the_same_bytes(tmp_path, args):
+    path = tmp_path / "out"
+    command = [sys.executable, "-m", "hawkpair.cli", *args]
+    to_stdout = subprocess.run(command, capture_output=True, timeout=300)
+    to_file = subprocess.run([*command, "--out", str(path)], capture_output=True, timeout=300)
+    assert to_stdout.returncode == to_file.returncode == 0
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == path.read_bytes()
+
+
 # ------------------------------------------------------------------- exit 2
 
 
@@ -122,6 +143,8 @@ def test_compare_respects_explicit_nmax_cap():
         ("point", "--mass", "0.05", "--omega", "1.0", "--omega-prime", "0"),  # omega' must be positive
         ("point", "--r", "1000", "--methods", "closed"),  # cosh r overflows a float
         ("point", "--r", "800", "--nmax", "5"),
+        ("sweep", "--r-min", "0", "--r-max", "1", "--steps", "3", "--methods", "closed,bogus"),
+        ("point", "--r", "0.5", "--methods", ","),  # no method named
     ],
 )
 def test_invalid_arguments_exit_2(args):

@@ -8,6 +8,7 @@ re-evaluation for truncation control.
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ def series_s_a_oracle(r, n_max):
             s2 += weighted * math.log2(weighted)
         term *= x
     return 1.0 - 0.5 * s1 - 0.5 * s2
+
+
+def series_s_a_sum(r, n_max):
+    """The marginal series summed with numpy over n = 0..N, zero terms left out."""
+    x, c2 = math.tanh(r) ** 2, math.cosh(r) ** 2
+    n = np.arange(n_max + 1, dtype=float)
+    total = 1.0
+    for p in (x**n / c2, (n + 1.0) * x**n / c2**2):
+        p = p[p > 0.0]
+        total -= 0.5 * float(np.sum(p * np.log2(p)))
+    return total
 
 
 def series_s_ab_oracle(r_a, r_b, n_max):
@@ -182,6 +194,75 @@ def test_s_a_closed_matches_independent_oracle():
     n_max = resolve_cutoff(sq, sq, cfg)
     oracle = series_s_a_oracle(1.0, 2 * n_max)
     assert s_a_closed(sq, cfg) == pytest.approx(oracle, abs=1e-9)
+
+
+def test_numpy_marginal_sum_matches_loop_oracle():
+    for r, n_max in ((0.3, 10), (1.0, 80), (2.9, 400)):
+        assert series_s_a_sum(r, n_max) == pytest.approx(series_s_a_oracle(r, n_max), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [0.05, 2.7, 2.77, 2.85, 4.0, 5.25, 6.0])
+def test_s_a_closed_matches_plain_sum_at_resolved_cutoff(r):
+    # decay lengths 1/(-ln tanh^2 r) of 55 and 63.6 (r = 2.7, 2.77: term by
+    # term) and of 75 and up (Euler-Maclaurin after a head of SMOOTH_SCALE terms)
+    sq = make_squeeze(r)
+    cfg = SeriesConfig(tail_tol=1e-10)
+    assert s_a_closed(sq, cfg) == pytest.approx(series_s_a_sum(r, resolve_cutoff(sq, sq, cfg)), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [1, 40, 63, 64, 65, 100, 5000])
+def test_s_a_closed_matches_plain_sum_around_the_head(n_max):
+    # r = 3.5 (decay length 275) is on the Euler-Maclaurin path; a cutoff
+    # under 64 is all head, 64 leaves a zero-width Euler-Maclaurin range
+    sq = make_squeeze(3.5)
+    assert -math.log(sq.tanh_r**2) * SMOOTH_SCALE < 1.0
+    value = s_a_closed(sq, SeriesConfig(n_max=n_max))
+    assert value == pytest.approx(series_s_a_sum(3.5, n_max), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("r,n_max", [(5.0, 1000), (6.0, 20_000), (15.0, 200_000)])
+def test_s_a_closed_matches_plain_sum_where_moments_add_terms(r, n_max):
+    # (N+1)(-ln x) < 8: _moments adds the terms instead of using closed forms
+    sq = make_squeeze(r)
+    assert (n_max + 1) * -math.log(sq.tanh_r**2) < 8.0
+    value = s_a_closed(sq, SeriesConfig(n_max=n_max))
+    assert value == pytest.approx(series_s_a_sum(r, n_max), rel=0.0, abs=1e-12)
+
+
+def test_s_a_closed_underflowing_tanh():
+    # tanh^2 r underflows to 0: every p_n past n = 0 vanishes, and p_0 = p'_0 = 1
+    sq = make_squeeze(1e-200)
+    assert sq.tanh_r**2 == 0.0
+    assert s_a_closed(sq, SeriesConfig(tail_tol=1e-10)) == 1.0
+    assert s_a_closed(sq, SeriesConfig(n_max=500)) == 1.0
+
+
+def test_s_a_closed_allocates_no_cutoff_length_array():
+    # r = 6 resolves N = 1515955: one float array of that length is 12 MB
+    sq = make_squeeze(6.0)
+    cfg = SeriesConfig(tail_tol=1e-10)
+    assert resolve_cutoff(sq, sq, cfg) > 1_000_000
+    tracemalloc.start()
+    try:
+        s_a_closed(sq, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_series_allocate_no_cutoff_length_array_at_explicit_cap():
+    # tanh^2 15 = 1 - 3.7e-13: at any explicit cutoff _moments adds the terms
+    sq = make_squeeze(15.0)
+    cfg = SeriesConfig(n_max=HARD_SERIES_CAP)
+    tracemalloc.start()
+    try:
+        s_a_closed(sq, cfg)
+        s_ab_closed(sq, sq, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_s_b_closed_is_same_series():

@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
+from hawkpair import closed_form as cf
 from hawkpair.closed_form import SeriesConfig
 from hawkpair.density import ConvergenceError
 from hawkpair import sweep as sweep_module
-from hawkpair.kinematics import ModeSpec
+from hawkpair.kinematics import ModeSpec, make_squeeze
 from hawkpair.sweep import (
     CSV_HEADER,
     DEFAULT_NUMERIC_CAP,
@@ -189,6 +190,25 @@ def test_sweep_config_validation():
         SweepConfig(r_min=0.0, r_max=1.0, steps=3, omega_ratio=0.0)
     with pytest.raises(ValueError):
         SweepConfig(r_min=0.0, r_max=1.0, steps=3, methods=("bogus",))
+
+
+def test_symmetric_point_sums_marginal_series_once(monkeypatch):
+    # s_b is s_a when both sides have the same squeezing; an asymmetric
+    # point still sums Bob's series
+    calls = []
+    s_b_closed = cf.s_b_closed
+
+    def counted(sq, cfg):
+        calls.append(sq.r)
+        return s_b_closed(sq, cfg)
+
+    monkeypatch.setattr(cf, "s_b_closed", counted)
+    rows = run_sweep(SweepConfig(r_min=0.0, r_max=3.0, steps=4, methods=("closed",)))
+    assert calls == []
+    assert all(row.s_b_closed == row.s_a_closed for row in rows)
+    asym = run_point(r_a=1.0, r_b=0.5, methods=("closed",))
+    assert calls == [0.5]
+    assert asym.s_b_closed == s_b_closed(make_squeeze(0.5), SeriesConfig(tail_tol=1e-10))
 
 
 # ----------------------------------------------------------------- comparison
