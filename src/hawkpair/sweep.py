@@ -122,10 +122,15 @@ def run_point(
     n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
     values: dict = {}
     if "closed" in methods:
-        s_a = cf.s_a_closed(sq_a, cutoff)
+        # the pair's cutoff is that of its side with the larger tanh^2 r, so
+        # that side's marginal takes it as resolved; the other resolves its own
+        resolved = cf.SeriesConfig(n_max=n_max)
+        x = sq_a.tanh_r**2
+        y = sq_b.tanh_r**2
+        s_a = cf.s_a_closed(sq_a, resolved if x >= y else cutoff)
         # equal squeezing on both sides (every symmetric point) is one series
-        s_b = s_a if sq_b == sq_a else cf.s_b_closed(sq_b, cutoff)
-        s_ab = cf.s_ab_closed(sq_a, sq_b, cutoff)
+        s_b = s_a if sq_b == sq_a else cf.s_b_closed(sq_b, resolved if y >= x else cutoff)
+        s_ab = cf.s_ab_closed(sq_a, sq_b, resolved)
         values.update(
             e_n_block00=cf.e_n_paper(sq_a, sq_b),
             s_a_closed=s_a,
@@ -133,8 +138,6 @@ def run_point(
             s_ab_closed=s_ab,
             i_closed=s_a + s_b - s_ab,
         )
-        x = sq_a.tanh_r**2
-        y = sq_b.tanh_r**2
         values["trace_deficit"] = 1.0 - (1.0 - x ** (n_max + 1)) * (1.0 - y ** (n_max + 1))
     if "numeric" in methods:
         if n_max > numeric_cap:

@@ -18,8 +18,13 @@ from hawkpair.closed_form import (
     HARD_SERIES_CAP,
     SMOOTH_SCALE,
     SeriesConfig,
-    _mixed_partial,
+    _axis_rule,
+    _corners,
+    _LOG_HEAD,
     _moments,
+    _panel_points,
+    _s_ab_remainder,
+    _strip,
     block_a,
     block_matrix,
     block_pt_eigenvalues,
@@ -201,10 +206,10 @@ def test_numpy_marginal_sum_matches_loop_oracle():
         assert series_s_a_sum(r, n_max) == pytest.approx(series_s_a_oracle(r, n_max), rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("r", [0.05, 2.7, 2.77, 2.85, 4.0, 5.25, 6.0])
+@pytest.mark.parametrize("r", [0.05, 2.4, 2.45, 2.7, 2.77, 2.85, 4.0, 5.25, 6.0])
 def test_s_a_closed_matches_plain_sum_at_resolved_cutoff(r):
-    # decay lengths 1/(-ln tanh^2 r) of 55 and 63.6 (r = 2.7, 2.77: term by
-    # term) and of 75 and up (Euler-Maclaurin after a head of SMOOTH_SCALE terms)
+    # decay lengths 1/(-ln tanh^2 r) of 30.4 (r = 2.4: term by term) and of
+    # 33.6 and up (Euler-Maclaurin after a head of _LOG_HEAD terms)
     sq = make_squeeze(r)
     cfg = SeriesConfig(tail_tol=1e-10)
     assert s_a_closed(sq, cfg) == pytest.approx(series_s_a_sum(r, resolve_cutoff(sq, sq, cfg)), rel=0.0, abs=1e-12)
@@ -213,9 +218,11 @@ def test_s_a_closed_matches_plain_sum_at_resolved_cutoff(r):
 @pytest.mark.parametrize("n_max", [1, 40, 63, 64, 65, 100, 5000])
 def test_s_a_closed_matches_plain_sum_around_the_head(n_max):
     # r = 3.5 (decay length 275) is on the Euler-Maclaurin path; a cutoff
-    # under 64 is all head, 64 leaves a zero-width Euler-Maclaurin range
+    # under the head of 64 terms is all head, 64 leaves a zero-width
+    # Euler-Maclaurin range
     sq = make_squeeze(3.5)
     assert -math.log(sq.tanh_r**2) * SMOOTH_SCALE < 1.0
+    assert _LOG_HEAD == 64
     value = s_a_closed(sq, SeriesConfig(n_max=n_max))
     assert value == pytest.approx(series_s_a_sum(3.5, n_max), rel=0.0, abs=1e-12)
 
@@ -304,8 +311,9 @@ def test_s_ab_doubled_cutoff_stable():
 
 def test_smooth_path_matches_direct_on_overlap(monkeypatch):
     # same cutoff evaluated by Euler-Maclaurin (decay lengths 1/(-ln tanh^2 r)
-    # of 75 to 152 lattice steps) and, with the threshold raised, term by term
-    pairs = [(2.85, 2.85), (3.2, 3.2), (3.2, 2.9), (3.1, 1.0)]
+    # of 33.6 to 150 lattice steps) and, with the threshold raised, term by
+    # term; the pairs from (2.5, 2.5) on have a smaller decay length in [32, 64)
+    pairs = [(2.85, 2.85), (3.2, 3.2), (3.2, 2.9), (3.1, 1.0), (2.5, 2.5), (2.65, 2.65), (2.7, 2.5), (3.2, 2.45)]
     smooth = {}
     for r_a, r_b in pairs:
         sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
@@ -345,13 +353,68 @@ def test_s_ab_short_decay_axis_matches_grid_sum(r_a, r_b, cfg):
     assert s_ab_closed(sq_a, sq_b, cfg) == pytest.approx(series_s_ab_grid(r_a, r_b, n_max), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("r", [2.2, 2.65])
+@pytest.mark.parametrize("r", [2.2, 2.4])
 def test_s_ab_below_smooth_scale_matches_grid_sum(r):
-    # decay lengths of 20 and 50 lattice steps: Euler-Maclaurin would be off
-    # by 2e-11 and 1.3e-13 there, so these axes are summed term by term
+    # decay lengths of 20 and 30.4 lattice steps: Euler-Maclaurin would be
+    # off by 3.2e-13 and 2.1e-14 there, so these axes are summed term by term
     sq = make_squeeze(r)
     assert 1.0 < -math.log(sq.tanh_r**2) * SMOOTH_SCALE
     n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
+    value = s_ab_closed(sq, sq, SeriesConfig(n_max=n_max))
+    assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [2.45, 2.65])
+def test_s_ab_above_smooth_scale_matches_grid_sum(r):
+    # decay lengths of 33.6 and 50 lattice steps, just above SMOOTH_SCALE:
+    # Euler-Maclaurin on both axes
+    sq = make_squeeze(r)
+    assert -math.log(sq.tanh_r**2) * SMOOTH_SCALE < 1.0
+    n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
+    value = s_ab_closed(sq, sq, SeriesConfig(n_max=n_max))
+    assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r_b", [3.5, 2.9])
+@pytest.mark.parametrize("n_max", [1, 2, 5, 31, 32, 33, 64, 200])
+def test_s_ab_explicit_cutoffs_on_euler_maclaurin_axes(r_b, n_max):
+    # decay lengths 275 and 83: cutoffs far below, around and above SMOOTH_SCALE
+    sq_a, sq_b = make_squeeze(3.5), make_squeeze(r_b)
+    assert -math.log(sq_b.tanh_r**2) * SMOOTH_SCALE < 1.0
+    value = s_ab_closed(sq_a, sq_b, SeriesConfig(n_max=n_max))
+    assert value == pytest.approx(series_s_ab_grid(3.5, r_b, n_max), rel=1e-12, abs=0.0)
+
+
+def test_s_ab_euler_maclaurin_error_against_term_by_term(monkeypatch):
+    # decay lengths L_a from SMOOTH_SCALE to 128, L_b / L_a from 1 to 0.05:
+    # the worst error, 1.45e-14, is at L_a = L_b = 32
+    def r_of(decay):
+        return math.atanh(math.exp(-0.5 / decay))
+
+    pairs = [(r_of(la), r_of(la * ratio)) for la in (32.01, 40, 48, 64, 96, 128) for ratio in (1.0, 0.7, 0.4, 0.2, 0.05)]
+    assert all(-math.log(math.tanh(r_a) ** 2) * SMOOTH_SCALE < 1.0 for r_a, _ in pairs)
+    cfg = SeriesConfig(tail_tol=1e-10)
+    smooth = [s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), cfg) for r_a, r_b in pairs]
+    monkeypatch.setattr(closed_form, "SMOOTH_SCALE", math.inf)
+    direct = [s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), cfg) for r_a, r_b in pairs]
+    assert max(abs(s - d) / d for s, d in zip(smooth, direct)) <= 2e-14
+
+
+@pytest.mark.parametrize("r,n_max,block_cells", [(2.4, None, None), (3.5, 2000, 4096)])
+def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
+    # lx == ly sums the upper triangle of the grid and one strip twice; one ulp
+    # off, the full grid and both strips. r = 2.4 is term by term, r = 3.5
+    # Euler-Maclaurin; each grid has a row-block boundary inside the triangle
+    if block_cells is not None:
+        monkeypatch.setattr(closed_form, "_BLOCK_CELLS", block_cells)
+    sq = make_squeeze(r)
+    n_max = n_max or resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
+    lx = math.log(sq.tanh_r**2)
+    c_inv = sq.cosh_r**-4
+    nodes = _axis_rule(lx, n_max)[0]
+    assert max(1, closed_form._BLOCK_CELLS // nodes.size) < nodes.size
+    ly = float(np.nextafter(lx, -math.inf))
+    assert _s_ab_remainder(lx, lx, c_inv, n_max) == pytest.approx(_s_ab_remainder(lx, ly, c_inv, n_max), rel=1e-14)
     value = s_ab_closed(sq, sq, SeriesConfig(n_max=n_max))
     assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
 
@@ -367,44 +430,84 @@ def test_geometric_moments_match_term_sums(x, n_max):
     np.testing.assert_allclose(_moments(x, n_max), expected, rtol=1e-13, atol=0.0)
 
 
-def _summand(s, t, lx, ly, c_inv):
+def _h_of_product(s, t, c_inv):
     z = 1.0 + (s + 1.0) * (t + 1.0) * c_inv
-    return math.exp(s * lx + t * ly) * z * math.log(z)
+    return z * math.log(z)
 
 
 @pytest.mark.parametrize("s,t", [(0.0, 0.0), (3.5, 12.0), (40.0, 7.0)])
 def test_mixed_partials_match_finite_differences(s, t):
-    # D^{a,b} of e^(s lx + t ly) z ln z, z = 1 + (s+1)(t+1)/C: each order
-    # against a first or second central difference of one already checked
-    lx, ly, c_inv = -0.08, -0.03, 1.0 / 37.0
+    # D^{i,j} of h((s+1)(t+1)), h(w) = z ln z, z = 1 + w/C, for orders up to
+    # 5 on each axis: one-axis orders from _strip, mixed ones from _corners,
+    # each against a central difference of the order below it, already checked
+    c_inv = 1.0 / 37.0
     step = 1e-3
 
-    def d(a, b, ds=0.0, dt=0.0):
-        g = _mixed_partial(a, b, np.array([s + ds]), np.array([t + dt]), lx, ly, c_inv)
-        return float(g[0, 0]) * math.exp((s + ds) * lx + (t + dt) * ly)
+    def unit(order):
+        k = np.zeros((1, 6))
+        k[0, order] = 1.0
+        return k
 
-    def shifted(a, b, axis, h):
-        return d(a, b, h, 0.0) if axis == 0 else d(a, b, 0.0, h)
+    def d(i, j, ds=0.0, dt=0.0):
+        u, v = np.array([s + ds]), np.array([t + dt])
+        if i == 0:
+            return float(_strip(u + 1.0, v, unit(j), c_inv)[0])
+        if j == 0:
+            return float(_strip(v + 1.0, u, unit(i), c_inv)[0])
+        return _corners(u, unit(i), v, unit(j), c_inv)
 
-    def first(a, b, axis):
-        return (shifted(a, b, axis, step) - shifted(a, b, axis, -step)) / (2.0 * step)
+    assert d(0, 0) == pytest.approx(_h_of_product(s, t, c_inv), rel=1e-14)
+    assert _corners(np.array([s]), unit(0), np.array([t]), unit(0), c_inv) == pytest.approx(d(0, 0), rel=1e-14)
+    for i in range(6):
+        for j in range(6):
+            if i:
+                estimate = (d(i - 1, j, step) - d(i - 1, j, -step)) / (2.0 * step)
+            elif j:
+                estimate = (d(0, j - 1, 0.0, step) - d(0, j - 1, 0.0, -step)) / (2.0 * step)
+            else:
+                continue
+            assert d(i, j) == pytest.approx(estimate, rel=1e-6), (i, j)
 
-    def second(a, b, axis):
-        return (shifted(a, b, axis, step) - 2.0 * d(a, b) + shifted(a, b, axis, -step)) / step**2
 
-    assert d(0, 0) == pytest.approx(_summand(s, t, lx, ly, c_inv), rel=1e-14)
-    checks = {
-        (1, 0): first(0, 0, 0),
-        (0, 1): first(0, 0, 1),
-        (1, 1): first(1, 0, 1),
-        (3, 0): second(1, 0, 0),
-        (0, 3): second(0, 1, 1),
-        (3, 1): second(1, 1, 0),
-        (1, 3): second(1, 1, 1),
-        (3, 3): second(3, 1, 1),
-    }
-    for (a, b), estimate in checks.items():
-        assert d(a, b) == pytest.approx(estimate, rel=1e-6), (a, b)
+def test_axis_rule_end_weights_are_leibniz_sums():
+    # for g(n) = e^(a n), f = e^(n lx) g has f^(b) = (lx + a)^b f, so
+    # sum_j k[e, j] a^j = -+e^(end lx) sum_b c_b (lx + a)^b
+    lx, a = -0.02, 0.3
+    _, _, ends, k = _axis_rule(lx, 500)
+    lam = lx + a
+    em = lam / 12.0 - lam**3 / 720.0 + lam**5 / 30240.0
+    np.testing.assert_allclose(k @ a ** np.arange(6), np.array([-1.0, 1.0]) * np.exp(ends * lx) * em, rtol=1e-14)
+
+
+@pytest.mark.parametrize("decay,n_max", [(32.01, 800), (100.0, 5000), (100.0, 3)])
+def test_axis_rule_sums_geometric_series(decay, n_max):
+    # g = 1: the rule's nodes and zeroth-order end weights sum e^(n lx)
+    lx = -1.0 / decay
+    nodes, weights, ends, k = _axis_rule(lx, n_max)
+    assert ends is not None
+    exact = -math.expm1((n_max + 1) * lx) / -math.expm1(lx)
+    assert float(weights.sum() + k[:, 0].sum()) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("hi,scale", [(1.0, 275.0), (7000.0, 275.0), (1_515_955.0, 33.6), (5000.0 - 64.0, 64.0)])
+def test_panel_points_match_per_panel_loop(hi, scale):
+    # the broadcast over panels gives the per-panel loop's nodes and weights bit for bit
+    nodes, weights = _panel_points(hi, scale)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
+    edges = [0.0]
+    width, pos = max(scale, 1.0), 0.0
+    while pos + width < hi:
+        pos += width
+        edges.append(pos)
+        width *= 2.0
+    edges.append(hi)
+    pts, wts = [], []
+    for lo, up in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (up - lo)
+        pts.append(half * (gl_nodes + 1.0) + lo)
+        wts.append(half * gl_weights)
+    assert np.array_equal(nodes, np.concatenate(pts))
+    assert np.array_equal(weights, np.concatenate(wts))
 
 
 def test_s_ab_closed_needs_no_sympy():

@@ -211,6 +211,28 @@ def test_symmetric_point_sums_marginal_series_once(monkeypatch):
     assert asym.s_b_closed == s_b_closed(make_squeeze(0.5), SeriesConfig(tail_tol=1e-10))
 
 
+@pytest.mark.parametrize("r_a,r_b,resolves", [(2.0, 2.0, 1), (1.0, 0.5, 2), (0.5, 1.0, 2)])
+def test_run_point_resolves_each_cutoff_once(monkeypatch, r_a, r_b, resolves):
+    # the pair's cutoff is its more squeezed side's own, so only the other
+    # side's marginal resolves again; every series keeps its own cutoff
+    calls = []
+    resolve = cf.resolve_cutoff
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(cf, "resolve_cutoff", counted)
+    rep = run_point(r_a=r_a, r_b=r_b, methods=("closed",))
+    assert len(calls) == resolves
+    monkeypatch.setattr(cf, "resolve_cutoff", resolve)
+    cfg = SeriesConfig(tail_tol=1e-10)
+    sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
+    assert rep.s_a_closed == cf.s_a_closed(sq_a, cfg)
+    assert rep.s_b_closed == cf.s_b_closed(sq_b, cfg)
+    assert rep.s_ab_closed == cf.s_ab_closed(sq_a, sq_b, cfg)
+
+
 # ----------------------------------------------------------------- comparison
 
 
