@@ -5,7 +5,10 @@ sits at (n, n, q, q) or (n, n+1, q, q+1), so rho_AB is a direct sum of
 symmetric tridiagonal blocks of constant a - b, its partial transpose on B a
 direct sum of tridiagonal blocks of constant a + b, and rho_A, rho_B are
 diagonal. The blocks are read off two small matrices built from the mode
-amplitudes and diagonalised one by one; nothing of size (N+1)^4 is built.
+amplitudes; nothing of size (N+1)^4 is built. Blocks of about the same
+length are padded to a common one with decoupled rows and diagonalised
+together, one stacked `eigvalsh` call per padded length, and at a symmetric
+point each mirrored pair of rho_AB blocks is solved once.
 
 The brute-force path (`reduced_density`, `partial_trace`,
 `partial_transpose`, `mutual_information_numeric` on a `fock` pure state)
@@ -20,11 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import PureState, kruskal_one, kruskal_vacuum
+from .fock import PureState
 from .kinematics import SqueezeParam
 
 SYMMETRY_RTOL = 1e-13
 EIGENVALUE_CLAMP = 1e-10
+# blocks are stacked by length rounded up to this multiple, one eigvalsh call
+# per stack; the diagonal of a padding row is PAD_EIGENVALUE
+PAD_MULTIPLE = 8
+PAD_EIGENVALUE = 2.0
 
 
 class ConvergenceError(RuntimeError):
@@ -219,23 +226,75 @@ def mutual_information_numeric(state: PureState) -> dict:
     }
 
 
-def _block_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+def _diagonals(a: np.ndarray, count: int, width: int, fill: float) -> np.ndarray:
+    """Row k (k = 0..count-1) holds the diagonal a[j, j + k], left-aligned and
+    filled out with `fill` to `width` entries (width >= a's size)."""
+    cols = count + width
+    skew = np.full((width + 1, cols), fill)
+    skew[: a.shape[0], : a.shape[1]] = a
+    # reading skew's rows with a stride one longer shifts row j left by j
+    return skew.ravel()[: width * (cols + 1)].reshape(width, cols + 1)[:, :count].T
+
+
+def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False) -> np.ndarray:
     """Eigenvalues of every symmetric tridiagonal block whose diagonal runs
-    along a diagonal of `diag` and whose off-diagonal runs along the same
-    diagonal of `off` (one row and column smaller)."""
+    along a diagonal k = -N..N of `diag` and whose off-diagonal runs along the
+    same diagonal of `off` (one row and column smaller), block after block,
+    each block's ascending.
+
+    Blocks are solved in stacks, one `eigvalsh` call per padded length (a
+    multiple of PAD_MULTIPLE). A padding row is decoupled with diagonal
+    PAD_EIGENVALUE, above every eigenvalue a block of rho_AB (in [0, 1]) or
+    of its partial transpose (in [-1/2, 1]) can have, so a block's own
+    eigenvalues come first in its row. With `mirrored` (`diag` and `off`
+    symmetric, so blocks k and -k are equal) only k >= 0 is solved.
+    """
     n = diag.shape[0] - 1
-    spectra = []
-    for k in range(-n, n + 1):
-        d, e = np.diagonal(diag, k), np.diagonal(off, k)
-        spectra.append(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
-    return np.concatenate(spectra)
+    width = -(-(n + 1) // PAD_MULTIPLE) * PAD_MULTIPLE
+    d = _diagonals(diag, n + 1, width, PAD_EIGENVALUE)
+    c = _diagonals(off, n + 1, width, 0.0)
+    if not mirrored:  # block -k is block k of the transposes
+        d = np.concatenate((_diagonals(diag.T, n + 1, width, PAD_EIGENVALUE)[:0:-1], d))
+        c = np.concatenate((_diagonals(off.T, n + 1, width, 0.0)[:0:-1], c))
+    lengths = n + 1 - np.abs(np.arange(0 if mirrored else -n, n + 1))
+    padded = -(-lengths // PAD_MULTIPLE) * PAD_MULTIPLE
+    spectra = np.full(d.shape, PAD_EIGENVALUE)
+    for p in range(PAD_MULTIPLE, width + 1, PAD_MULTIPLE):
+        rows = padded == p
+        stack = np.zeros((np.count_nonzero(rows), p * p))
+        stack[:, :: p + 1] = d[rows, :p]
+        stack[:, 1 :: p + 1] = stack[:, p :: p + 1] = c[rows, : p - 1]
+        spectra[rows, :p] = np.linalg.eigvalsh(stack.reshape(-1, p, p))
+    inside = np.arange(width) < lengths[:, None]
+    if np.any(spectra[~inside] != PAD_EIGENVALUE):
+        raise ArithmeticError(
+            "a padded block has an eigenvalue out of place: the padding no longer "
+            "sorts after the block's own spectrum"
+        )
+    if mirrored:
+        spectra, inside = (np.concatenate((x[:0:-1], x)) for x in (spectra, inside))
+    return spectra[inside]
 
 
 def _mode_amplitudes(sq: SqueezeParam, n_max: int):
-    """V(k) and O(k) for k = 0..n_max, with O(n_max) = 0."""
-    v = np.diagonal(kruskal_vacuum(sq, n_max).amplitudes)
-    o = np.append(np.diagonal(kruskal_one(sq, n_max).amplitudes, 1), 0.0)
+    """V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2 for k = 0..n_max, with
+    t = tanh r, c = cosh r and O(n_max) = 0: the vacuum amplitude at (k, k)
+    and the one-particle amplitude at (k, k+1) of `fock.kruskal_vacuum` and
+    `fock.kruskal_one`, by the same expressions."""
+    k = np.arange(n_max + 1)
+    v = sq.tanh_r**k / sq.cosh_r
+    o = np.append(np.sqrt(k[:-1] + 1.0) * sq.tanh_r ** k[:-1] / sq.cosh_r**2, 0.0)
     return v, o
+
+
+def _pair_blocks(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int):
+    """The matrices D (diagonal of rho_AB) and C (its coupling) of `pair_spectra`."""
+    va, oa = _mode_amplitudes(sq_a, n_max)
+    vb, ob = _mode_amplitudes(sq_b, n_max)
+    oa_prev, ob_prev = np.append(0.0, oa[:-1]), np.append(0.0, ob[:-1])
+    diag = 0.5 * (np.outer(va**2, vb**2) + np.outer(oa_prev**2, ob_prev**2))
+    off = 0.5 * np.outer((va * oa)[:-1], (vb * ob)[:-1])
+    return diag, off
 
 
 def pair_spectra(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int) -> tuple:
@@ -247,18 +306,16 @@ def pair_spectra(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int) -> tuple:
     D[a, b] = (V_a(a)^2 V_b(b)^2 + O_a(a-1)^2 O_b(b-1)^2) / 2 and couples
     (n, q) to (n+1, q+1) by C[n, q] = V_a(n) O_a(n) V_b(q) O_b(q) / 2. The
     partial transpose moves that coupling to (n, q+1)-(n+1, q), so its blocks
-    run along the diagonals of the column-flipped D and C.
+    run along the diagonals of the column-flipped D and C. At a symmetric
+    point D and C are symmetric (outer(v, v) is, entry for entry), so the
+    rho_AB blocks k and -k are equal and are solved once.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    va, oa = _mode_amplitudes(sq_a, n_max)
-    vb, ob = _mode_amplitudes(sq_b, n_max)
-    oa_prev, ob_prev = np.append(0.0, oa[:-1]), np.append(0.0, ob[:-1])
-    diag = 0.5 * (np.outer(va**2, vb**2) + np.outer(oa_prev**2, ob_prev**2))
-    off = 0.5 * np.outer((va * oa)[:-1], (vb * ob)[:-1])
+    diag, off = _pair_blocks(sq_a, sq_b, n_max)
     trace = float(diag.sum())
     return (
-        Spectrum(_block_eigenvalues(diag, off), trace),
+        Spectrum(_block_eigenvalues(diag, off, mirrored=sq_a == sq_b), trace),
         Spectrum(_block_eigenvalues(diag[:, ::-1], off[:, ::-1]), trace),
         Spectrum(diag.sum(axis=1), trace),
         Spectrum(diag.sum(axis=0), trace),

@@ -13,8 +13,9 @@ from .density import pair_measures
 from .kinematics import ModeSpec, make_squeeze, squeezing_from_mode
 
 # largest cutoff the numeric oracle runs at: it diagonalises 4N+2 tridiagonal
-# blocks of size up to N+1, so its time grows as N^4 (about 0.4 s at 200,
-# where fig2's numeric columns reach r = 1.65); memory stays O(N^2)
+# blocks of size up to N+1 (3N+2 at a symmetric point), so its time grows as
+# N^4 (about 0.47 s at 200 on one Xeon core, 0.42 s at a symmetric point;
+# fig2's numeric columns reach r = 1.65); memory stays O(N^2)
 DEFAULT_NUMERIC_CAP = 200
 CSV_HEADER = (
     "r_a,r_b,n_max,e_n_block00,neg_sum_num,e_n_num,s_a_closed,s_b_closed,"
@@ -120,6 +121,11 @@ def run_point(
     _check_methods(methods)
 
     n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
+    if "numeric" in methods and n_max > numeric_cap:
+        raise NumericCapError(
+            f"numeric method needs cutoff {n_max}, above the oracle cap of "
+            f"{numeric_cap} (its time grows as N_max^4)"
+        )
     values: dict = {}
     if "closed" in methods:
         # the pair's cutoff is that of its side with the larger tanh^2 r, so
@@ -140,11 +146,6 @@ def run_point(
         )
         values["trace_deficit"] = 1.0 - (1.0 - x ** (n_max + 1)) * (1.0 - y ** (n_max + 1))
     if "numeric" in methods:
-        if n_max > numeric_cap:
-            raise NumericCapError(
-                f"numeric method needs cutoff {n_max}, above the oracle cap of "
-                f"{numeric_cap} (its time grows as N_max^4)"
-            )
         values.update(pair_measures(sq_a, sq_b, n_max))
     return EntanglementReport(r_a=sq_a.r, r_b=sq_b.r, n_max=n_max, **values)
 
@@ -160,22 +161,19 @@ def run_sweep(cfg: SweepConfig) -> list:
             r_b = r
         else:
             r_b = math.atanh(math.tanh(r) ** cfg.omega_ratio) if r > 0 else 0.0
+        point = dict(r_a=r, r_b=r_b, cutoff=cfg.cutoff, numeric_cap=cfg.numeric_cap)
         try:
-            methods = cfg.methods
-            if "numeric" in methods:
-                n_req = cf.resolve_cutoff(make_squeeze(r), make_squeeze(r_b), cfg.cutoff)
-                if n_req > cfg.numeric_cap:
-                    if not warned:
-                        print(
-                            f"note: numeric method disabled where the resolved cutoff "
-                            f"exceeds the oracle cap of {cfg.numeric_cap}",
-                            file=sys.stderr,
-                        )
-                        warned = True
-                    methods = tuple(m for m in methods if m != "numeric")
-            rows.append(
-                run_point(r_a=r, r_b=r_b, cutoff=cfg.cutoff, methods=methods, numeric_cap=cfg.numeric_cap)
-            )
+            try:
+                rows.append(run_point(methods=cfg.methods, **point))
+            except NumericCapError:
+                if not warned:
+                    print(
+                        f"note: numeric method disabled where the resolved cutoff "
+                        f"exceeds the oracle cap of {cfg.numeric_cap}",
+                        file=sys.stderr,
+                    )
+                    warned = True
+                rows.append(run_point(methods=tuple(m for m in cfg.methods if m != "numeric"), **point))
         except Exception as exc:
             raise SweepPointError(f"sweep failed at r = {r} (r_b = {r_b}): {exc}") from exc
     return rows

@@ -89,6 +89,16 @@ def test_run_point_numeric_cap():
     assert rep.i_num is not None
 
 
+def test_run_point_checks_numeric_cap_before_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("series summed before the numeric cap check")
+
+    for name in ("s_a_closed", "s_b_closed", "s_ab_closed"):
+        monkeypatch.setattr(cf, name, no_series)
+    with pytest.raises(NumericCapError):
+        run_point(r_a=1.0, r_b=0.5, cutoff=SeriesConfig(n_max=15), numeric_cap=14)
+
+
 def test_run_point_argument_validation():
     with pytest.raises(ValueError):
         run_point()
@@ -150,6 +160,20 @@ def test_sweep_numeric_auto_disable(capsys):
     assert rows[-1].i_closed is not None
     err = capsys.readouterr().err
     assert err.count("oracle cap") == 1
+
+
+def test_sweep_resolves_each_point_once(monkeypatch):
+    calls = []
+    resolve = cf.resolve_cutoff
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(cf, "resolve_cutoff", counted)
+    rows = run_sweep(SweepConfig(r_min=0.4, r_max=1.4, steps=6, omega_ratio=2.0, cutoff=SeriesConfig(n_max=8)))
+    assert len(calls) == 6
+    assert all(row.i_num is not None for row in rows)
 
 
 def test_sweep_failure_names_the_point():
