@@ -6,9 +6,8 @@ exact density-matrix oracle at a truncated Fock-space cutoff.
 """
 
 from .closed_form import (
+    ConvergenceError,
     SeriesConfig,
-    block_matrix,
-    block_pt_eigenvalues,
     e_n_paper,
     mutual_info_closed,
     resolve_cutoff,
@@ -16,30 +15,7 @@ from .closed_form import (
     s_ab_closed,
     s_b_closed,
 )
-from .density import (
-    ConvergenceError,
-    DensityMatrix,
-    NegativityResult,
-    Spectrum,
-    eig_symmetric,
-    mutual_information_numeric,
-    negativity_sum,
-    pair_measures,
-    pair_spectra,
-    partial_trace,
-    partial_transpose,
-    reduced_density,
-    vn_entropy,
-)
-from .fock import (
-    PureState,
-    entangled_pair_state,
-    flatten,
-    kruskal_one,
-    kruskal_vacuum,
-    squared_norm,
-    unflatten,
-)
+from .density import Spectrum, pair_measures, pair_spectra
 from .kinematics import ModeSpec, SqueezeParam, make_squeeze, mass_from_squeezing, squeezing_from_mode
 from .sweep import (
     ComparisonReport,

@@ -12,7 +12,6 @@ import json
 import sys
 
 from . import closed_form as cf
-from .density import ConvergenceError
 from .kinematics import ModeSpec
 from .sweep import (
     DEFAULT_NUMERIC_CAP,
@@ -28,7 +27,7 @@ from .sweep import (
 
 FIG_PRESET = dict(r_min=0.0, r_max=6.0, steps=121)
 # exit code of each error family, first match wins
-EXIT_CODES = ((ConvergenceError, 3), (NumericCapError, 3), (OSError, 4), (ValueError, 2))
+EXIT_CODES = ((cf.ConvergenceError, 3), (NumericCapError, 3), (OSError, 4), (ValueError, 2))
 
 
 def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:
@@ -164,7 +163,7 @@ def main(argv=None) -> int:
             _cmd_fig(args, methods=("closed",))
         elif args.command == "compare":
             _cmd_compare(args)
-    except (ConvergenceError, NumericCapError, OSError, ValueError, SweepPointError) as exc:
+    except (cf.ConvergenceError, NumericCapError, OSError, ValueError, SweepPointError) as exc:
         # a failed sweep point exits as its cause would
         cause = exc.__cause__ if isinstance(exc, SweepPointError) else exc
         code = next((code for kind, code in EXIT_CODES if isinstance(cause, kind)), None)

@@ -1,4 +1,4 @@
-"""Analytic block matrices, their partial-transpose eigenvalues, and the
+"""The paper's closed forms: the dominant-block entanglement measure and the
 entropy / mutual-information series, with explicit series tail control.
 
 The joint-entropy double series treats block contributions as orthogonal
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ConvergenceError
 from .kinematics import SqueezeParam
 
 # hard ceiling for automatic cutoff resolution; sized so the default
@@ -62,6 +61,10 @@ _CLIP_BITS = 60
 _BLOCK_CELLS = 1 << 16
 
 _LN2 = math.log(2.0)
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when a series cutoff cannot be resolved within its cap."""
 
 
 @dataclass(frozen=True)
@@ -121,40 +124,14 @@ def resolve_cutoff(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) ->
     return n
 
 
-def block_a(n: int, q: int, sq_a: SqueezeParam, sq_b: SqueezeParam) -> float:
-    """Off-diagonal coefficient sqrt((n+1)(q+1)) / (cosh r_a cosh r_b)."""
-    return math.sqrt((n + 1.0) * (q + 1.0)) / (sq_a.cosh_r * sq_b.cosh_r)
-
-
-def block_weight(n: int, q: int, sq_a: SqueezeParam, sq_b: SqueezeParam) -> float:
-    """Block weight tanh^(2n) r_a tanh^(2q) r_b / (cosh^2 r_a cosh^2 r_b)."""
-    return (sq_a.tanh_r ** (2 * n)) * (sq_b.tanh_r ** (2 * q)) / (
-        sq_a.cosh_r**2 * sq_b.cosh_r**2
-    )
-
-
-def block_matrix(n: int, q: int, sq_a: SqueezeParam, sq_b: SqueezeParam) -> np.ndarray:
-    """Rank-1 block on basis [nq, n(q+1), (n+1)q, (n+1)(q+1)]."""
-    if n < 0 or q < 0:
-        raise ValueError("block indices must be non-negative")
-    a = block_a(n, q, sq_a, sq_b)
-    m = np.zeros((4, 4))
-    m[0, 0] = 0.5
-    m[0, 3] = m[3, 0] = a / 2.0
-    m[3, 3] = a * a / 2.0
-    return m
-
-
-def block_pt_eigenvalues(n: int, q: int, sq_a: SqueezeParam, sq_b: SqueezeParam) -> np.ndarray:
-    """Eigenvalues {1/2, -a/2, a/2, a^2/2} of the partially transposed block."""
-    if n < 0 or q < 0:
-        raise ValueError("block indices must be non-negative")
-    a = block_a(n, q, sq_a, sq_b)
-    return np.array([0.5, -a / 2.0, a / 2.0, a * a / 2.0])
-
-
 def e_n_paper(sq_a: SqueezeParam, sq_b: SqueezeParam) -> float:
-    """Entanglement measure 2|lambda_-| of the (0, 0) block: 1/(cosh r_a cosh r_b)."""
+    """Entanglement measure 2|lambda_-| of the (0, 0) block: 1/(cosh r_a cosh r_b).
+
+    The paper's block (n, q) is the rank-1 matrix on [nq, n(q+1), (n+1)q,
+    (n+1)(q+1)] with entries 1/2, a/2, a/2, a^2/2 at (0, 0), (0, 3), (3, 0),
+    (3, 3), a = sqrt((n+1)(q+1)) / (cosh r_a cosh r_b). Its partial transpose
+    has eigenvalues {1/2, -a/2, a/2, a^2/2}; at (0, 0), 2|-a/2| = a.
+    """
     return 1.0 / (sq_a.cosh_r * sq_b.cosh_r)
 
 

@@ -1,107 +1,26 @@
-"""Truncated Fock-space pure states for the in/out factorized horizon modes.
+"""Fock-space amplitudes of the Kruskal modes.
 
-Mode order for the four-mode pair state is fixed as
-[A_in, A_out, B_in, B_out]; downstream subsystem selections refer to these
-labels. A single cutoff N_max applies to every mode, giving N_max + 1
-levels (occupations 0..N_max) per mode. All amplitudes are real.
+Each horizon mode pairs an inside (in) and an outside (out) occupation.
+Truncated at N_max (occupations 0..N_max per mode), its vacuum is the
+two-mode squeezed state sum_k V(k) |k>_in |k>_out and its one-particle
+state sum_k O(k) |k>_in |k+1>_out; the pair state is
+(vac_A vac_B + one_A one_B) / sqrt(2). All amplitudes are real.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kinematics import SqueezeParam
 
-PAIR_MODE_ORDER = ("A_in", "A_out", "B_in", "B_out")
 
-
-@dataclass(frozen=True)
-class PureState:
-    mode_count: int
-    cutoff: int
-    mode_order: tuple
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        d = self.cutoff + 1
-        if self.amplitudes.shape != (d,) * self.mode_count:
-            raise ValueError(
-                f"amplitude array shape {self.amplitudes.shape} does not match "
-                f"{self.mode_count} modes with {d} levels each"
-            )
-        if len(self.mode_order) != self.mode_count:
-            raise ValueError("mode_order length must equal mode_count")
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise ValueError("amplitudes must be finite")
-
-    def axis_of(self, label: str) -> int:
-        try:
-            return self.mode_order.index(label)
-        except ValueError:
-            raise KeyError(f"unknown mode label {label!r}; have {self.mode_order}") from None
-
-
-def flatten(index, cutoff: int, mode_count: int) -> int:
-    """Row-major flat index of a per-mode occupation tuple."""
-    if len(index) != mode_count:
-        raise ValueError(f"occupation index has {len(index)} entries, expected {mode_count}")
-    flat = 0
-    for n in index:
-        if not 0 <= n <= cutoff:
-            raise ValueError(f"occupation {n} outside 0..{cutoff}")
-        flat = flat * (cutoff + 1) + n
-    return flat
-
-
-def unflatten(flat: int, cutoff: int, mode_count: int):
-    """Inverse of flatten."""
-    d = cutoff + 1
-    if not 0 <= flat < d**mode_count:
-        raise ValueError(f"flat index {flat} outside 0..{d**mode_count - 1}")
-    out = []
-    for _ in range(mode_count):
-        out.append(flat % d)
-        flat //= d
-    return tuple(reversed(out))
-
-
-def squared_norm(state: PureState) -> float:
-    return float(np.sum(state.amplitudes**2))
-
-
-def kruskal_vacuum(sq: SqueezeParam, cutoff: int) -> PureState:
-    """Two-mode squeezed vacuum over (in, out): amplitude tanh^n r / cosh r at (n, n)."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    d = cutoff + 1
-    amps = np.zeros((d, d))
-    n = np.arange(d)
-    amps[n, n] = sq.tanh_r**n / sq.cosh_r
-    return PureState(mode_count=2, cutoff=cutoff, mode_order=("in", "out"), amplitudes=amps)
-
-
-def kruskal_one(sq: SqueezeParam, cutoff: int) -> PureState:
-    """Single-excitation state: amplitude sqrt(n+1) tanh^n r / cosh^2 r at (n, n+1)."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1: the one-particle component needs occupation 1")
-    d = cutoff + 1
-    amps = np.zeros((d, d))
-    n = np.arange(d - 1)
-    amps[n, n + 1] = np.sqrt(n + 1.0) * sq.tanh_r**n / sq.cosh_r**2
-    return PureState(mode_count=2, cutoff=cutoff, mode_order=("in", "out"), amplitudes=amps)
-
-
-def entangled_pair_state(sq_a: SqueezeParam, sq_b: SqueezeParam, cutoff: int) -> PureState:
-    """(|0>_A |0>_B + |1>_A |1>_B)/sqrt(2) over [A_in, A_out, B_in, B_out]."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    vac_a = kruskal_vacuum(sq_a, cutoff).amplitudes
-    vac_b = kruskal_vacuum(sq_b, cutoff).amplitudes
-    one_a = kruskal_one(sq_a, cutoff).amplitudes
-    one_b = kruskal_one(sq_b, cutoff).amplitudes
-    amps = (
-        np.einsum("ab,cd->abcd", vac_a, vac_b) + np.einsum("ab,cd->abcd", one_a, one_b)
-    ) / np.sqrt(2.0)
-    return PureState(mode_count=4, cutoff=cutoff, mode_order=PAIR_MODE_ORDER, amplitudes=amps)
+def mode_amplitudes(sq: SqueezeParam, n_max: int):
+    """V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2 for k = 0..n_max, with
+    t = tanh r and c = cosh r. O(n_max) = 0: |n_max + 1>_out is truncated,
+    so n_max must be at least 1 for the one-particle state to exist."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    k = np.arange(n_max + 1)
+    v = sq.tanh_r**k / sq.cosh_r
+    o = np.append(np.sqrt(k[:-1] + 1.0) * sq.tanh_r ** k[:-1] / sq.cosh_r**2, 0.0)
+    return v, o

@@ -57,9 +57,15 @@ def make_squeeze(r: float) -> SqueezeParam:
 def squeezing_from_mode(mode: ModeSpec) -> SqueezeParam:
     """r = artanh(exp(-4*pi*M*omega)).
 
-    Large M*omega gives r -> 0 (heavy black hole, no radiation).
+    Large M*omega gives r -> 0 (heavy black hole, no radiation); an M*omega
+    so small that exp(-4*pi*M*omega) rounds to 1 would give r = inf.
     """
     boltzmann = math.exp(-4.0 * math.pi * mode.mass * mode.omega)
+    if boltzmann == 1.0:
+        raise ValueError(
+            f"M*omega = {mode.mass:g} * {mode.omega:g} is too small: exp(-4 pi M omega) "
+            f"rounds to 1, so the squeezing r is infinite"
+        )
     return make_squeeze(math.atanh(boltzmann))
 
 

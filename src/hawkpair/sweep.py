@@ -50,6 +50,11 @@ class SweepConfig:
     numeric_cap: int = DEFAULT_NUMERIC_CAP
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.r_min, self.r_max, self.omega_ratio)):
+            raise ValueError(
+                f"r_min, r_max and omega_ratio must be finite, got "
+                f"{self.r_min}, {self.r_max}, {self.omega_ratio}"
+            )
         if not self.r_min < self.r_max:
             raise ValueError(f"need r_min < r_max, got [{self.r_min}, {self.r_max}]")
         if self.r_min < 0:
@@ -182,6 +187,8 @@ def run_sweep(cfg: SweepConfig) -> list:
 def compare_closed_vs_numeric(report: EntanglementReport, warn_threshold: float = 1e-2) -> ComparisonReport:
     """Per-measure |closed - numeric| differences; large ones are flagged,
     not failed (the closed forms are a per-block approximation)."""
+    if not (math.isfinite(warn_threshold) and warn_threshold >= 0.0):
+        raise ValueError(f"warn_threshold must be finite and >= 0, got {warn_threshold}")
     closed_ok = report.e_n_block00 is not None
     numeric_ok = report.e_n_num is not None
     if not (closed_ok and numeric_ok):

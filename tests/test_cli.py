@@ -13,7 +13,7 @@ import pytest
 
 from hawkpair import cli
 from hawkpair import sweep as sweep_module
-from hawkpair.density import ConvergenceError
+from hawkpair.closed_form import ConvergenceError
 from hawkpair.sweep import CSV_HEADER, NumericCapError, SweepPointError
 
 
@@ -145,6 +145,12 @@ def test_stdout_and_out_file_are_the_same_bytes(tmp_path, args):
         ("point", "--r", "800", "--nmax", "5"),
         ("sweep", "--r-min", "0", "--r-max", "1", "--steps", "3", "--methods", "closed,bogus"),
         ("point", "--r", "0.5", "--methods", ","),  # no method named
+        ("compare", "--r", "0.3", "--warn-threshold", "nan"),  # would switch the gap report off
+        ("compare", "--r", "0.3", "--warn-threshold", "-1"),  # would flag every measure
+        ("sweep", "--r-min", "0", "--r-max", "inf", "--steps", "3"),
+        ("sweep", "--r-min", "0", "--r-max", "1", "--steps", "3", "--omega-ratio", "nan"),
+        ("sweep", "--r-min", "0", "--r-max", "1", "--steps", "3", "--omega-ratio", "inf"),
+        ("point", "--mass", "1e-300", "--omega", "1e-300", "--methods", "closed"),  # r = inf
     ],
 )
 def test_invalid_arguments_exit_2(args):

@@ -1,8 +1,9 @@
 """Tests for the analytic block and series expressions.
 
 Independent oracles: plain-Python running-product summation for the series,
-the density engine's eigensolver for block spectra, and doubled-cutoff
-re-evaluation for truncation control.
+the paper's 4x4 blocks checked against the brute-force reference's rho_AB
+and a dense eigensolve, and doubled-cutoff re-evaluation for truncation
+control.
 """
 
 import math
@@ -12,11 +13,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from brute_force import OUT_PAIR, pair_state, partial_transpose, reduce
 
 from hawkpair import closed_form
 from hawkpair.closed_form import (
     HARD_SERIES_CAP,
     SMOOTH_SCALE,
+    ConvergenceError,
     SeriesConfig,
     _axis_rule,
     _corners,
@@ -25,10 +28,6 @@ from hawkpair.closed_form import (
     _panel_points,
     _s_ab_remainder,
     _strip,
-    block_a,
-    block_matrix,
-    block_pt_eigenvalues,
-    block_weight,
     e_n_paper,
     mutual_info_closed,
     resolve_cutoff,
@@ -36,7 +35,7 @@ from hawkpair.closed_form import (
     s_ab_closed,
     s_b_closed,
 )
-from hawkpair.density import ConvergenceError, DensityMatrix, eig_symmetric, partial_transpose
+from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
 
 SECH2_1 = 0.4199743416140261
@@ -114,58 +113,85 @@ def series_s_ab_grid(r_a, r_b, n_max):
 # ------------------------------------------------------------------- blocks
 
 
+def paper_block(n, q, sq_a, sq_b):
+    """The paper's rank-1 block (n, q) on [nq, n(q+1), (n+1)q, (n+1)(q+1)]
+    (see e_n_paper), and its coupling a."""
+    a = math.sqrt((n + 1.0) * (q + 1.0)) / (sq_a.cosh_r * sq_b.cosh_r)
+    m = np.zeros((4, 4))
+    m[0, 0], m[0, 3], m[3, 0], m[3, 3] = 0.5, a / 2.0, a / 2.0, a * a / 2.0
+    return m, a
+
+
+def pair_rho(r_a, r_b, n_max):
+    """The reference rho_AB, indexed [a, b, a', b']."""
+    d = n_max + 1
+    return reduce(pair_state(r_a, r_b, n_max), OUT_PAIR).reshape(d, d, d, d)
+
+
 def test_block_matrix_bell_block():
     sq0 = make_squeeze(0.0)
-    m = block_matrix(0, 0, sq0, sq0)
+    m, _ = paper_block(0, 0, sq0, sq0)
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
     np.testing.assert_allclose(m, expected, atol=1e-15)
+    # at r = 0 the block is the whole of rho_AB
+    np.testing.assert_allclose(pair_rho(0.0, 0.0, 1).reshape(4, 4), expected, atol=1e-15)
 
 
 def test_block_matrix_rank_one():
     sq = make_squeeze(0.7)
-    singular = np.linalg.svd(block_matrix(1, 2, sq, sq), compute_uv=False)
+    singular = np.linalg.svd(paper_block(1, 2, sq, sq)[0], compute_uv=False)
     assert singular[1] < 1e-14
 
 
 def test_block_matrix_trace():
     sq = make_squeeze(1.0)
-    assert np.trace(block_matrix(0, 0, sq, sq)) == pytest.approx(TRACE_00_R1, rel=1e-12)
+    assert np.trace(paper_block(0, 0, sq, sq)[0]) == pytest.approx(TRACE_00_R1, rel=1e-12)
 
 
 def test_block_pt_eigenvalues_bell():
     sq0 = make_squeeze(0.0)
-    np.testing.assert_allclose(sorted(block_pt_eigenvalues(0, 0, sq0, sq0)), [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
+    lam = np.linalg.eigvalsh(partial_transpose(paper_block(0, 0, sq0, sq0)[0]))
+    np.testing.assert_allclose(lam, [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
+    assert 2.0 * abs(lam[0]) == pytest.approx(e_n_paper(sq0, sq0), abs=1e-15)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0, 3.0])
 @pytest.mark.parametrize("n,q", [(n, q) for n in range(4) for q in range(4)])
 def test_block_pt_matches_numeric_spectrum(r, n, q):
     for sq_a, sq_b in ((make_squeeze(r), make_squeeze(r)), (make_squeeze(r), make_squeeze(2 * r))):
-        rho = DensityMatrix(entries=block_matrix(n, q, sq_a, sq_b), subsystem_shape=(2, 2), labels=("A", "B"))
-        numeric = eig_symmetric(partial_transpose(rho, "B").entries).eigenvalues
-        closed = np.sort(block_pt_eigenvalues(n, q, sq_a, sq_b))
-        np.testing.assert_allclose(numeric, closed, atol=1e-12)
+        block, a = paper_block(n, q, sq_a, sq_b)
+        numeric = np.linalg.eigvalsh(partial_transpose(block))
+        np.testing.assert_allclose(numeric, np.sort([0.5, -a / 2, a / 2, a * a / 2]), atol=1e-12)
+        # weighted by V_a(n)^2 V_b(q)^2, the block's coupling is the exact rho_AB's
+        weight = mode_amplitudes(sq_a, 4)[0][n] ** 2 * mode_amplitudes(sq_b, 4)[0][q] ** 2
+        exact = pair_rho(sq_a.r, sq_b.r, 4)[n, q, n + 1, q + 1]
+        assert weight * block[0, 3] == pytest.approx(exact, rel=1e-12)
 
 
 def test_block_negative_eigenvalue_vanishes_with_evaporation():
     sq6 = make_squeeze(6.0)
-    lam = block_pt_eigenvalues(0, 0, sq6, sq6)
+    lam = np.linalg.eigvalsh(partial_transpose(paper_block(0, 0, sq6, sq6)[0]))
     assert lam.min() == pytest.approx(-SECH2_6 / 2.0, rel=1e-10)
 
 
 def test_block_weight_normalization():
+    # block (n, q) carries weight V_a(n)^2 V_b(q)^2 = tanh^2n r_a tanh^2q r_b / (cosh^2 r_a cosh^2 r_b)
     sq_a, sq_b = make_squeeze(1.3), make_squeeze(0.9)
     n_max = 40
-    total = sum(block_weight(n, q, sq_a, sq_b) for n in range(n_max + 1) for q in range(n_max + 1))
+    total = np.outer(mode_amplitudes(sq_a, n_max)[0] ** 2, mode_amplitudes(sq_b, n_max)[0] ** 2).sum()
     x, y = sq_a.tanh_r**2, sq_b.tanh_r**2
     assert total == pytest.approx((1 - x ** (n_max + 1)) * (1 - y ** (n_max + 1)), abs=1e-13)
 
 
 def test_block_a_range():
-    sq0 = make_squeeze(0.0)
-    assert block_a(0, 0, sq0, sq0) == 1.0
-    assert 0.0 < block_a(0, 0, make_squeeze(1.0), make_squeeze(2.0)) < 1.0
+    # the (0, 0) coupling a, read off rho_AB over half the block weight, is e_n_paper
+    for r_a, r_b in ((0.0, 0.0), (1.0, 2.0)):
+        sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
+        half_weight = 0.5 / (sq_a.cosh_r * sq_b.cosh_r) ** 2
+        assert pair_rho(r_a, r_b, 2)[0, 0, 1, 1] / half_weight == pytest.approx(e_n_paper(sq_a, sq_b), rel=1e-14)
+    assert e_n_paper(make_squeeze(0.0), make_squeeze(0.0)) == 1.0
+    assert 0.0 < e_n_paper(make_squeeze(1.0), make_squeeze(2.0)) < 1.0
 
 
 # --------------------------------------------------------------- entanglement
@@ -609,11 +635,3 @@ def test_series_config_validation():
         SeriesConfig(n_max=HARD_SERIES_CAP + 1)
     with pytest.raises(ValueError):
         SeriesConfig(tail_tol=0.0)
-
-
-def test_uses_paper_style_block_indices_validation():
-    sq = make_squeeze(0.3)
-    with pytest.raises(ValueError):
-        block_matrix(-1, 0, sq, sq)
-    with pytest.raises(ValueError):
-        block_pt_eigenvalues(0, -2, sq, sq)

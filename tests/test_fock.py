@@ -1,19 +1,10 @@
-"""Tests for the truncated Fock-space state constructors."""
-
-import itertools
+"""Tests for the Kruskal-mode amplitudes and the pair state built from them."""
 
 import numpy as np
 import pytest
+from brute_force import kruskal_states, pair_state
 
-from hawkpair.fock import (
-    PureState,
-    entangled_pair_state,
-    flatten,
-    kruskal_one,
-    kruskal_vacuum,
-    squared_norm,
-    unflatten,
-)
+from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
 
 SECH_1 = 0.6480542736638854  # 1/cosh(1)
@@ -33,23 +24,24 @@ def one_norm_sq(x, n_max):
     return 1.0 - (n + 2) * x ** (n + 1) + (n + 1) * x ** (n + 2)
 
 
+def norm_sq(amplitudes):
+    return float(np.sum(amplitudes**2))
+
+
 def test_vacuum_unsqueezed_is_fock_vacuum():
-    st = kruskal_vacuum(make_squeeze(0.0), cutoff=3)
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0
-    np.testing.assert_array_equal(st.amplitudes, expected)
+    v, _ = mode_amplitudes(make_squeeze(0.0), 3)
+    np.testing.assert_array_equal(v, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_vacuum_amplitudes_at_unit_squeezing():
-    st = kruskal_vacuum(make_squeeze(1.0), cutoff=3)
-    assert st.amplitudes[0, 0] == pytest.approx(SECH_1, rel=1e-12)
-    assert st.amplitudes[1, 1] == pytest.approx(TANH_SECH_1, rel=1e-12)
-    assert st.amplitudes[0, 1] == 0.0
+    v, _ = mode_amplitudes(make_squeeze(1.0), 3)
+    assert v[0] == pytest.approx(SECH_1, rel=1e-12)
+    assert v[1] == pytest.approx(TANH_SECH_1, rel=1e-12)
 
 
 def test_vacuum_truncated_norm():
-    st = kruskal_vacuum(make_squeeze(1.0), cutoff=3)
-    assert squared_norm(st) == pytest.approx(ONE_MINUS_TANH8_1, abs=1e-13)
+    v, _ = mode_amplitudes(make_squeeze(1.0), 3)
+    assert norm_sq(v) == pytest.approx(ONE_MINUS_TANH8_1, abs=1e-13)
 
 
 @pytest.mark.parametrize("r", [0.3, 1.0, 2.2])
@@ -57,114 +49,82 @@ def test_vacuum_truncated_norm():
 def test_norm_identities(r, n_max):
     sq = make_squeeze(r)
     x = sq.tanh_r**2
-    assert squared_norm(kruskal_vacuum(sq, n_max)) == pytest.approx(vacuum_norm_sq(x, n_max), abs=1e-13)
-    assert squared_norm(kruskal_one(sq, n_max)) == pytest.approx(one_norm_sq(x, n_max), abs=1e-13)
+    v, o = mode_amplitudes(sq, n_max)
+    assert norm_sq(v) == pytest.approx(vacuum_norm_sq(x, n_max), abs=1e-13)
+    assert norm_sq(o) == pytest.approx(one_norm_sq(x, n_max), abs=1e-13)
 
 
 def test_one_particle_unsqueezed():
-    st = kruskal_one(make_squeeze(0.0), cutoff=2)
-    expected = np.zeros((3, 3))
-    expected[0, 1] = 1.0
-    np.testing.assert_array_equal(st.amplitudes, expected)
+    _, o = mode_amplitudes(make_squeeze(0.0), 2)
+    np.testing.assert_array_equal(o, [1.0, 0.0, 0.0])
 
 
 def test_one_particle_amplitude_at_unit_squeezing():
-    st = kruskal_one(make_squeeze(1.0), cutoff=4)
-    assert st.amplitudes[0, 1] == pytest.approx(SECH2_1, rel=1e-12)
+    _, o = mode_amplitudes(make_squeeze(1.0), 4)
+    assert o[0] == pytest.approx(SECH2_1, rel=1e-12)
 
 
 def test_one_particle_rejects_zero_cutoff():
-    with pytest.raises(ValueError):
-        kruskal_one(make_squeeze(1.0), cutoff=0)
+    with pytest.raises(ValueError, match="n_max"):
+        mode_amplitudes(make_squeeze(1.0), 0)
 
 
 def test_one_particle_norm_converges_to_one():
     sq = make_squeeze(1.0)
-    norms = [squared_norm(kruskal_one(sq, n)) for n in (5, 10, 20, 40, 80)]
+    norms = [norm_sq(mode_amplitudes(sq, n)[1]) for n in (5, 10, 20, 40, 80)]
     assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
     assert norms[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vacuum_one_orthogonal():
     for r in (0.0, 0.7, 1.5):
-        sq = make_squeeze(r)
-        v = kruskal_vacuum(sq, 8).amplitudes
-        o = kruskal_one(sq, 8).amplitudes
-        assert abs(float(np.sum(v * o))) < 1e-15
+        vac, one = kruskal_states(r, 8)
+        assert abs(float(np.sum(vac * one))) < 1e-15
 
 
 def test_amplitudes_non_negative():
     for r in (0.0, 0.5, 2.0):
-        sq = make_squeeze(r)
-        assert np.all(kruskal_vacuum(sq, 6).amplitudes >= 0.0)
-        assert np.all(kruskal_one(sq, 6).amplitudes >= 0.0)
-        assert np.all(entangled_pair_state(sq, sq, 6).amplitudes >= 0.0)
+        v, o = mode_amplitudes(make_squeeze(r), 6)
+        assert np.all(v >= 0.0) and np.all(o >= 0.0)
+        assert np.all(pair_state(r, r, 6) >= 0.0)
 
 
 def test_pair_state_bell_limit():
-    st = entangled_pair_state(make_squeeze(0.0), make_squeeze(0.0), cutoff=1)
-    nz = {idx: val for idx, val in np.ndenumerate(st.amplitudes) if val != 0.0}
+    psi = pair_state(0.0, 0.0, 1)
+    nz = {idx: val for idx, val in np.ndenumerate(psi) if val != 0.0}
     assert set(nz) == {(0, 0, 0, 0), (0, 1, 0, 1)}
     for val in nz.values():
         assert val == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
 
 
 def test_pair_state_norm_product_of_factor_norms():
-    sq = make_squeeze(1.0)
-    x = sq.tanh_r**2
-    n2 = squared_norm(entangled_pair_state(sq, sq, cutoff=8))
+    x = make_squeeze(1.0).tanh_r ** 2
+    n2 = norm_sq(pair_state(1.0, 1.0, 8))
     assert n2 < 1.0
     assert n2 == pytest.approx(0.5 * (vacuum_norm_sq(x, 8) ** 2 + one_norm_sq(x, 8) ** 2), abs=1e-13)
     # the fat (n+1)-weighted tail needs a deeper cutoff to get within 1e-3
-    assert squared_norm(entangled_pair_state(sq, sq, cutoff=22)) == pytest.approx(1.0, abs=1e-3)
+    assert norm_sq(pair_state(1.0, 1.0, 22)) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_pair_state_norm_monotone_in_cutoff():
-    sq = make_squeeze(1.2)
-    norms = [squared_norm(entangled_pair_state(sq, sq, n)) for n in (2, 4, 6, 8, 10)]
+    norms = [norm_sq(pair_state(1.2, 1.2, n)) for n in (2, 4, 6, 8, 10)]
     assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
 
 
 def test_pair_state_component_orthogonality():
     # the |00> and |11> components have disjoint support (A_out differs by 1)
     for r in (0.4, 1.3):
-        sq = make_squeeze(r)
-        v = kruskal_vacuum(sq, 6).amplitudes
-        o = kruskal_one(sq, 6).amplitudes
-        c00 = np.einsum("ab,cd->abcd", v, v)
-        c11 = np.einsum("ab,cd->abcd", o, o)
+        vac, one = kruskal_states(r, 6)
+        c00 = np.einsum("ab,cd->abcd", vac, vac)
+        c11 = np.einsum("ab,cd->abcd", one, one)
         assert float(np.sum(c00 * c11)) == 0.0
 
 
-def test_flatten_examples():
-    assert flatten((0, 0, 0, 0), cutoff=2, mode_count=4) == 0
-    assert flatten((0, 1, 0, 1), cutoff=2, mode_count=4) == 10
-    assert unflatten(10, cutoff=2, mode_count=4) == (0, 1, 0, 1)
-
-
-def test_flatten_round_trip_exhaustive():
-    for idx in itertools.product(range(3), repeat=4):
-        flat = flatten(idx, cutoff=2, mode_count=4)
-        assert unflatten(flat, cutoff=2, mode_count=4) == idx
-
-
-def test_flatten_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        flatten((0, 3, 0, 0), cutoff=2, mode_count=4)
-    with pytest.raises(ValueError):
-        unflatten(81, cutoff=2, mode_count=4)
-    with pytest.raises(ValueError):
-        flatten((0, 0), cutoff=2, mode_count=4)
-
-
-def test_squared_norm_zero_state():
-    st = PureState(mode_count=2, cutoff=1, mode_order=("in", "out"), amplitudes=np.zeros((2, 2)))
-    assert squared_norm(st) == 0.0
-
-
 def test_pair_state_mode_order():
-    st = entangled_pair_state(make_squeeze(0.5), make_squeeze(0.5), cutoff=2)
-    assert st.mode_order == ("A_in", "A_out", "B_in", "B_out")
-    assert st.axis_of("B_in") == 2
-    with pytest.raises(KeyError):
-        st.axis_of("nope")
+    # axes [A_in, A_out, B_in, B_out]: the one-particle excitation is on the out modes
+    psi = pair_state(0.5, 0.9, 2)
+    assert psi[0, 1, 0, 1] > 0.0
+    assert psi[1, 0, 1, 0] == psi[0, 1, 1, 0] == 0.0
+    v_a, _ = mode_amplitudes(make_squeeze(0.5), 2)
+    v_b, _ = mode_amplitudes(make_squeeze(0.9), 2)
+    assert psi[1, 1, 0, 0] == pytest.approx(v_a[1] * v_b[0] / np.sqrt(2.0), rel=1e-15)

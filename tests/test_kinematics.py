@@ -28,6 +28,12 @@ def test_squeezing_vanishes_for_heavy_hole():
     assert 0.0 <= sq.r < 1e-54
 
 
+def test_squeezing_from_mode_refuses_infinite_r():
+    # exp(-4 pi M omega) rounds to 1, and artanh(1) is infinite
+    with pytest.raises(ValueError, match=r"M\*omega = 1e-15 \* 1e-15 .* r is infinite"):
+        squeezing_from_mode(ModeSpec(mass=1e-15, omega=1e-15))
+
+
 def test_squeezing_from_mode_unit_r():
     sq = squeezing_from_mode(ModeSpec(mass=MW_FOR_R1, omega=1.0))
     assert sq.r == pytest.approx(1.0, abs=1e-10)

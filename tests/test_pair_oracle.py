@@ -1,25 +1,17 @@
 """Tests for the block-structured oracle (`pair_spectra`, `pair_measures`):
-fixed points, and properties over random squeezing and cutoff checked
-against the brute-force (N+1)^4 path, a one-block-at-a-time eigensolve and
-the physical invariants."""
+fixed points, the derivation of its blocks, and properties over random
+squeezing and cutoff checked against the brute-force reference
+(`brute_force.py`), a one-block-at-a-time eigensolve and the physical
+invariants."""
+
+import math
 
 import numpy as np
 import pytest
+from brute_force import OUT_PAIR, measures, pair_state, reduce
 
-from hawkpair.density import (
-    PAD_MULTIPLE,
-    _block_eigenvalues,
-    _mode_amplitudes,
-    _pair_blocks,
-    eig_symmetric,
-    mutual_information_numeric,
-    negativity_sum,
-    pair_measures,
-    pair_spectra,
-    partial_transpose,
-    reduced_density,
-)
-from hawkpair.fock import entangled_pair_state, kruskal_one, kruskal_vacuum, squared_norm
+from hawkpair.density import PAD_MULTIPLE, _block_eigenvalues, _pair_blocks, pair_measures, pair_spectra
+from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
 
 pytest.importorskip("hypothesis")
@@ -34,25 +26,6 @@ block_cutoffs = st.integers(min_value=1, max_value=64)
 # cutoffs whose longest block (N + 1) is one below, at and one above a padded length
 PAD_EDGES = (7, 8, 9, 15, 16, 17, 31, 32, 33)
 properties = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-def brute_force(r_a, r_b, n_max):
-    """The seven columns and the two spectra from the full pure state."""
-    state = entangled_pair_state(make_squeeze(r_a), make_squeeze(r_b), n_max)
-    rho_ab = reduced_density(state, keep=("A_out", "B_out"))
-    pt = eig_symmetric(partial_transpose(rho_ab, "B_out"))
-    neg = negativity_sum(pt)
-    mi = mutual_information_numeric(state)
-    columns = {
-        "neg_sum_num": neg.negative_sum,
-        "e_n_num": neg.paper_measure,
-        "s_a_num": mi["s_a"],
-        "s_b_num": mi["s_b"],
-        "s_ab_num": mi["s_ab"],
-        "i_num": mi["mutual_information"],
-        "trace_deficit": max(1.0 - squared_norm(state), 0.0),
-    }
-    return columns, eig_symmetric(rho_ab).eigenvalues, pt.eigenvalues
 
 
 def per_block(diag, off):
@@ -118,7 +91,7 @@ def test_rejects_cutoff_below_one():
 @properties
 @given(r_a=squeezing, r_b=squeezing, n_max=cutoffs)
 def test_structured_oracle_matches_brute_force(r_a, r_b, n_max):
-    expected, ab, pt = brute_force(r_a, r_b, n_max)
+    expected, ab, pt = measures(pair_state(r_a, r_b, n_max))
     got_ab, got_pt, _, _ = pair_spectra(make_squeeze(r_a), make_squeeze(r_b), n_max)
     np.testing.assert_allclose(np.sort(got_ab.eigenvalues), ab, rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.sort(got_pt.eigenvalues), pt, rtol=0, atol=1e-12)
@@ -186,7 +159,28 @@ def test_padding_that_does_not_sort_last_is_refused():
 @pytest.mark.parametrize("r", [0.0, 0.3, 1.65, 6.0])
 @pytest.mark.parametrize("n_max", [1, 9, 200])
 def test_mode_amplitudes_equal_fock_diagonals(r, n_max):
-    sq = make_squeeze(r)
-    v, o = _mode_amplitudes(sq, n_max)
-    assert np.array_equal(v, np.diagonal(kruskal_vacuum(sq, n_max).amplitudes))
-    assert np.array_equal(o, np.append(np.diagonal(kruskal_one(sq, n_max).amplitudes, 1), 0.0))
+    # the (k, k) and (k, k+1) amplitudes of the Kruskal vacuum and one-particle
+    # state, term by term, out to deep cutoffs and tanh r near 1
+    t, c = math.tanh(r), math.cosh(r)
+    v, o = mode_amplitudes(make_squeeze(r), n_max)
+    np.testing.assert_allclose(v, [t**k / c for k in range(n_max + 1)], rtol=1e-14, atol=0)
+    one = [math.sqrt(k + 1) * t**k / c**2 for k in range(n_max)] + [0.0]
+    np.testing.assert_allclose(o, one, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("r_a,r_b,n_max", [(1.0, 0.6, 9), (0.3, 1.7, 6), (2.0, 2.0, 12)])
+def test_blocks_follow_from_thermal_states(r_a, r_b, n_max):
+    # rho_AB = K (rho_A^th (x) rho_B^th) K^T / 2, K = 1 + a^dag b^dag / (cosh r_a cosh r_b)
+    # with a^dag truncated at N, is the reduced pair state, and its entries are D and C
+    sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
+    d = n_max + 1
+    up = np.diag(np.sqrt(np.arange(1.0, d)), -1)
+    thermal_a, thermal_b = (np.diag(sq.tanh_r ** (2 * np.arange(d)) / sq.cosh_r**2) for sq in (sq_a, sq_b))
+    k = np.eye(d * d) + np.kron(up, up) / (sq_a.cosh_r * sq_b.cosh_r)
+    rho = k @ np.kron(thermal_a, thermal_b) @ k.T / 2
+    np.testing.assert_allclose(rho, reduce(pair_state(r_a, r_b, n_max), OUT_PAIR), rtol=0, atol=1e-15)
+    diag, off = _pair_blocks(sq_a, sq_b, n_max)
+    blocks = np.diag(diag.ravel())
+    n, q = np.divmod(np.arange(n_max * n_max), n_max)
+    blocks[n * d + q, (n + 1) * d + q + 1] = blocks[(n + 1) * d + q + 1, n * d + q] = off.ravel()
+    np.testing.assert_allclose(rho, blocks, rtol=0, atol=1e-15)

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from hawkpair import closed_form as cf
-from hawkpair.closed_form import SeriesConfig
-from hawkpair.density import ConvergenceError
+from hawkpair.closed_form import ConvergenceError, SeriesConfig
 from hawkpair import sweep as sweep_module
 from hawkpair.kinematics import ModeSpec, make_squeeze
 from hawkpair.sweep import (
@@ -214,6 +213,10 @@ def test_sweep_config_validation():
         SweepConfig(r_min=0.0, r_max=1.0, steps=3, omega_ratio=0.0)
     with pytest.raises(ValueError):
         SweepConfig(r_min=0.0, r_max=1.0, steps=3, methods=("bogus",))
+    for bounds in (dict(r_min=0.0, r_max=math.inf), dict(r_min=0.0, r_max=1.0, omega_ratio=math.nan),
+                   dict(r_min=0.0, r_max=1.0, omega_ratio=math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            SweepConfig(steps=3, **bounds)
 
 
 def test_symmetric_point_sums_marginal_series_once(monkeypatch):
@@ -276,6 +279,13 @@ def test_compare_flags_per_block_gap():
     # the joint-entropy series is a per-block approximation: visible gap
     assert cmp_rep.diff_s_ab > 1e-2
     assert any("s_ab" in w for w in cmp_rep.warnings)
+
+
+def test_compare_rejects_meaningless_threshold():
+    rep = run_point(r_a=0.2, cutoff=SeriesConfig(n_max=4))
+    for threshold in (math.nan, math.inf, -1e-2):
+        with pytest.raises(ValueError, match="warn_threshold"):
+            compare_closed_vs_numeric(rep, warn_threshold=threshold)
 
 
 def test_compare_requires_both_families():
