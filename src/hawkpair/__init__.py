@@ -23,8 +23,6 @@ from .sweep import (
     NumericCapError,
     SweepConfig,
     compare_closed_vs_numeric,
-    emit_csv,
-    emit_json,
     emit_rows,
     run_point,
     run_sweep,

@@ -14,10 +14,11 @@ import sys
 from . import closed_form as cf
 from .kinematics import ModeSpec
 from .sweep import (
-    DEFAULT_NUMERIC_CAP,
+    DEFAULT_CUTOFF,
     NumericCapError,
     SweepConfig,
     SweepPointError,
+    check_warn_threshold,
     compare_closed_vs_numeric,
     emit_rows,
     open_output,
@@ -33,7 +34,7 @@ EXIT_CODES = ((cf.ConvergenceError, 3), (NumericCapError, 3), (OSError, 4), (Val
 def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--nmax", type=int, help="explicit series/state cutoff N_max")
-    g.add_argument("--tail-tol", type=float, help="series tail tolerance (default 1e-10)")
+    g.add_argument("--tail-tol", type=float, help=f"series tail tolerance (default {DEFAULT_CUTOFF.tail_tol:g})")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cutoff_from(args) -> cf.SeriesConfig:
     if args.nmax is not None:
         return cf.SeriesConfig(n_max=args.nmax)
-    return cf.SeriesConfig(tail_tol=args.tail_tol if args.tail_tol is not None else 1e-10)
+    return DEFAULT_CUTOFF if args.tail_tol is None else cf.SeriesConfig(tail_tol=args.tail_tol)
 
 
 def _methods_from(args) -> tuple:
@@ -133,13 +134,13 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_fig(args, methods) -> None:
-    cfg = SweepConfig(cutoff=cf.SeriesConfig(tail_tol=1e-10), methods=methods, **FIG_PRESET)
+    cfg = SweepConfig(methods=methods, **FIG_PRESET)
     _write_rows(run_sweep(cfg), args)
 
 
 def _cmd_compare(args) -> None:
-    cutoff = _cutoff_from(args)
-    report = run_point(r_a=args.r, cutoff=cutoff, methods=("closed", "numeric"))
+    check_warn_threshold(args.warn_threshold)
+    report = run_point(r_a=args.r, cutoff=_cutoff_from(args), methods=("closed", "numeric"))
     cmp_report = compare_closed_vs_numeric(report, warn_threshold=args.warn_threshold)
     payload = dataclasses.asdict(cmp_report)
     payload["warnings"] = list(payload["warnings"])
@@ -156,10 +157,8 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             _cmd_sweep(args)
         elif args.command == "fig2":
-            args.__dict__.setdefault("format", "csv")
             _cmd_fig(args, methods=("closed", "numeric"))
         elif args.command == "fig3":
-            args.__dict__.setdefault("format", "csv")
             _cmd_fig(args, methods=("closed",))
         elif args.command == "compare":
             _cmd_compare(args)

@@ -16,7 +16,8 @@ from .kinematics import ModeSpec, make_squeeze, squeezing_from_mode
 # blocks of size up to N+1 (3N+2 at a symmetric point), so its time grows as
 # N^4 (about 0.47 s at 200 on one Xeon core, 0.42 s at a symmetric point;
 # fig2's numeric columns reach r = 1.65); memory stays O(N^2)
-DEFAULT_NUMERIC_CAP = 200
+NUMERIC_CAP = 200
+DEFAULT_CUTOFF = cf.SeriesConfig(tail_tol=1e-10)
 CSV_HEADER = (
     "r_a,r_b,n_max,e_n_block00,neg_sum_num,e_n_num,s_a_closed,s_b_closed,"
     "s_ab_closed,i_closed,s_a_num,s_b_num,s_ab_num,i_num,trace_deficit"
@@ -45,9 +46,8 @@ class SweepConfig:
     r_max: float
     steps: int
     omega_ratio: float = 1.0
-    cutoff: cf.SeriesConfig = cf.SeriesConfig(tail_tol=1e-10)
+    cutoff: cf.SeriesConfig = DEFAULT_CUTOFF
     methods: tuple = ("closed", "numeric")
-    numeric_cap: int = DEFAULT_NUMERIC_CAP
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.r_min, self.r_max, self.omega_ratio)):
@@ -106,11 +106,11 @@ def run_point(
     r_b: float | None = None,
     mode: ModeSpec | None = None,
     omega_prime: float | None = None,
-    cutoff: cf.SeriesConfig = cf.SeriesConfig(tail_tol=1e-10),
+    cutoff: cf.SeriesConfig = DEFAULT_CUTOFF,
     methods=("closed", "numeric"),
-    numeric_cap: int = DEFAULT_NUMERIC_CAP,
 ) -> EntanglementReport:
-    """Evaluate one parameter point, given either r values or a ModeSpec."""
+    """Evaluate one parameter point, given either r values or a ModeSpec. A numeric
+    method past NUMERIC_CAP raises NumericCapError before any series work."""
     if mode is not None:
         if r_a is not None or r_b is not None:
             raise ValueError("give either r values or a ModeSpec, not both")
@@ -126,11 +126,16 @@ def run_point(
     _check_methods(methods)
 
     n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
-    if "numeric" in methods and n_max > numeric_cap:
+    if "numeric" in methods and n_max > NUMERIC_CAP:
         raise NumericCapError(
             f"numeric method needs cutoff {n_max}, above the oracle cap of "
-            f"{numeric_cap} (its time grows as N_max^4)"
+            f"{NUMERIC_CAP} (its time grows as N_max^4)"
         )
+    return _evaluate(sq_a, sq_b, n_max, cutoff, methods)
+
+
+def _evaluate(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> EntanglementReport:
+    """The report of a point whose cutoff n_max is resolved; methods may be empty."""
     values: dict = {}
     if "closed" in methods:
         # the pair's cutoff is that of its side with the larger tanh^2 r, so
@@ -156,8 +161,9 @@ def run_point(
 
 
 def run_sweep(cfg: SweepConfig) -> list:
-    """One report per grid point, ascending r; numeric auto-disables per point
-    when the resolved cutoff exceeds the oracle cap (noted once on stderr)."""
+    """One report per grid point, ascending r, each resolving its cutoff once. A point
+    past NUMERIC_CAP drops the numeric method (noted once on stderr), so its
+    numeric fields are None; a numeric-only point keeps just r_a, r_b and n_max."""
     rows = []
     warned = False
     for k in range(cfg.steps):
@@ -166,29 +172,35 @@ def run_sweep(cfg: SweepConfig) -> list:
             r_b = r
         else:
             r_b = math.atanh(math.tanh(r) ** cfg.omega_ratio) if r > 0 else 0.0
-        point = dict(r_a=r, r_b=r_b, cutoff=cfg.cutoff, numeric_cap=cfg.numeric_cap)
         try:
-            try:
-                rows.append(run_point(methods=cfg.methods, **point))
-            except NumericCapError:
+            sq_a, sq_b = make_squeeze(r), make_squeeze(r_b)
+            n_max = cf.resolve_cutoff(sq_a, sq_b, cfg.cutoff)
+            methods = cfg.methods
+            if "numeric" in methods and n_max > NUMERIC_CAP:
                 if not warned:
                     print(
                         f"note: numeric method disabled where the resolved cutoff "
-                        f"exceeds the oracle cap of {cfg.numeric_cap}",
+                        f"exceeds the oracle cap of {NUMERIC_CAP}",
                         file=sys.stderr,
                     )
                     warned = True
-                rows.append(run_point(methods=tuple(m for m in cfg.methods if m != "numeric"), **point))
+                methods = tuple(m for m in methods if m != "numeric")
+            rows.append(_evaluate(sq_a, sq_b, n_max, cfg.cutoff, methods))
         except Exception as exc:
             raise SweepPointError(f"sweep failed at r = {r} (r_b = {r_b}): {exc}") from exc
     return rows
 
 
+def check_warn_threshold(warn_threshold: float) -> None:
+    """Refuse a comparison threshold that is not a finite number >= 0."""
+    if not (math.isfinite(warn_threshold) and warn_threshold >= 0.0):
+        raise ValueError(f"warn_threshold must be finite and >= 0, got {warn_threshold}")
+
+
 def compare_closed_vs_numeric(report: EntanglementReport, warn_threshold: float = 1e-2) -> ComparisonReport:
     """Per-measure |closed - numeric| differences; large ones are flagged,
     not failed (the closed forms are a per-block approximation)."""
-    if not (math.isfinite(warn_threshold) and warn_threshold >= 0.0):
-        raise ValueError(f"warn_threshold must be finite and >= 0, got {warn_threshold}")
+    check_warn_threshold(warn_threshold)
     closed_ok = report.e_n_block00 is not None
     numeric_ok = report.e_n_num is not None
     if not (closed_ok and numeric_ok):
@@ -253,13 +265,3 @@ def emit_rows(rows, fmt: str, stream) -> None:
         payload = [{f.name: getattr(row, f.name) for f in fields(EntanglementReport)} for row in rows]
         json.dump(payload, stream, indent=2)
         stream.write("\n")
-
-
-def emit_csv(rows, path: str) -> None:
-    with open_output(path) as fh:
-        emit_rows(rows, "csv", fh)
-
-
-def emit_json(rows, path: str) -> None:
-    with open_output(path) as fh:
-        emit_rows(rows, "json", fh)

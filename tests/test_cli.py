@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from hawkpair import cli
-from hawkpair import sweep as sweep_module
+from hawkpair import closed_form as cf
 from hawkpair.closed_form import ConvergenceError
 from hawkpair.sweep import CSV_HEADER, NumericCapError, SweepPointError
 
@@ -69,6 +69,22 @@ def test_point_closed_only_large_r():
     cells = dict(zip(CSV_HEADER.split(","), res.stdout.strip().split("\n")[1].split(",")))
     assert cells["e_n_num"] == ""
     assert float(cells["e_n_block00"]) < 0.01
+
+
+def test_numeric_only_sweep_past_the_cap():
+    # r = 2.0 resolves N = 395 > 200: its row keeps r_a, r_b and n_max, and
+    # every measure is empty instead of the sweep failing
+    res = run_cli("sweep", "--r-min", "1", "--r-max", "2", "--steps", "3", "--methods", "numeric")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.count("oracle cap") == 1
+    lines = res.stdout.strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    rows = [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 3
+    assert rows[1]["neg_sum_num"] != "" and rows[1]["s_a_closed"] == ""  # r = 1.5, N = 140: within the cap
+    kept = ("r_a", "r_b", "n_max")
+    assert [rows[2][k] for k in kept] == ["2.00000000000e+00", "2.00000000000e+00", "395"]
+    assert all(value == "" for k, value in rows[2].items() if k not in kept)
 
 
 def test_sweep_to_file_and_determinism(tmp_path):
@@ -151,6 +167,7 @@ def test_stdout_and_out_file_are_the_same_bytes(tmp_path, args):
         ("sweep", "--r-min", "0", "--r-max", "1", "--steps", "3", "--omega-ratio", "nan"),
         ("sweep", "--r-min", "0", "--r-max", "1", "--steps", "3", "--omega-ratio", "inf"),
         ("point", "--mass", "1e-300", "--omega", "1e-300", "--methods", "closed"),  # r = inf
+        ("compare", "--r", "2.0", "--warn-threshold", "nan"),  # bad argument, not the oracle cap (exit 3)
     ],
 )
 def test_invalid_arguments_exit_2(args):
@@ -158,6 +175,15 @@ def test_invalid_arguments_exit_2(args):
     assert res.returncode == 2
     assert res.stderr != ""
     assert "Traceback" not in res.stderr
+
+
+def test_compare_checks_threshold_before_any_work(monkeypatch, capsys):
+    def no_point(**kwargs):
+        raise AssertionError("point evaluated before the threshold check")
+
+    monkeypatch.setattr(cli, "run_point", no_point)
+    assert cli.main(["compare", "--r", "1.6", "--warn-threshold", "nan"]) == 2
+    assert "warn_threshold" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- exit 3
@@ -194,20 +220,20 @@ def test_numeric_cap_exit_3():
 )
 def test_sweep_point_failure_keeps_exit_code_of_cause(monkeypatch, capsys, error, code):
     # a failed sweep point is reported with its r and exits as its cause would
-    def failing_point(**kwargs):
+    def failing_s_a(sq, cfg):
         raise error
 
-    monkeypatch.setattr(sweep_module, "run_point", failing_point)
+    monkeypatch.setattr(cf, "s_a_closed", failing_s_a)
     assert cli.main(["sweep", "--r-min", "0.1", "--r-max", "0.2", "--steps", "2", "--methods", "closed"]) == code
     err = capsys.readouterr().err
     assert "sweep failed at r = 0.1" in err and "stubbed" in err
 
 
 def test_sweep_point_failure_with_unmapped_cause_propagates(monkeypatch):
-    def failing_point(**kwargs):
+    def failing_s_a(sq, cfg):
         raise KeyError("stubbed")
 
-    monkeypatch.setattr(sweep_module, "run_point", failing_point)
+    monkeypatch.setattr(cf, "s_a_closed", failing_s_a)
     with pytest.raises(SweepPointError) as info:
         cli.main(["sweep", "--r-min", "0.1", "--r-max", "0.2", "--steps", "2", "--methods", "closed"])
     assert isinstance(info.value.__cause__, KeyError)

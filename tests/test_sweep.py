@@ -9,19 +9,18 @@ import pytest
 
 from hawkpair import closed_form as cf
 from hawkpair.closed_form import ConvergenceError, SeriesConfig
-from hawkpair import sweep as sweep_module
 from hawkpair.kinematics import ModeSpec, make_squeeze
 from hawkpair.sweep import (
     CSV_HEADER,
-    DEFAULT_NUMERIC_CAP,
+    NUMERIC_CAP,
     EntanglementReport,
     NumericCapError,
     SweepConfig,
     SweepPointError,
     compare_closed_vs_numeric,
     csv_lines,
-    emit_csv,
-    emit_json,
+    emit_rows,
+    open_output,
     run_point,
     run_sweep,
 )
@@ -83,8 +82,8 @@ def test_run_point_omega_prime_changes_bob_only():
 
 def test_run_point_numeric_cap():
     with pytest.raises(NumericCapError):
-        run_point(r_a=1.0, cutoff=SeriesConfig(tail_tol=1e-10), numeric_cap=14)  # needs N = 49 > 14
-    rep = run_point(r_a=1.0, cutoff=SeriesConfig(tail_tol=1e-10), numeric_cap=60)
+        run_point(r_a=2.0, cutoff=SeriesConfig(tail_tol=1e-10))  # needs N = 395 > 200
+    rep = run_point(r_a=1.0, cutoff=SeriesConfig(tail_tol=1e-10))  # N = 49
     assert rep.i_num is not None
 
 
@@ -95,7 +94,7 @@ def test_run_point_checks_numeric_cap_before_series(monkeypatch):
     for name in ("s_a_closed", "s_b_closed", "s_ab_closed"):
         monkeypatch.setattr(cf, name, no_series)
     with pytest.raises(NumericCapError):
-        run_point(r_a=1.0, r_b=0.5, cutoff=SeriesConfig(n_max=15), numeric_cap=14)
+        run_point(r_a=1.0, r_b=0.5, cutoff=SeriesConfig(n_max=NUMERIC_CAP + 1))
 
 
 def test_run_point_argument_validation():
@@ -173,6 +172,12 @@ def test_sweep_resolves_each_point_once(monkeypatch):
     rows = run_sweep(SweepConfig(r_min=0.4, r_max=1.4, steps=6, omega_ratio=2.0, cutoff=SeriesConfig(n_max=8)))
     assert len(calls) == 6
     assert all(row.i_num is not None for row in rows)
+    # r = 2.0 resolves N = 395, past the oracle cap: that point drops the
+    # numeric method without resolving its cutoff again
+    calls.clear()
+    rows = run_sweep(SweepConfig(r_min=0.5, r_max=2.0, steps=2))
+    assert len(calls) == 2
+    assert rows[0].i_num is not None and rows[1].i_num is None and rows[1].i_closed is not None
 
 
 def test_sweep_failure_names_the_point():
@@ -190,13 +195,14 @@ class _TwoArgumentError(Exception):
 def test_sweep_failure_keeps_cause_with_other_constructor(monkeypatch):
     # the point error wraps the original instead of rebuilding its type from a message
     original = _TwoArgumentError(7, "stubbed failure")
+    s_a_closed = cf.s_a_closed
 
-    def failing_point(**kwargs):
-        if kwargs["r_a"] > 0.5:
+    def failing_s_a(sq, cfg):
+        if sq.r > 0.5:
             raise original
-        return run_point(**kwargs)
+        return s_a_closed(sq, cfg)
 
-    monkeypatch.setattr(sweep_module, "run_point", failing_point)
+    monkeypatch.setattr(cf, "s_a_closed", failing_s_a)
     with pytest.raises(SweepPointError, match=r"sweep failed at r = 1\.0 .*7: stubbed failure") as info:
         run_sweep(SweepConfig(r_min=0.0, r_max=1.0, steps=3, methods=("closed",)))
     assert info.value.__cause__ is original
@@ -274,7 +280,7 @@ def test_compare_reports_recomputed_differences():
 
 
 def test_compare_flags_per_block_gap():
-    rep = run_point(r_a=1.0, cutoff=SeriesConfig(tail_tol=1e-10), numeric_cap=60)
+    rep = run_point(r_a=1.0, cutoff=SeriesConfig(tail_tol=1e-10))
     cmp_rep = compare_closed_vs_numeric(rep)
     # the joint-entropy series is a per-block approximation: visible gap
     assert cmp_rep.diff_s_ab > 1e-2
@@ -335,21 +341,24 @@ def test_csv_no_negative_zero():
 def test_emit_csv_byte_deterministic(tmp_path):
     cfg = SweepConfig(r_min=0.0, r_max=0.4, steps=4)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(run_sweep(cfg), str(p1))
-    emit_csv(run_sweep(cfg), str(p2))
+    for path in (p1, p2):
+        with open_output(str(path)) as fh:
+            emit_rows(run_sweep(cfg), "csv", fh)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().startswith(CSV_HEADER.encode())
 
 
 def test_emit_csv_unwritable_path(tmp_path):
     with pytest.raises(OSError, match="no/such/dir"):
-        emit_csv([], str(tmp_path / "no" / "such" / "dir" / "x.csv"))
+        with open_output(str(tmp_path / "no" / "such" / "dir" / "x.csv")) as fh:
+            emit_rows([], "csv", fh)
 
 
 def test_emit_json_round_trip(tmp_path):
     rows = run_sweep(SweepConfig(r_min=0.0, r_max=0.4, steps=3))
     path = tmp_path / "rows.json"
-    emit_json(rows, str(path))
+    with open_output(str(path)) as fh:
+        emit_rows(rows, "json", fh)
     payload = json.loads(path.read_text())
     assert len(payload) == 3
     for obj, row in zip(payload, rows):
@@ -365,4 +374,4 @@ def test_report_fields_match_csv_header():
 
 
 def test_default_numeric_cap_is_desk_scale():
-    assert DEFAULT_NUMERIC_CAP == 200
+    assert NUMERIC_CAP == 200
