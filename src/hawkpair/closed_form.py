@@ -11,18 +11,20 @@ Entropies are in bits (log base 2). The joint series is split as
 log2 P = n l2x + q l2y - 1 - l2c + log2 z with z = 1 + (n+1)(q+1)/C: the
 linear part weights P by n, q and 1, whose sums are closed-form geometric
 moments, so only sum x^n y^q z ln z is summed numerically. Each axis of that
-sum is chosen by its decay length 1/(-ln x): below SMOOTH_SCALE = 32 lattice
-steps it is summed term by term, up to where x^n falls below 2^-60; above it
-the summand is smooth on the lattice and the axis is summed by
-Euler-Maclaurin with Gauss-Legendre panel quadrature and end corrections
-through fifth order (the B2/2!, B4/4! and B6/6! terms). Each axis' rule folds
-the derivatives of its factor x^n into per-end weights, so the double sum is
-a grid of quadrature nodes, one strip of end corrections per axis and four
-corners, with the derivatives of z ln z written out by hand (no generated
-kernels). The resolved cutoff reaches 1e5..1e6 in the large-r regime; only
-Euler-Maclaurin axes see it, so the cost per point stays bounded. When both
-axes have the same x the grid is symmetric and only its upper triangle is
-evaluated.
+sum is chosen by its decay length 1/(-ln x), in lattice steps: below
+HEAD_SCALE = 8 it is summed term by term, up to where x^n falls below 2^-60;
+from SMOOTH_SCALE = 32 on the summand is smooth on the lattice and the axis
+is summed by Euler-Maclaurin with Gauss-Legendre panel quadrature and end
+corrections through fifth order (the B2/2!, B4/4! and B6/6! terms); in
+between, the first _JOINT_HEAD = 32 terms are added one by one and the rest
+is summed by Euler-Maclaurin, its panels starting 32 wide. Each axis' rule
+folds the derivatives of its factor x^n into per-end weights, so the double
+sum is a grid of quadrature nodes, one strip of end corrections per axis and
+four corners, with the derivatives of z ln z written out by hand (no
+generated kernels). The resolved cutoff reaches 1e5..1e6 in the large-r
+regime; only Euler-Maclaurin axes see it, so the cost per point stays
+bounded. When both axes have the same x the grid is symmetric and only its
+upper triangle is evaluated, in row blocks of at most 32 rows.
 
 The marginal series takes the same split, log2 p_n = n l2x - l2c2 and
 log2 p'_n = log2(n+1) + n l2x - 2 l2c2, so only the log moment
@@ -45,13 +47,25 @@ from .kinematics import SqueezeParam
 # hard ceiling for automatic cutoff resolution; sized so the default
 # 1e-10 tail tolerance still resolves at r = 6 (N ~ 1.52e6 there)
 HARD_SERIES_CAP = 4_000_000
-# decay length 1/(-ln tanh^2 r), in lattice steps, from which an axis of
-# either series is summed by Euler-Maclaurin (end corrections through fifth
-# order) instead of term by term. Over decay lengths 32..128, the other axis'
-# from 1 to 0.05 times as long, the joint series stays within 1.45e-14
-# relative of its term-by-term sum (worst at 32); at 30 it would be off by
-# 2.1e-14 and at 20 by 3.2e-13
+# decay length 1/(-ln tanh^2 r), in lattice steps, from which an axis of the
+# joint series is summed by Euler-Maclaurin (end corrections through fifth
+# order) from its first term on, and the marginal log moment by
+# Euler-Maclaurin after its head instead of term by term. Over decay lengths
+# 32..128, the other axis' from 1 to 0.05 times as long, the joint series
+# stays within 1.45e-14 relative of its term-by-term sum (worst at 32); with
+# no head it would be off by 2.1e-14 at 30 and by 3.2e-13 at 20
 SMOOTH_SCALE = 32.0
+# decay length from which a joint-series axis under SMOOTH_SCALE adds its
+# first _JOINT_HEAD terms one by one and sums the rest by Euler-Maclaurin
+# instead of term by term. Over decay lengths 8..32, the other axis' from 1
+# to 0.05 times as long, the joint series stays within 5.4e-16 relative of
+# its term-by-term sum (worst at 8). Near 8 both rules cost about the same
+# per point; below it term by term is the cheaper one
+HEAD_SCALE = 8.0
+# terms of the joint remainder added one by one on a head-path axis: past
+# them the singular point of z ln z, at n = -1 - C/(q+1), is at least 33
+# steps away, so the rest is smooth on the lattice
+_JOINT_HEAD = 32
 # terms of the marginal log moment added one by one before Euler-Maclaurin:
 # ln(n+1) becomes smooth on the lattice only from about here on
 _LOG_HEAD = 64
@@ -198,6 +212,21 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # Euler-Maclaurin end corrections B_2k/(2k)! (f^(b)(N) - f^(b)(h)), b = 2k - 1
 _EM_TERMS = ((1, 1.0 / 12.0), (3, -1.0 / 720.0), (5, 1.0 / 30240.0))
 _EM_ORDER = 5
+_ORDERS = np.arange(_EM_ORDER + 1)
+
+
+def _em_poly() -> np.ndarray:
+    """P[j, p] with sum_b c_b C(b, j) lx^(b-j) = sum_p P[j, p] lx^p over the _EM_TERMS."""
+    poly = np.zeros((_EM_ORDER + 1, _EM_ORDER + 1))
+    for b, c in _EM_TERMS:
+        for j in range(b + 1):
+            poly[j, b - j] = c * math.comb(b, j)
+    return poly
+
+
+_EM_POLY = _em_poly()
+# _h_derivatives' running-product factors for orders m = 2..2*_EM_ORDER: 1, then -(m-2)
+_H_STEPS = np.concatenate(([1.0], -np.arange(1.0, 2 * _EM_ORDER - 1)))
 
 
 def _panel_points(hi: float, scale: float):
@@ -216,54 +245,50 @@ def _panel_points(hi: float, scale: float):
     return (half * (_GL_NODES + 1.0) + lo).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
-def _axis_rule(lx: float, n_max: int, head: int = 0):
+def _axis_rule(lx: float, n_max: int, head: int | None = 0):
     """Linear functional that sums f(n) = e^(n lx) g(n) over n = 0..N along one axis.
 
     Returned as (nodes, weights, ends, k), standing for
     weights @ g(nodes) + sum_{e,j} k[e, j] g^(j)(ends[e]): the weights carry
-    the factor e^(n lx). An axis whose decay length 1/(-lx) is under
-    SMOOTH_SCALE is summed term by term, up to where e^(n lx) falls below
-    2^-60, and has no ends (ends and k are None). A longer one adds its first
-    `head` terms one by one, then sums n = h..N by Euler-Maclaurin,
+    the factor e^(n lx). With head None the axis is summed term by term, up
+    to where e^(n lx) falls below 2^-60, and has no ends (ends and k are
+    None). Otherwise it adds its first `head` terms one by one, then sums
+    n = h..N by Euler-Maclaurin,
     sum f = int_h^N f + (f(h)+f(N))/2 + sum_b c_b (f^(b)(N) - f^(b)(h)) over
     the _EM_TERMS, with the integral on Gauss-Legendre panels whose widths
-    start at the head's length, or at the decay length when there is no
-    head, and double. With f^(b) = e^(n lx) sum_j C(b, j) lx^(b-j) g^(j),
-    k[e, j] = -+e^(end_e lx) sum_b c_b C(b, j) lx^(b-j).
+    start at the head's length, or at the decay length 1/(-lx) when there is
+    no head, and double. With f^(b) = e^(n lx) sum_j C(b, j) lx^(b-j) g^(j),
+    k[e, j] = -+e^(end_e lx) sum_p _EM_POLY[j, p] lx^p. The callers pick the
+    head by the decay length: _s_ab_head and _log_moment.
     """
     if lx == -math.inf:
         return np.zeros(1), np.ones(1), None, None
-    if lx * SMOOTH_SCALE < -1.0:
+    if head is None:
         n = np.arange(min(n_max, math.ceil(_CLIP_BITS * _LN2 / -lx)) + 1, dtype=float)
         return n, np.exp(n * lx), None, None
     n = np.arange(min(head, n_max + 1), dtype=float)
     if head > n_max:
         return n, np.exp(n * lx), None, None
     pts, wts = _panel_points(float(n_max - head), head or (-1.0 / lx if lx < 0.0 else math.inf))
-    ends = np.array([float(head), float(n_max)])
-    nodes = np.concatenate([n, pts + head, ends])
-    weights = np.concatenate([np.ones(n.size), wts, [0.5, 0.5]]) * np.exp(nodes * lx)
-    poly = [
-        sum(c * math.comb(b, j) * lx ** (b - j) for b, c in _EM_TERMS if b >= j) for j in range(_EM_ORDER + 1)
-    ]
-    k = np.outer(np.array([-1.0, 1.0]) * np.exp(ends * lx), poly)
-    return nodes, weights, ends, k
+    nodes = np.concatenate([n, pts + head, [float(head), float(n_max)]])
+    weights = np.exp(nodes * lx)
+    k = weights[-2:, None] * (_EM_POLY @ lx**_ORDERS)
+    k[0] *= -1.0
+    weights[head:-2] *= wts
+    weights[-2:] *= 0.5
+    return nodes, weights, nodes[-2:], k
 
 
-def _h_derivatives(z: np.ndarray, c_inv: float | np.ndarray, top: int) -> list:
-    """h^(m), m = 0..top, of h(w) = z ln z with z = 1 + w/C, given z:
-    h' = (ln z + 1)/C and h^(m) = (-1)^m (m-2)! / (C^m z^(m-1)) for m >= 2.
-    With c_inv * u in place of c_inv (u may be an array) they come out as
-    u^m h^(m)."""
+def _h_derivatives(z: np.ndarray, c_inv: float | np.ndarray, top: int) -> np.ndarray:
+    """h^(m), m = 0..top (top >= 2), of h(w) = z ln z with z = 1 + w/C, given
+    z, stacked along a new first axis: h' = (ln z + 1)/C and, for m >= 2,
+    h^(m) = (-1)^m (m-2)! / (C^m z^(m-1)), the running product of
+    h'' = 1/(C^2 z) and the factors -(m-2)/(C z). With c_inv * u in place of
+    c_inv (u may be an array) they come out as u^m h^(m)."""
     ln_z = np.log(z)
-    out = [z * ln_z]
-    if top >= 1:
-        out.append((ln_z + 1.0) * c_inv)
-    if top >= 2:
-        out.append(c_inv * c_inv / z)
-    for m in range(3, top + 1):
-        out.append(out[-1] * (-(m - 2) * c_inv / z))
-    return out
+    factors = _H_STEPS[: top - 1].reshape((-1,) + (1,) * z.ndim) * (c_inv / z)
+    factors[0] *= c_inv
+    return np.concatenate(((z * ln_z)[None], ((ln_z + 1.0) * c_inv)[None], factors.cumprod(axis=0)))
 
 
 def _log_moment(lx: float, n_max: int) -> float:
@@ -274,11 +299,11 @@ def _log_moment(lx: float, n_max: int) -> float:
     corrections need g^(j) of g(n) = (n+1) ln(n+1), which is _h_derivatives'
     h^(j) at z = n+1 with C = 1.
     """
-    nodes, weights, ends, k = _axis_rule(lx, n_max, head=_LOG_HEAD)
+    nodes, weights, ends, k = _axis_rule(lx, n_max, None if lx * SMOOTH_SCALE < -1.0 else _LOG_HEAD)
     z = nodes + 1.0
     total = float(weights @ (z * np.log(z)))
     if k is not None:
-        total += float(np.sum(k * np.transpose(_h_derivatives(ends + 1.0, 1.0, _EM_ORDER))))
+        total += float((k * _h_derivatives(ends + 1.0, 1.0, _EM_ORDER).T).sum())
     return total
 
 
@@ -300,19 +325,25 @@ def _grid(u: np.ndarray, wu: np.ndarray, v: np.ndarray, wv: np.ndarray, c_inv: f
     """sum_ik wu_i wv_k h(u_i v_k), h(w) = z ln z, z = 1 + w/C, in row blocks
     of at most _BLOCK_CELLS cells. A symmetric grid (u = v, wu = wv) is summed
     over its upper triangle: each row block's diagonal block once, the
-    columns right of it twice."""
+    columns right of it twice. Its row blocks are at most one Gauss-Legendre
+    panel (32 rows) tall, so the triangle is honoured at every size: at 194
+    nodes a side 58% of the cells are evaluated."""
     cv = v * c_inv
     rows = max(1, _BLOCK_CELLS // v.size)
+    if symmetric:
+        rows, twice = min(rows, _GL_NODES.size), 2.0 * wv
     total = 0.0
     for lo in range(0, u.size, rows):
         hi = lo + rows
         if symmetric:
-            cols, w = slice(lo, None), np.concatenate((wv[lo:hi], 2.0 * wv[hi:]))
+            cols, w = slice(lo, None), np.concatenate((wv[lo:hi], twice[hi:]))
         else:
             cols, w = slice(None), wv
         z = u[lo:hi, None] * cv[cols]
         z += 1.0
-        total += float(wu[lo:hi] @ ((z * np.log(z)) @ w))
+        h = np.log(z)
+        h *= z
+        total += float(wu[lo:hi] @ (h @ w))
     return total
 
 
@@ -322,17 +353,25 @@ def _strip(u: np.ndarray, ends: np.ndarray, k: np.ndarray, c_inv: float) -> np.n
     d^j/dv^j h(uv) = u^j h^(j)(uv)."""
     cu = c_inv * u[:, None]
     d = _h_derivatives(1.0 + cu * (ends + 1.0), cu, _EM_ORDER)
-    return sum(d_j @ k[:, j] for j, d_j in enumerate(d))
+    return np.einsum("jne,ej->n", d, k)
 
 
 def _corners(s_ends: np.ndarray, kx: np.ndarray, t_ends: np.ndarray, ky: np.ndarray, c_inv: float) -> float:
     """Both axes' end corrections together: sum kx[a, i] ky[b, j] D^{i,j} h(uv)
     at the corners (u_a, v_b) = (s_ends + 1, t_ends + 1), from _CORNER_TABLE."""
     u, v = s_ends + 1.0, t_ends + 1.0
-    cw = c_inv * np.outer(u, v)
-    scaled = np.tensordot(_CORNER_TABLE, np.array(_h_derivatives(1.0 + cw, cw, 2 * _EM_ORDER)), 1)
-    orders = np.arange(_EM_ORDER + 1)
-    return float(np.einsum("ai,bj,ijab->", kx / u[:, None] ** orders, ky / v[:, None] ** orders, scaled))
+    cw = c_inv * (u[:, None] * v)
+    h = _h_derivatives(1.0 + cw, cw, 2 * _EM_ORDER)
+    return float(np.einsum("ai,bj,ijm,mab->", kx / u[:, None] ** _ORDERS, ky / v[:, None] ** _ORDERS, _CORNER_TABLE, h))
+
+
+def _s_ab_head(lx: float) -> int | None:
+    """_axis_rule's head for a joint-series axis by its decay length 1/(-lx):
+    term by term (None) under HEAD_SCALE, _JOINT_HEAD terms under
+    SMOOTH_SCALE, none from there on."""
+    if lx * HEAD_SCALE < -1.0:
+        return None
+    return _JOINT_HEAD if lx * SMOOTH_SCALE < -1.0 else 0
 
 
 def _s_ab_remainder(lx: float, ly: float, c_inv: float, n_max: int) -> float:
@@ -344,9 +383,9 @@ def _s_ab_remainder(lx: float, ly: float, c_inv: float, n_max: int) -> float:
     at the other's nodes) and the corners where both apply. When lx == ly
     the grid is symmetric and the two strips are equal.
     """
-    s, ws, s_ends, kx = _axis_rule(lx, n_max)
+    s, ws, s_ends, kx = _axis_rule(lx, n_max, _s_ab_head(lx))
     symmetric = lx == ly
-    t, wt, t_ends, ky = (s, ws, s_ends, kx) if symmetric else _axis_rule(ly, n_max)
+    t, wt, t_ends, ky = (s, ws, s_ends, kx) if symmetric else _axis_rule(ly, n_max, _s_ab_head(ly))
     total = _grid(s + 1.0, ws, t + 1.0, wt, c_inv, symmetric)
     if ky is not None:
         total += float(ws @ _strip(s + 1.0, t_ends, ky, c_inv)) * (2.0 if symmetric else 1.0)

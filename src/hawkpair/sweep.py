@@ -168,11 +168,15 @@ def run_sweep(cfg: SweepConfig) -> list:
     warned = False
     for k in range(cfg.steps):
         r = cfg.r_min + k * (cfg.r_max - cfg.r_min) / (cfg.steps - 1)
-        if cfg.omega_ratio == 1.0:
-            r_b = r
-        else:
-            r_b = math.atanh(math.tanh(r) ** cfg.omega_ratio) if r > 0 else 0.0
+        # tanh r_b = tanh(r)^omega_ratio; a tiny ratio rounds it to 1 (r_b infinite)
+        tanh_b = math.tanh(r) ** cfg.omega_ratio
+        r_b = r if cfg.omega_ratio == 1.0 else math.atanh(tanh_b) if tanh_b < 1.0 else math.inf
         try:
+            if r_b == math.inf:
+                raise ValueError(
+                    f"Bob's squeezing r_b is infinite at r = {r}: tanh(r)^omega_ratio rounds to 1 "
+                    f"for omega_ratio = {cfg.omega_ratio:g}"
+                )
             sq_a, sq_b = make_squeeze(r), make_squeeze(r_b)
             n_max = cf.resolve_cutoff(sq_a, sq_b, cfg.cutoff)
             methods = cfg.methods

@@ -177,6 +177,12 @@ def test_invalid_arguments_exit_2(args):
     assert "Traceback" not in res.stderr
 
 
+def test_tiny_omega_ratio_exit_2_names_the_point():
+    res = run_cli("sweep", "--r-min", "0", "--r-max", "1", "--steps", "3", "--omega-ratio", "1e-300")
+    assert res.returncode == 2
+    assert "sweep failed at r = 0.5" in res.stderr and "r_b is infinite" in res.stderr
+
+
 def test_compare_checks_threshold_before_any_work(monkeypatch, capsys):
     def no_point(**kwargs):
         raise AssertionError("point evaluated before the threshold check")

@@ -18,14 +18,19 @@ from brute_force import OUT_PAIR, pair_state, partial_transpose, reduce
 from hawkpair import closed_form
 from hawkpair.closed_form import (
     HARD_SERIES_CAP,
+    HEAD_SCALE,
     SMOOTH_SCALE,
     ConvergenceError,
     SeriesConfig,
     _axis_rule,
     _corners,
+    _grid,
+    _h_derivatives,
+    _JOINT_HEAD,
     _LOG_HEAD,
     _moments,
     _panel_points,
+    _s_ab_head,
     _s_ab_remainder,
     _strip,
     e_n_paper,
@@ -337,15 +342,15 @@ def test_s_ab_doubled_cutoff_stable():
 
 def test_smooth_path_matches_direct_on_overlap(monkeypatch):
     # same cutoff evaluated by Euler-Maclaurin (decay lengths 1/(-ln tanh^2 r)
-    # of 33.6 to 150 lattice steps) and, with the threshold raised, term by
-    # term; the pairs from (2.5, 2.5) on have a smaller decay length in [32, 64)
+    # of 33.6 to 150 lattice steps) and, with HEAD_SCALE raised, term by term;
+    # the pairs from (2.5, 2.5) on have a smaller decay length in [32, 64)
     pairs = [(2.85, 2.85), (3.2, 3.2), (3.2, 2.9), (3.1, 1.0), (2.5, 2.5), (2.65, 2.65), (2.7, 2.5), (3.2, 2.45)]
     smooth = {}
     for r_a, r_b in pairs:
         sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
         assert -math.log(sq_a.tanh_r**2) * SMOOTH_SCALE < 1.0
         smooth[r_a, r_b] = s_ab_closed(sq_a, sq_b, SeriesConfig(tail_tol=1e-10))
-    monkeypatch.setattr(closed_form, "SMOOTH_SCALE", math.inf)
+    monkeypatch.setattr(closed_form, "HEAD_SCALE", math.inf)
     for r_a, r_b in pairs:
         direct = s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), SeriesConfig(tail_tol=1e-10))
         assert smooth[r_a, r_b] == pytest.approx(direct, rel=1e-12, abs=0.0)
@@ -381,10 +386,22 @@ def test_s_ab_short_decay_axis_matches_grid_sum(r_a, r_b, cfg):
 
 @pytest.mark.parametrize("r", [2.2, 2.4])
 def test_s_ab_below_smooth_scale_matches_grid_sum(r):
-    # decay lengths of 20 and 30.4 lattice steps: Euler-Maclaurin would be
-    # off by 3.2e-13 and 2.1e-14 there, so these axes are summed term by term
+    # decay lengths of 20 and 30.4 lattice steps, between HEAD_SCALE and
+    # SMOOTH_SCALE: the first _JOINT_HEAD terms one by one, Euler-Maclaurin
+    # after them
     sq = make_squeeze(r)
-    assert 1.0 < -math.log(sq.tanh_r**2) * SMOOTH_SCALE
+    assert _s_ab_head(math.log(sq.tanh_r**2)) == _JOINT_HEAD
+    n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
+    value = s_ab_closed(sq, sq, SeriesConfig(n_max=n_max))
+    assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r,head", [(1.72, None), (1.74, _JOINT_HEAD)])
+def test_s_ab_around_head_scale_matches_grid_sum(r, head):
+    # decay lengths of 7.8 and 8.1 lattice steps: term by term just below
+    # HEAD_SCALE, the head path just above it
+    sq = make_squeeze(r)
+    assert _s_ab_head(math.log(sq.tanh_r**2)) == head
     n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
     value = s_ab_closed(sq, sq, SeriesConfig(n_max=n_max))
     assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
@@ -411,6 +428,16 @@ def test_s_ab_explicit_cutoffs_on_euler_maclaurin_axes(r_b, n_max):
     assert value == pytest.approx(series_s_ab_grid(3.5, r_b, n_max), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("r_a,r_b", [(2.2, 2.2), (2.2, 1.9), (3.5, 2.2)])
+@pytest.mark.parametrize("n_max", [1, 2, 5, 31, 32, 33, 64, 200])
+def test_s_ab_explicit_cutoffs_on_head_path_axes(r_a, r_b, n_max):
+    # decay lengths 20 and 11 are on the head path (r = 3.5 Euler-Maclaurin
+    # from its first term): cutoffs inside the head, at its end, and past it
+    assert _s_ab_head(math.log(math.tanh(r_b) ** 2)) == _JOINT_HEAD
+    value = s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), SeriesConfig(n_max=n_max))
+    assert value == pytest.approx(series_s_ab_grid(r_a, r_b, n_max), rel=1e-12, abs=0.0)
+
+
 def test_s_ab_euler_maclaurin_error_against_term_by_term(monkeypatch):
     # decay lengths L_a from SMOOTH_SCALE to 128, L_b / L_a from 1 to 0.05:
     # the worst error, 1.45e-14, is at L_a = L_b = 32
@@ -421,28 +448,65 @@ def test_s_ab_euler_maclaurin_error_against_term_by_term(monkeypatch):
     assert all(-math.log(math.tanh(r_a) ** 2) * SMOOTH_SCALE < 1.0 for r_a, _ in pairs)
     cfg = SeriesConfig(tail_tol=1e-10)
     smooth = [s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), cfg) for r_a, r_b in pairs]
-    monkeypatch.setattr(closed_form, "SMOOTH_SCALE", math.inf)
+    monkeypatch.setattr(closed_form, "HEAD_SCALE", math.inf)
     direct = [s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), cfg) for r_a, r_b in pairs]
     assert max(abs(s - d) / d for s, d in zip(smooth, direct)) <= 2e-14
+
+
+def test_s_ab_head_path_error_against_term_by_term(monkeypatch):
+    # decay lengths L_a from HEAD_SCALE to SMOOTH_SCALE, L_b / L_a from 1 to
+    # 0.05 (L_b under HEAD_SCALE is term by term): the worst error, 5.4e-16,
+    # is at L_a = 8
+    def r_of(decay):
+        return math.atanh(math.exp(-0.5 / decay))
+
+    pairs = [(r_of(la), r_of(la * ratio)) for la in (8.0, 10, 12, 16, 24, 31.99) for ratio in (1.0, 0.7, 0.4, 0.2, 0.05)]
+    assert all(_s_ab_head(math.log(math.tanh(r_a) ** 2)) == _JOINT_HEAD for r_a, _ in pairs)
+    assert HEAD_SCALE == 8.0
+    cfg = SeriesConfig(tail_tol=1e-10)
+    head = [s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), cfg) for r_a, r_b in pairs]
+    monkeypatch.setattr(closed_form, "HEAD_SCALE", math.inf)
+    direct = [s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), cfg) for r_a, r_b in pairs]
+    assert max(abs(h - d) / d for h, d in zip(head, direct)) <= 1e-15
 
 
 @pytest.mark.parametrize("r,n_max,block_cells", [(2.4, None, None), (3.5, 2000, 4096)])
 def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
     # lx == ly sums the upper triangle of the grid and one strip twice; one ulp
-    # off, the full grid and both strips. r = 2.4 is term by term, r = 3.5
-    # Euler-Maclaurin; each grid has a row-block boundary inside the triangle
+    # off, the full grid and both strips. r = 2.4 is on the head path, r = 3.5
+    # Euler-Maclaurin from its first term, with row blocks of 31 rows there;
+    # a symmetric grid's row blocks are at most 32 rows, so each grid has
+    # row-block boundaries inside the triangle
     if block_cells is not None:
         monkeypatch.setattr(closed_form, "_BLOCK_CELLS", block_cells)
     sq = make_squeeze(r)
     n_max = n_max or resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
     lx = math.log(sq.tanh_r**2)
     c_inv = sq.cosh_r**-4
-    nodes = _axis_rule(lx, n_max)[0]
-    assert max(1, closed_form._BLOCK_CELLS // nodes.size) < nodes.size
+    nodes = _axis_rule(lx, n_max, _s_ab_head(lx))[0]
+    assert nodes.size > 32
     ly = float(np.nextafter(lx, -math.inf))
     assert _s_ab_remainder(lx, lx, c_inv, n_max) == pytest.approx(_s_ab_remainder(lx, ly, c_inv, n_max), rel=1e-14)
     value = s_ab_closed(sq, sq, SeriesConfig(n_max=n_max))
     assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
+
+
+def test_symmetric_grid_evaluates_about_half_its_cells(monkeypatch):
+    # r = 4: 194 nodes a side; the triangle, with its diagonal blocks in
+    # full, is 58% of the 194^2 cells, counted at np.log's input
+    sq = make_squeeze(4.0)
+    n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
+    u, w = _axis_rule(math.log(sq.tanh_r**2), n_max)[:2]
+    assert u.size == 194
+    c_inv = sq.cosh_r**-4
+    full = _grid(u + 1.0, w, u + 1.0, w, c_inv, False)
+    cells = []
+    log = np.log
+    monkeypatch.setattr(np, "log", lambda z: cells.append(z.size) or log(z))
+    triangle = _grid(u + 1.0, w, u + 1.0, w, c_inv, True)
+    monkeypatch.undo()
+    assert sum(cells) <= 0.6 * u.size**2
+    assert triangle == pytest.approx(full, rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -493,6 +557,20 @@ def test_mixed_partials_match_finite_differences(s, t):
             else:
                 continue
             assert d(i, j) == pytest.approx(estimate, rel=1e-6), (i, j)
+
+
+def test_h_derivatives_match_closed_form():
+    # h^(m) of h(w) = z ln z, z = 1 + w/C: z ln z, (ln z + 1)/C, then
+    # (-1)^m (m-2)! / (C^m z^(m-1)), each order on its own
+    z = np.array([[1.5, 40.0], [1e3, 2.5e6]])
+    c_inv = 1.0 / 37.0
+    d = _h_derivatives(z, c_inv, 10)
+    assert d.shape == (11, 2, 2)
+    for zi in (1.5, 40.0, 1e3, 2.5e6):
+        i = tuple(np.argwhere(z == zi)[0])
+        expected = [zi * math.log(zi), (math.log(zi) + 1.0) * c_inv]
+        expected += [(-1) ** m * math.factorial(m - 2) * c_inv**m / zi ** (m - 1) for m in range(2, 11)]
+        np.testing.assert_allclose(d[(slice(None),) + i], expected, rtol=1e-14, atol=0.0)
 
 
 def test_axis_rule_end_weights_are_leibniz_sums():

@@ -187,6 +187,15 @@ def test_sweep_failure_names_the_point():
     assert isinstance(info.value.__cause__, ConvergenceError)
 
 
+def test_sweep_tiny_omega_ratio_names_the_point():
+    # tanh(0.5)^1e-300 rounds to 1: Bob's r_b would be infinite, and the
+    # point says so instead of a bare math domain error
+    cfg = SweepConfig(r_min=0.0, r_max=1.0, steps=3, omega_ratio=1e-300, methods=("closed",))
+    with pytest.raises(SweepPointError, match=r"sweep failed at r = 0\.5 .*r_b is infinite") as info:
+        run_sweep(cfg)
+    assert type(info.value.__cause__) is ValueError
+
+
 class _TwoArgumentError(Exception):
     def __init__(self, code, detail):
         super().__init__(f"{code}: {detail}")
