@@ -15,7 +15,7 @@ from .closed_form import (
     s_ab_closed,
     s_b_closed,
 )
-from .density import Spectrum, pair_measures, pair_spectra
+from .density import pair_measures
 from .kinematics import ModeSpec, SqueezeParam, make_squeeze, mass_from_squeezing, squeezing_from_mode
 from .sweep import (
     ComparisonReport,

@@ -81,6 +81,13 @@ class ConvergenceError(RuntimeError):
     """Raised when a series cutoff cannot be resolved within its cap."""
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int: any integer type passes (numpy's too), anything else is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SeriesConfig:
     """Either an explicit cutoff or a tail tolerance that selects one."""
@@ -91,6 +98,7 @@ class SeriesConfig:
     def __post_init__(self):
         if (self.n_max is None) == (self.tail_tol is None):
             raise ValueError("set exactly one of n_max and tail_tol")
+        object.__setattr__(self, "n_max", None if self.n_max is None else _integer(self.n_max, "n_max"))
         if self.n_max is not None and not 1 <= self.n_max <= HARD_SERIES_CAP:
             raise ValueError(f"n_max must be in 1..{HARD_SERIES_CAP}, got {self.n_max}")
         if self.tail_tol is not None and not (0.0 < self.tail_tol < 1.0):

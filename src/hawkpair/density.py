@@ -29,32 +29,31 @@ diagonals of D and C. The partial transpose on B moves each coupling to
 diagonals of the column-flipped D and C. rho_A and rho_B are diagonal: the
 row and column sums of D.
 
-Blocks of about the same length are padded to a common one with decoupled
-rows and diagonalised together, one stacked `eigvalsh` call per padded
-length, and at a symmetric point each mirrored pair of rho_AB blocks is
-solved once. Entropies are in bits (`_entropy_bits`).
+`_pair_blocks` builds D and C once, and one function per column family reads
+them: `marginal_entropies` (s_a_num, s_b_num) the row and column sums,
+`negativity` (neg_sum_num, e_n_num) the partial-transpose blocks and
+`joint_entropy` (s_ab_num, trace_deficit = 1 - tr D) the rho_AB blocks, solved
+in stacks of one padded length (`_block_eigenvalues`). Entropies are in bits.
+`sweep` keeps the cutoff within NUMERIC_CAP, the oracle's cost limit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fock import mode_amplitudes
 from .kinematics import SqueezeParam
 
+# largest cutoff the oracle runs at: it diagonalises 4N+2 tridiagonal blocks of
+# size up to N+1 (3N+2 at a symmetric point), so its time grows as N^4 (about
+# 0.47 s at 200 on one Xeon core, 0.42 s at a symmetric point; fig2's numeric
+# columns reach r = 1.65); memory stays O(N^2)
+NUMERIC_CAP = 200
 EIGENVALUE_CLAMP = 1e-10
 # blocks are stacked by length rounded up to this multiple, one eigvalsh call
 # per stack; the diagonal of a padding row is PAD_EIGENVALUE
 PAD_MULTIPLE = 8
 PAD_EIGENVALUE = 2.0
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    eigenvalues: np.ndarray = field(repr=False)
-    trace_check: float
 
 
 def _entropy_bits(eigenvalues) -> float:
@@ -135,34 +134,26 @@ def _pair_blocks(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int):
     return diag, off
 
 
-def pair_spectra(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int) -> tuple:
-    """Spectra (rho_AB, rho_AB^{T_B}, rho_A, rho_B) of the exterior pair at
-    cutoff n_max, block by block (module docstring). At a symmetric point D
-    and C are symmetric (outer(v, v) is, entry for entry), so the rho_AB
-    blocks k and -k are equal and are solved once."""
-    diag, off = _pair_blocks(sq_a, sq_b, n_max)
-    trace = float(diag.sum())
-    return (
-        Spectrum(_block_eigenvalues(diag, off, mirrored=sq_a == sq_b), trace),
-        Spectrum(_block_eigenvalues(diag[:, ::-1], off[:, ::-1]), trace),
-        Spectrum(diag.sum(axis=1), trace),
-        Spectrum(diag.sum(axis=0), trace),
-    )
+def marginal_entropies(diag: np.ndarray) -> dict:
+    """s_a_num and s_b_num: rho_A and rho_B are the row and column sums of D."""
+    return {"s_a_num": _entropy_bits(diag.sum(axis=1)), "s_b_num": _entropy_bits(diag.sum(axis=0))}
+
+
+def negativity(diag: np.ndarray, off: np.ndarray) -> dict:
+    """neg_sum_num = -(sum of the partial transpose's negative eigenvalues) and e_n_num = 2|lambda_min|."""
+    pt = _block_eigenvalues(diag[:, ::-1], off[:, ::-1])
+    return {"neg_sum_num": float(-pt[pt < 0.0].sum()), "e_n_num": max(0.0, -2.0 * float(pt.min()))}
+
+
+def joint_entropy(diag: np.ndarray, off: np.ndarray, symmetric: bool) -> dict:
+    """s_ab_num and trace_deficit = 1 - tr D; a symmetric point solves each mirrored block pair once."""
+    ab = _block_eigenvalues(diag, off, mirrored=symmetric)
+    return {"s_ab_num": _entropy_bits(ab), "trace_deficit": max(1.0 - float(diag.sum()), 0.0)}
 
 
 def pair_measures(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int) -> dict:
-    """The oracle's columns at cutoff n_max: negativity sum, paper measure
-    2|lambda_min| of the partial transpose, trace-renormalised entropies,
-    mutual information and the truncation trace deficit."""
-    ab, pt, a, b = pair_spectra(sq_a, sq_b, n_max)
-    most_negative = float(pt.eigenvalues.min())
-    s_ab, s_a, s_b = (_entropy_bits(spec.eigenvalues) for spec in (ab, a, b))
-    return {
-        "neg_sum_num": float(-pt.eigenvalues[pt.eigenvalues < 0.0].sum()),
-        "e_n_num": 2.0 * abs(most_negative) if most_negative < 0.0 else 0.0,
-        "s_a_num": s_a,
-        "s_b_num": s_b,
-        "s_ab_num": s_ab,
-        "i_num": s_a + s_b - s_ab,
-        "trace_deficit": max(1.0 - ab.trace_check, 0.0),
-    }
+    """The oracle's columns at cutoff n_max: the three families and i_num = s_a + s_b - s_ab."""
+    diag, off = _pair_blocks(sq_a, sq_b, n_max)
+    columns = {**negativity(diag, off), **marginal_entropies(diag), **joint_entropy(diag, off, sq_a == sq_b)}
+    columns["i_num"] = columns["s_a_num"] + columns["s_b_num"] - columns["s_ab_num"]
+    return columns

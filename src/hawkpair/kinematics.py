@@ -51,7 +51,7 @@ def make_squeeze(r: float) -> SqueezeParam:
         raise ValueError(f"r must be non-negative and finite, got {r}")
     if r > R_MAX:
         raise ValueError(f"r must be at most {R_MAX} (cosh^2 r overflows a float), got {r}")
-    return SqueezeParam(r=r, tanh_r=math.tanh(r), cosh_r=math.cosh(r))
+    return SqueezeParam(r=float(r), tanh_r=math.tanh(r), cosh_r=math.cosh(r))
 
 
 def squeezing_from_mode(mode: ModeSpec) -> SqueezeParam:

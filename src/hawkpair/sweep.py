@@ -9,14 +9,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from . import closed_form as cf
-from .density import pair_measures
+from .density import NUMERIC_CAP, pair_measures
 from .kinematics import ModeSpec, make_squeeze, squeezing_from_mode
 
-# largest cutoff the numeric oracle runs at: it diagonalises 4N+2 tridiagonal
-# blocks of size up to N+1 (3N+2 at a symmetric point), so its time grows as
-# N^4 (about 0.47 s at 200 on one Xeon core, 0.42 s at a symmetric point;
-# fig2's numeric columns reach r = 1.65); memory stays O(N^2)
-NUMERIC_CAP = 200
 DEFAULT_CUTOFF = cf.SeriesConfig(tail_tol=1e-10)
 CSV_HEADER = (
     "r_a,r_b,n_max,e_n_block00,neg_sum_num,e_n_num,s_a_closed,s_b_closed,"
@@ -59,6 +54,7 @@ class SweepConfig:
             raise ValueError(f"need r_min < r_max, got [{self.r_min}, {self.r_max}]")
         if self.r_min < 0:
             raise ValueError("r_min must be non-negative")
+        object.__setattr__(self, "steps", cf._integer(self.steps, "steps"))
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.omega_ratio <= 0:
@@ -125,13 +121,19 @@ def run_point(
         sq_b = make_squeeze(r_b) if r_b is not None else sq_a
     _check_methods(methods)
 
-    n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
-    if "numeric" in methods and n_max > NUMERIC_CAP:
+    n_max, past_cap = _resolve(sq_a, sq_b, cutoff, methods)
+    if past_cap:
         raise NumericCapError(
             f"numeric method needs cutoff {n_max}, above the oracle cap of "
             f"{NUMERIC_CAP} (its time grows as N_max^4)"
         )
     return _evaluate(sq_a, sq_b, n_max, cutoff, methods)
+
+
+def _resolve(sq_a, sq_b, cutoff: cf.SeriesConfig, methods) -> tuple:
+    """The point's cutoff, and whether it is past NUMERIC_CAP for a numeric method."""
+    n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
+    return n_max, "numeric" in methods and n_max > NUMERIC_CAP
 
 
 def _evaluate(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> EntanglementReport:
@@ -178,17 +180,15 @@ def run_sweep(cfg: SweepConfig) -> list:
                     f"for omega_ratio = {cfg.omega_ratio:g}"
                 )
             sq_a, sq_b = make_squeeze(r), make_squeeze(r_b)
-            n_max = cf.resolve_cutoff(sq_a, sq_b, cfg.cutoff)
-            methods = cfg.methods
-            if "numeric" in methods and n_max > NUMERIC_CAP:
-                if not warned:
-                    print(
-                        f"note: numeric method disabled where the resolved cutoff "
-                        f"exceeds the oracle cap of {NUMERIC_CAP}",
-                        file=sys.stderr,
-                    )
-                    warned = True
-                methods = tuple(m for m in methods if m != "numeric")
+            n_max, past_cap = _resolve(sq_a, sq_b, cfg.cutoff, cfg.methods)
+            if past_cap and not warned:
+                print(
+                    f"note: numeric method disabled where the resolved cutoff "
+                    f"exceeds the oracle cap of {NUMERIC_CAP}",
+                    file=sys.stderr,
+                )
+                warned = True
+            methods = tuple(m for m in cfg.methods if m != "numeric") if past_cap else cfg.methods
             rows.append(_evaluate(sq_a, sq_b, n_max, cfg.cutoff, methods))
         except Exception as exc:
             raise SweepPointError(f"sweep failed at r = {r} (r_b = {r_b}): {exc}") from exc

@@ -663,6 +663,19 @@ def test_resolve_cutoff_explicit():
     assert resolve_cutoff(make_squeeze(1.0), make_squeeze(1.0), SeriesConfig(n_max=17)) == 17
 
 
+def test_series_config_takes_any_integer_cutoff_as_int():
+    cfg = SeriesConfig(n_max=np.int64(5))
+    assert cfg.n_max == 5 and type(cfg.n_max) is int
+    assert type(SeriesConfig(n_max=np.uint16(7)).n_max) is int
+
+
+@pytest.mark.parametrize("n_max", [5.5, 5.0, np.float64(5.0), "5", True, np.bool_(True)])
+def test_series_config_refuses_non_integer_cutoff(n_max):
+    # 5.5 matches no real cutoff; a float, a string or a bool is refused whatever its value
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        SeriesConfig(n_max=n_max)
+
+
 def test_resolve_cutoff_minimal_satisfying():
     tol = 1e-12
     sq = make_squeeze(1.0)

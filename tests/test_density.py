@@ -14,7 +14,7 @@ from brute_force import (
     reduce,
 )
 
-from hawkpair.density import _entropy_bits, pair_measures, pair_spectra
+from hawkpair.density import _block_eigenvalues, _entropy_bits, _pair_blocks, joint_entropy, pair_measures
 from hawkpair.kinematics import make_squeeze
 
 
@@ -82,10 +82,10 @@ def test_product_density_is_ppt():
 
 
 def test_spectrum_trace_check():
-    ab, pt, rho_a, _ = pair_spectra(make_squeeze(0.7), make_squeeze(1.2), 6)
-    assert ab.trace_check == pt.trace_check == rho_a.trace_check
-    assert ab.trace_check == pytest.approx(ab.eigenvalues.sum(), abs=1e-14)
-    assert ab.trace_check == pytest.approx(np.trace(reduce(pair_state(0.7, 1.2, 6), OUT_PAIR)), abs=1e-14)
+    diag, off = _pair_blocks(make_squeeze(0.7), make_squeeze(1.2), 6)
+    trace = 1.0 - joint_entropy(diag, off, symmetric=False)["trace_deficit"]
+    assert trace == pytest.approx(_block_eigenvalues(diag, off).sum(), abs=1e-14)
+    assert trace == pytest.approx(np.trace(reduce(pair_state(0.7, 1.2, 6), OUT_PAIR)), abs=1e-14)
 
 
 # --------------------------------------------------------- spectrum functionals

@@ -60,6 +60,13 @@ def test_make_squeeze_values(r, tanh_r, cosh_r):
     assert sq.cosh_r == pytest.approx(cosh_r, rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [1, np.int64(1), np.float32(0.5), np.float64(0.5)])
+def test_make_squeeze_stores_r_as_float(r):
+    sq = make_squeeze(r)
+    assert type(sq.r) is float and sq.r == r
+    assert sq == make_squeeze(float(r))
+
+
 @pytest.mark.parametrize("mass,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.inf, 1.0), (math.nan, 1.0)])
 def test_mode_spec_rejects_bad_input(mass, omega):
     with pytest.raises(ValueError):

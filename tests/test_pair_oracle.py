@@ -1,8 +1,8 @@
-"""Tests for the block-structured oracle (`pair_spectra`, `pair_measures`):
-fixed points, the derivation of its blocks, and properties over random
-squeezing and cutoff checked against the brute-force reference
-(`brute_force.py`), a one-block-at-a-time eigensolve and the physical
-invariants."""
+"""Tests for the block-structured oracle (`pair_measures`, its three column
+families and the block spectra they read): fixed points, the derivation of its
+blocks, and properties over random squeezing and cutoff checked against the
+brute-force reference (`brute_force.py`), a one-block-at-a-time eigensolve and
+the physical invariants."""
 
 import math
 
@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 from brute_force import OUT_PAIR, measures, pair_state, reduce
 
-from hawkpair.density import PAD_MULTIPLE, _block_eigenvalues, _pair_blocks, pair_measures, pair_spectra
+from hawkpair.density import (
+    PAD_MULTIPLE,
+    _block_eigenvalues,
+    _entropy_bits,
+    _pair_blocks,
+    joint_entropy,
+    marginal_entropies,
+    negativity,
+    pair_measures,
+)
 from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
 
@@ -38,12 +47,20 @@ def per_block(diag, off):
     return np.concatenate(spectra)
 
 
+def block_spectra(r_a, r_b, n_max):
+    """The block spectra of rho_AB (mirrored at a symmetric point, as the joint
+    family solves them) and of its partial transpose on B."""
+    sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
+    diag, off = _pair_blocks(sq_a, sq_b, n_max)
+    return _block_eigenvalues(diag, off, mirrored=sq_a == sq_b), _block_eigenvalues(diag[:, ::-1], off[:, ::-1])
+
+
 def assert_matches_per_block(r_a, r_b, n_max):
     diag, off = _pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
-    got_ab, got_pt, _, _ = pair_spectra(make_squeeze(r_a), make_squeeze(r_b), n_max)
+    got_ab, got_pt = block_spectra(r_a, r_b, n_max)
     for got, want in (
-        (got_ab.eigenvalues, per_block(diag, off)),
-        (got_pt.eigenvalues, per_block(diag[:, ::-1], off[:, ::-1])),
+        (got_ab, per_block(diag, off)),
+        (got_pt, per_block(diag[:, ::-1], off[:, ::-1])),
     ):
         assert got.shape == want.shape == ((n_max + 1) ** 2,)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -74,12 +91,21 @@ def test_bell_point():
 
 
 def test_block_sizes_cover_the_truncated_space():
-    sq_a, sq_b = make_squeeze(1.0), make_squeeze(0.6)
-    ab, pt, rho_a, rho_b = pair_spectra(sq_a, sq_b, 9)
-    assert ab.eigenvalues.shape == pt.eigenvalues.shape == (100,)
-    assert rho_a.eigenvalues.shape == rho_b.eigenvalues.shape == (10,)
-    assert rho_a.eigenvalues.sum() == pytest.approx(ab.trace_check, abs=1e-15)
-    assert pt.eigenvalues.sum() == pytest.approx(ab.eigenvalues.sum(), abs=1e-14)
+    diag, _ = _pair_blocks(make_squeeze(1.0), make_squeeze(0.6), 9)
+    ab, pt = block_spectra(1.0, 0.6, 9)
+    assert ab.shape == pt.shape == (100,)
+    assert diag.sum(axis=1).shape == diag.sum(axis=0).shape == (10,)
+    assert diag.sum(axis=1).sum() == pytest.approx(diag.sum(), abs=1e-15)
+    assert pt.sum() == pytest.approx(ab.sum(), abs=1e-14)
+
+
+def test_families_partition_the_columns():
+    diag, off = _pair_blocks(make_squeeze(0.9), make_squeeze(0.4), 7)
+    families = (marginal_entropies(diag), negativity(diag, off), joint_entropy(diag, off, symmetric=False))
+    names = [name for family in families for name in family]
+    assert sorted(names + ["i_num"]) == sorted(COLUMNS)
+    got = pair_measures(make_squeeze(0.9), make_squeeze(0.4), 7)
+    assert all(got[name] == value for family in families for name, value in family.items())
 
 
 def test_rejects_cutoff_below_one():
@@ -92,9 +118,9 @@ def test_rejects_cutoff_below_one():
 @given(r_a=squeezing, r_b=squeezing, n_max=cutoffs)
 def test_structured_oracle_matches_brute_force(r_a, r_b, n_max):
     expected, ab, pt = measures(pair_state(r_a, r_b, n_max))
-    got_ab, got_pt, _, _ = pair_spectra(make_squeeze(r_a), make_squeeze(r_b), n_max)
-    np.testing.assert_allclose(np.sort(got_ab.eigenvalues), ab, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(np.sort(got_pt.eigenvalues), pt, rtol=0, atol=1e-12)
+    got_ab, got_pt = block_spectra(r_a, r_b, n_max)
+    np.testing.assert_allclose(np.sort(got_ab), ab, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.sort(got_pt), pt, rtol=0, atol=1e-12)
     got = pair_measures(make_squeeze(r_a), make_squeeze(r_b), n_max)
     for name in COLUMNS:
         assert abs(got[name] - expected[name]) <= 1e-12, (name, got[name], expected[name])
@@ -103,12 +129,33 @@ def test_structured_oracle_matches_brute_force(r_a, r_b, n_max):
 @properties
 @given(r_a=squeezing, r_b=squeezing, n_max=cutoffs)
 def test_structured_oracle_invariants(r_a, r_b, n_max):
-    sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
-    ab, _, _, _ = pair_spectra(sq_a, sq_b, n_max)
-    got = pair_measures(sq_a, sq_b, n_max)
+    ab, _ = block_spectra(r_a, r_b, n_max)
+    got = pair_measures(make_squeeze(r_a), make_squeeze(r_b), n_max)
     assert got["trace_deficit"] >= 0.0
-    assert ab.eigenvalues.min() >= -1e-12
+    assert ab.min() >= -1e-12
     assert got["i_num"] >= -1e-12
+
+
+def negativity_at(r_a, r_b, n_max):
+    return negativity(*_pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max))
+
+
+@properties
+@given(r_a=squeezing, r_a2=squeezing, r_b=squeezing, n_max=cutoffs)
+def test_negativity_does_not_increase_with_r_a(r_a, r_a2, r_b, n_max):
+    near, far = (negativity_at(r, r_b, n_max) for r in sorted((r_a, r_a2)))
+    for name in ("e_n_num", "neg_sum_num"):
+        assert far[name] <= near[name], (name, far[name], near[name])
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+def test_negativity_falls_along_rays(ratio):
+    # r_b = ratio * r_a, r_a on 60 points of [0, 2.5], at a fixed cutoff
+    for n_max in (4, 12):
+        ray = [negativity_at(r, ratio * r, n_max) for r in np.linspace(0.0, 2.5, 60)]
+        for name in ("e_n_num", "neg_sum_num"):
+            values = [point[name] for point in ray]
+            assert all(b <= a for a, b in zip(values, values[1:])), (name, n_max, values)
 
 
 @properties
@@ -136,16 +183,16 @@ def test_symmetric_point_solves_mirrored_blocks_once(monkeypatch, n_max):
     sq = make_squeeze(1.1)
     diag, off = _pair_blocks(sq, sq, n_max)
     unshared = _block_eigenvalues(diag, off)
+    assert np.array_equal(_block_eigenvalues(diag, off, mirrored=True), unshared)
     shapes = counted_eigvalsh(monkeypatch)
-    ab, _, _, _ = pair_spectra(sq, sq, n_max)
-    assert np.array_equal(ab.eigenvalues, unshared)
+    assert pair_measures(sq, sq, n_max)["s_ab_num"] == _entropy_bits(unshared)
     # rho_AB solves blocks k = 0..N, its partial transpose all 2N + 1
     assert sum(shape[0] for shape in shapes) == (n_max + 1) + (2 * n_max + 1)
 
 
 def test_eigensolves_are_stacked(monkeypatch):
     shapes = counted_eigvalsh(monkeypatch)
-    pair_spectra(make_squeeze(0.9), make_squeeze(0.6), 14)
+    pair_measures(make_squeeze(0.9), make_squeeze(0.6), 14)
     assert len(shapes) <= 4
     assert all(shape[1] % PAD_MULTIPLE == 0 for shape in shapes)
 

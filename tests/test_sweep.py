@@ -1,5 +1,6 @@
 """Tests for point/sweep evaluation and the CSV/JSON emission contract."""
 
+import io
 import json
 import math
 import re
@@ -234,6 +235,14 @@ def test_sweep_config_validation():
             SweepConfig(steps=3, **bounds)
 
 
+def test_sweep_config_steps_must_be_an_integer():
+    cfg = SweepConfig(r_min=0.0, r_max=1.0, steps=np.int64(3))
+    assert cfg.steps == 3 and type(cfg.steps) is int
+    for steps in (3.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            SweepConfig(r_min=0.0, r_max=1.0, steps=steps)
+
+
 def test_symmetric_point_sums_marginal_series_once(monkeypatch):
     # s_b is s_a when both sides have the same squeezing; an asymmetric
     # point still sums Bob's series
@@ -330,6 +339,19 @@ def test_csv_field_format():
         assert cells[2] == str(int(cells[2]))  # n_max is a bare integer
         for cell in cells[:2] + cells[3:]:
             assert FLOAT_RE.match(cell), cell
+
+
+@pytest.mark.parametrize("methods", [("closed",), ("closed", "numeric")])
+def test_integer_inputs_keep_the_csv_and_json_contract(methods):
+    # an int r writes as the float it is, a numpy integer cutoff as a bare integer
+    row = run_point(r_a=1, r_b=np.int64(1), cutoff=SeriesConfig(n_max=np.int64(5)), methods=methods)
+    want = run_point(r_a=1.0, cutoff=SeriesConfig(n_max=5), methods=methods)
+    assert csv_lines([row]) == csv_lines([want])
+    cells = csv_lines([row])[1].split(",")
+    assert FLOAT_RE.match(cells[0]) and FLOAT_RE.match(cells[1]) and cells[2] == "5"
+    stream = io.StringIO()
+    emit_rows([row], "json", stream)
+    assert json.loads(stream.getvalue())[0]["n_max"] == 5
 
 
 def test_csv_empty_fields_for_absent_numeric():
