@@ -7,42 +7,61 @@ eigenvalues; that is a per-block approximation to the exact spectrum (blocks
 evaluate the series verbatim; the exact computation lives in the
 density-engine oracle, and the sweep layer reports the gap between the two.
 
-Entropies are in bits (log base 2). The joint series is split as
-log2 P = n l2x + q l2y - 1 - l2c + log2 z with z = 1 + (n+1)(q+1)/C: the
-linear part weights P by n, q and 1, whose sums are closed-form geometric
-moments, so only sum x^n y^q z ln z is summed numerically. Each axis of that
-sum is chosen by its decay length 1/(-ln x), in lattice steps: below
-HEAD_SCALE = 8 it is summed term by term, up to where x^n falls below 2^-60;
-from SMOOTH_SCALE = 32 on the summand is smooth on the lattice and the axis
-is summed by Euler-Maclaurin with Gauss-Legendre panel quadrature and end
-corrections through fifth order (the B2/2!, B4/4! and B6/6! terms); in
-between, the first _JOINT_HEAD = 32 terms are added one by one and the rest
-is summed by Euler-Maclaurin, its panels starting 32 wide. Each axis' rule
-folds the derivatives of its factor x^n into per-end weights, so the double
-sum is a grid of quadrature nodes, one strip of end corrections per axis and
-four corners, with the derivatives of z ln z written out by hand (no
-generated kernels). The resolved cutoff reaches 1e5..1e6 in the large-r
-regime; only Euler-Maclaurin axes see it, so the cost per point stays
-bounded. When both axes have the same x the grid is symmetric and only its
-upper triangle is evaluated, in row blocks of at most 32 rows.
+Entropies are in bits (log base 2). closed_form sums the series of a whole
+batch of points, each at its own cutoff; s_a_closed, s_b_closed and
+s_ab_closed are that call with one point. Each point's scalar arithmetic (the
+geometric moments and the linear parts) is its own, in Python floats; the
+sums over nodes run in stacked numpy calls over the batch.
+
+The joint series is split as log2 P = n l2x + q l2y - 1 - l2c + log2 z with
+z = 1 + (n+1)(q+1)/C: the linear part weights P by n, q and 1, whose sums are
+closed-form geometric moments, so only sum x^n y^q z ln z is summed
+numerically. Each axis of that sum is chosen by its decay length
+1/(-ln x), in lattice steps: below HEAD_SCALE = 8 it is summed term by term,
+up to where x^n falls below 2^-60; from SMOOTH_SCALE = 32 on the summand is
+smooth on the lattice and the axis is summed by Euler-Maclaurin with
+Gauss-Legendre panel quadrature and end corrections through fifth order (the
+B2/2!, B4/4! and B6/6! terms); in between, the first _JOINT_HEAD = 32 terms
+are added one by one and the rest is summed by Euler-Maclaurin, its panels
+starting 32 wide. All three paths share one rule: weighted nodes plus end
+weights on the derivatives at the two ends of the Euler-Maclaurin range
+(zero on a term-by-term axis), with the factor x^n and the trapezoid end
+values folded in. The double sum is then a grid of nodes, one strip of end
+corrections per axis and four corners, with the derivatives of z ln z written
+out by hand. The resolved cutoff reaches 1e5..1e6 in the large-r regime;
+only Euler-Maclaurin axes see it, so the cost per point stays bounded. When
+both axes have the same x the grid is symmetric and only its upper triangle
+is evaluated, in row blocks of 32 rows.
 
 The marginal series takes the same split, log2 p_n = n l2x - l2c2 and
 log2 p'_n = log2(n+1) + n l2x - 2 l2c2, so only the log moment
 sum (n+1) x^n ln(n+1) is summed numerically, by the same per-axis rule with
 one change: ln(n+1) is smooth on the lattice only from n ~ 64 on, so on the
 Euler-Maclaurin side its first _LOG_HEAD = 64 terms are added one by one and
-the panels start 64 wide. Neither series builds an array whose length grows
-with the cutoff.
+the panels start 64 wide.
+
+Each axis is laid out on slots set by its own node count: up to 32 terms
+added one by one take their own count, more the next multiple of 32 (the
+marginal series, whose nodes are cheap, the next power of two, with its
+panels rounded up to a multiple of 4), and unused slots weigh 0. Only points
+of the same layout share a numpy call, and no sum spans two points, so every
+sum a point takes has the same length and order whatever else is in its
+batch: a point's values do not depend on the other points. Points are taken
+in chunks whose temporaries take at most 64 KiB (_CHUNK_CELLS floats), so no
+array grows with the cutoff or with the number of points.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kinematics import SqueezeParam
+if TYPE_CHECKING:
+    from .kinematics import SqueezeParam
 
 # hard ceiling for automatic cutoff resolution; sized so the default
 # 1e-10 tail tolerance still resolves at r = 6 (N ~ 1.52e6 there)
@@ -71,8 +90,11 @@ _JOINT_HEAD = 32
 _LOG_HEAD = 64
 # a term-by-term axis stops where its weight falls below 2^-60 of the first
 _CLIP_BITS = 60
-# cells of the joint-series grid (or terms of a moment) evaluated at a time
-_BLOCK_CELLS = 1 << 16
+# floats in one temporary: 64 KiB. The node grid holds two at a time (z and
+# z ln z); at 128 KiB together they fit in the free space glibc keeps at the
+# top of its heap, so their pages are reused instead of faulted in afresh for
+# every row block (at 120 KiB each, one (4, 3) point took 78 faults)
+_CHUNK_CELLS = 1 << 13
 
 _LN2 = math.log(2.0)
 
@@ -88,6 +110,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """value as a Python float: any real number type passes (numpy's too), a
+    bool or anything else (a string) is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SeriesConfig:
     """Either an explicit cutoff or a tail tolerance that selects one."""
@@ -98,11 +128,14 @@ class SeriesConfig:
     def __post_init__(self):
         if (self.n_max is None) == (self.tail_tol is None):
             raise ValueError("set exactly one of n_max and tail_tol")
-        object.__setattr__(self, "n_max", None if self.n_max is None else _integer(self.n_max, "n_max"))
-        if self.n_max is not None and not 1 <= self.n_max <= HARD_SERIES_CAP:
-            raise ValueError(f"n_max must be in 1..{HARD_SERIES_CAP}, got {self.n_max}")
-        if self.tail_tol is not None and not (0.0 < self.tail_tol < 1.0):
-            raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
+        if self.n_max is not None:
+            object.__setattr__(self, "n_max", _integer(self.n_max, "n_max"))
+            if not 1 <= self.n_max <= HARD_SERIES_CAP:
+                raise ValueError(f"n_max must be in 1..{HARD_SERIES_CAP}, got {self.n_max}")
+        else:
+            object.__setattr__(self, "tail_tol", _real(self.tail_tol, "tail_tol"))
+            if not 0.0 < self.tail_tol < 1.0:
+                raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
 
 
 def resolve_cutoff(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> int:
@@ -116,16 +149,16 @@ def resolve_cutoff(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) ->
     if x == 1.0:  # tanh r rounds to 1 for r >~ 19.07: no finite cutoff meets the tolerance
         raise ConvergenceError(f"tanh^2 r rounds to 1 at r = {max(sq_a.r, sq_b.r)}: the series tail never falls")
     tol = cfg.tail_tol
-    lx = math.log(x)
+    lx, log_tol = math.log(x), math.log(tol)
 
     def ok(n):
         lt = (n + 1) * lx
-        return lt < math.log(tol) and lt + math.log(n + 2) < math.log(tol)
+        return lt < log_tol and lt + math.log(n + 2) < log_tol
 
     # analytic start for the weighted condition, then settle to the minimum
-    n = max(1, math.ceil((math.log(tol)) / lx) - 1)
+    n = max(1, math.ceil(log_tol / lx) - 1)
     for _ in range(200):
-        need = (math.log(tol) - math.log(n + 2)) / lx - 1
+        need = (log_tol - math.log(n + 2)) / lx - 1
         n_new = max(1, math.ceil(need))
         if n_new <= n:
             break
@@ -157,35 +190,89 @@ def e_n_paper(sq_a: SqueezeParam, sq_b: SqueezeParam) -> float:
     return 1.0 / (sq_a.cosh_r * sq_b.cosh_r)
 
 
+def closed_form(marginals, joints) -> tuple:
+    """The marginal entropy series of each (sq, n_max) in marginals and the
+    joint entropy series of each (sq_a, sq_b, n_max) in joints, each at its
+    given cutoff, as two lists of floats in bits. A point's values do not
+    depend on the other points of the call."""
+    return _marginal_series(marginals), _joint_series(joints)
+
+
 def s_a_closed(sq: SqueezeParam, cfg: SeriesConfig) -> float:
     """Marginal entropy series: two eigenvalue families treated as orthogonal.
 
     1 - (1/2) sum_n p_n log2 p_n - (1/2) sum_n p'_n log2 p'_n with
-    p_n = x^n / c^2 and p'_n = (n+1) x^n / c^4, x = tanh^2 r, c = cosh r.
-    With log2 p_n = n l2x - l2c2 and log2 p'_n = log2(n+1) + n l2x - 2 l2c2,
-    every sum but one is a geometric moment (_moments); only
-    sum (n+1) x^n ln(n+1) is summed (_log_moment). No array of length N + 1
-    is built.
-    """
-    if sq.r == 0.0:
-        return 1.0
-    n_max = cfg.n_max or resolve_cutoff(sq, sq, cfg)
-    x = sq.tanh_r**2
-    c2 = sq.cosh_r**2
-    l2c2 = 2.0 * math.log2(sq.cosh_r)
-    # tanh^2 r underflows to 0 below r ~ 1e-154; l2x then multiplies only
-    # moments that vanish
-    l2x = math.log2(x) if x > 0.0 else 0.0
-    a0, a1, b1, b2 = _moments(x, n_max)
-    term1 = (l2x * a1 - l2c2 * a0) / c2
-    log_moment = _log_moment(math.log(x) if x > 0.0 else -math.inf, n_max)
-    term2 = (l2x * b2 - 2.0 * l2c2 * b1 + log_moment / _LN2) / c2**2
-    return 1.0 - 0.5 * term1 - 0.5 * term2
+    p_n = x^n / c^2 and p'_n = (n+1) x^n / c^4, x = tanh^2 r, c = cosh r."""
+    return closed_form([(sq, cfg.n_max or resolve_cutoff(sq, sq, cfg))], [])[0][0]
 
 
 def s_b_closed(sq: SqueezeParam, cfg: SeriesConfig) -> float:
     """Bob's marginal entropy: same series with his squeezing parameter."""
     return s_a_closed(sq, cfg)
+
+
+def s_ab_closed(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> float:
+    """Joint entropy series -sum_{n,q} P_nq log2 P_nq with
+    P_nq = (w_nq / 2)(1 + a_nq^2) = x^n y^q z_nq / (2C),
+    z_nq = 1 + (n+1)(q+1)/C, C = cosh^2 r_a cosh^2 r_b."""
+    return closed_form([], [(sq_a, sq_b, cfg.n_max or resolve_cutoff(sq_a, sq_b, cfg))])[1][0]
+
+
+def mutual_info_closed(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> float:
+    """Mutual information assembled as S_A + S_B - S_AB."""
+    return s_a_closed(sq_a, cfg) + s_b_closed(sq_b, cfg) - s_ab_closed(sq_a, sq_b, cfg)
+
+
+def _logs(x: float) -> tuple:
+    """log2 x and ln x; 0 and -inf at x = 0 (tanh^2 r underflows below
+    r ~ 1e-154), where log2 x multiplies only moments that vanish."""
+    return (math.log2(x), math.log(x)) if x > 0.0 else (0.0, -math.inf)
+
+
+def _marginal_series(points) -> list:
+    """1 - (1/2)(l2x A1 - l2c2 A0)/c^2 - (1/2)(l2x B2 - 2 l2c2 B1 + L/ln 2)/c^4
+    per point, from log2 p_n = n l2x - l2c2 and
+    log2 p'_n = log2(n+1) + n l2x - 2 l2c2: A0, A1, B1, B2 are geometric
+    moments (_moments), and the log moments L = sum (n+1) x^n ln(n+1) of all
+    points are summed together (_log_moment)."""
+    parts, lx, n_max = [], [], []
+    for sq, n in points:
+        x, c2, l2c2 = sq.tanh_r**2, sq.cosh_r**2, 2.0 * math.log2(sq.cosh_r)
+        l2x, ln_x = _logs(x)
+        a0, a1, b1, b2 = _moments(x, n)
+        parts.append((1.0 - 0.5 * ((l2x * a1 - l2c2 * a0) / c2), l2x * b2 - 2.0 * l2c2 * b1, c2**2))
+        lx.append(ln_x)
+        n_max.append(n)
+    return [
+        head - 0.5 * ((part + log_moment / _LN2) / c4)
+        for (head, part, c4), log_moment in zip(parts, _log_moment(lx, n_max).tolist())
+    ]
+
+
+def _joint_series(points) -> list:
+    """Per point, the linear part of the joint series from the geometric
+    moments of both axes (log2 P = n l2x + q l2y - 1 - l2c + log2 z weights P
+    by n, q and 1), less 0.5 C^-1 / ln 2 times the remainder of all points
+    (_s_ab_remainder); 0 at r_a = r_b = 0."""
+    linear, lx, ly, c_inv, n_max = [], [], [], [], []
+    for sq_a, sq_b, n in points:
+        x, y = sq_a.tanh_r**2, sq_b.tanh_r**2
+        l2c = 2.0 * (math.log2(sq_a.cosh_r) + math.log2(sq_b.cosh_r))
+        c = 2.0**-l2c
+        (l2x, ln_x), (l2y, ln_y) = _logs(x), _logs(y)
+        a0x, a1x, b1x, b2x = moments = _moments(x, n)
+        a0y, a1y, b1y, b2y = moments if y == x else _moments(y, n)
+        linear.append(0.5 * c * (
+            (1.0 + l2c) * (a0x * a0y + c * b1x * b1y)
+            - l2x * (a1x * a0y + c * b2x * b1y)
+            - l2y * (a0x * a1y + c * b1x * b2y)
+        ) if sq_a.r or sq_b.r else None)
+        lx.append(ln_x)
+        ly.append(ln_y)
+        c_inv.append(c)
+        n_max.append(n)
+    remainder = _s_ab_remainder(lx, ly, c_inv, n_max).tolist()
+    return [0.0 if lin is None else lin - 0.5 * c / _LN2 * rem for lin, c, rem in zip(linear, c_inv, remainder)]
 
 
 def _moments(x: float, n_max: int) -> tuple:
@@ -194,15 +281,15 @@ def _moments(x: float, n_max: int) -> tuple:
     Each is its infinite-series value minus the x^(N+1) tail (1 - x is exact
     in floating point for x >= 1/2). Where the tail is most of the infinite
     value the closed forms would cancel, so the terms are added instead, in
-    blocks of _BLOCK_CELLS.
+    blocks of _CHUNK_CELLS.
     """
     if x == 0.0:
         return 1.0, 0.0, 1.0, 0.0
     k = n_max + 1
     if k * -math.log(x) < 8.0:
         sums = np.zeros(4)
-        for lo in range(0, k, _BLOCK_CELLS):
-            n = np.arange(lo, min(k, lo + _BLOCK_CELLS), dtype=float)
+        for lo in range(0, k, _CHUNK_CELLS):
+            n = np.arange(lo, min(k, lo + _CHUNK_CELLS), dtype=float)
             xn = x**n
             sums += (xn.sum(), n @ xn, (n + 1.0) @ xn, (n * (n + 1.0)) @ xn)
         return tuple(float(v) for v in sums)
@@ -216,6 +303,9 @@ def _moments(x: float, n_max: int) -> tuple:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_SPANS = _GL_NODES + 1.0
+# nodes per panel, and the granule of the term slots of _layout
+_PAD = _GL_NODES.size
 
 # Euler-Maclaurin end corrections B_2k/(2k)! (f^(b)(N) - f^(b)(h)), b = 2k - 1
 _EM_TERMS = ((1, 1.0 / 12.0), (3, -1.0 / 720.0), (5, 1.0 / 30240.0))
@@ -233,12 +323,52 @@ def _em_poly() -> np.ndarray:
 
 
 _EM_POLY = _em_poly()
+# k[e, j] = e^(end_e lx) (sign_e poly_j + trapezoid_j): -+ at h and N, 1/2 at j = 0
+_END_SIGNS = np.array([[-1.0], [1.0]])
+_TRAPEZOID = np.eye(1, _EM_ORDER + 1)[0] / 2.0
 # _h_derivatives' running-product factors for orders m = 2..2*_EM_ORDER: 1, then -(m-2)
 _H_STEPS = np.concatenate(([1.0], -np.arange(1.0, 2 * _EM_ORDER - 1)))
 
 
-def _panel_points(hi: float, scale: float):
-    """Gauss-Legendre nodes/weights on geometric panels covering [0, hi]."""
+def _batches(keys, cells):
+    """Index arrays of the points that share a key, in chunks of at most
+    _CHUNK_CELLS // cells(key) points (at least one)."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for key, members in groups.items():
+        step = max(1, _CHUNK_CELLS // cells(key))
+        for lo in range(0, len(members), step):
+            yield np.array(members[lo : lo + step])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products of two (points, n) arrays, one BLAS call per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _axis_plan(lx: float, n_max: int, head: float) -> tuple:
+    """How _axis_rule sums one axis: (lx, N, h, terms, edges). It adds its
+    first `terms` terms one by one, then, when edges is not empty, sums
+    n = h..N by Euler-Maclaurin on the panels between the edges, shifted by h.
+    With no Euler-Maclaurin h is 0; lx = -inf (x = 0) is given as 0, since
+    that axis has the one node n = 0, of weight x^0 = 1 for any finite lx.
+
+    A head of inf sums the axis term by term, up to where e^(n lx) falls
+    below 2^-60; a head past N adds all N + 1 terms. The panels start at the
+    head's length, or at the decay length 1/(-lx) when there is no head.
+    """
+    finite = lx if lx > -math.inf else 0.0
+    if head == math.inf:
+        return finite, n_max, 0.0, min(n_max, math.ceil(_CLIP_BITS * _LN2 / -lx)) + 1, ()
+    if head > n_max:
+        return finite, n_max, 0.0, n_max + 1, ()
+    return lx, n_max, head, head, _panel_edges(n_max - head, head or (-1.0 / lx if lx < 0.0 else math.inf))
+
+
+def _panel_edges(hi: float, scale: float) -> tuple:
+    """Edges of geometric panels covering [0, hi], the first max(scale, 1)
+    wide, each next one twice as wide, the last cut at hi."""
     edges = [0.0]
     width = max(scale, 1.0)
     pos = 0.0
@@ -247,71 +377,103 @@ def _panel_points(hi: float, scale: float):
         edges.append(pos)
         width *= 2.0
     edges.append(hi)
-    edges = np.array(edges)
-    lo = edges[:-1, None]
-    half = 0.5 * (edges[1:, None] - lo)
-    return (half * (_GL_NODES + 1.0) + lo).ravel(), (half * _GL_WEIGHTS).ravel()
+    return tuple(edges)
 
 
-def _axis_rule(lx: float, n_max: int, head: int | None = 0):
-    """Linear functional that sums f(n) = e^(n lx) g(n) over n = 0..N along one axis.
+def _layout(plan: tuple, coarse: bool = False) -> tuple:
+    """An axis' node layout: its slots for the terms added one by one, and
+    its panel slots. Up to one panel (32) of terms take their own count of
+    slots, more take the next multiple of 32. A coarse layout takes the next
+    power of two instead and rounds the panels up to a multiple of 4: the
+    marginal series' nodes are cheap, and fewer layouts put more of its
+    points in one batch."""
+    terms, panels = plan[3], max(len(plan[4]) - 1, 0)
+    if terms > _PAD:
+        terms = 1 << (terms - 1).bit_length() if coarse else -(-terms // _PAD) * _PAD
+    return terms, -(-panels // 4) * 4 if coarse else panels
 
-    Returned as (nodes, weights, ends, k), standing for
-    weights @ g(nodes) + sum_{e,j} k[e, j] g^(j)(ends[e]): the weights carry
-    the factor e^(n lx). With head None the axis is summed term by term, up
-    to where e^(n lx) falls below 2^-60, and has no ends (ends and k are
-    None). Otherwise it adds its first `head` terms one by one, then sums
-    n = h..N by Euler-Maclaurin,
+
+def _panel_points(edges: np.ndarray) -> tuple:
+    """Gauss-Legendre nodes and weights on the panels between each row of
+    edges; a panel of zero width weighs 0."""
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    return (
+        (half[..., None] * _GL_SPANS + edges[:, :-1, None]).reshape(len(edges), -1),
+        (half[..., None] * _GL_WEIGHTS).reshape(len(edges), -1),
+    )
+
+
+def _axis_rule(plans, layout: tuple):
+    """Linear functionals that sum f(n) = e^(n lx) g(n) over n = 0..N along
+    each axis of a batch (its _axis_plan's), as stacked
+    (nodes, weights, ends, k), standing for
+    weights @ g(nodes) + sum_{e,j} k[e, j] g^(j)(ends[e]); the weights carry
+    the factor e^(n lx). The nodes are laid out on layout's slots, at least
+    any axis' own: its term slots, then its panel slots, where an axis'
+    unused slots weigh 0.
+
+    Euler-Maclaurin over n = h..N is
     sum f = int_h^N f + (f(h)+f(N))/2 + sum_b c_b (f^(b)(N) - f^(b)(h)) over
-    the _EM_TERMS, with the integral on Gauss-Legendre panels whose widths
-    start at the head's length, or at the decay length 1/(-lx) when there is
-    no head, and double. With f^(b) = e^(n lx) sum_j C(b, j) lx^(b-j) g^(j),
-    k[e, j] = -+e^(end_e lx) sum_p _EM_POLY[j, p] lx^p. The callers pick the
-    head by the decay length: _s_ab_head and _log_moment.
+    the _EM_TERMS, with the integral on the Gauss-Legendre panels. With
+    f^(b) = e^(n lx) sum_j C(b, j) lx^(b-j) g^(j),
+    k[e, j] = -+e^(end_e lx) sum_p _EM_POLY[j, p] lx^p, and k[e, 0] also
+    carries the trapezoid's e^(end_e lx) / 2. An axis without
+    Euler-Maclaurin has zero k. The callers pick the head by the decay
+    length: _s_ab_head and _log_moment.
     """
-    if lx == -math.inf:
-        return np.zeros(1), np.ones(1), None, None
-    if head is None:
-        n = np.arange(min(n_max, math.ceil(_CLIP_BITS * _LN2 / -lx)) + 1, dtype=float)
-        return n, np.exp(n * lx), None, None
-    n = np.arange(min(head, n_max + 1), dtype=float)
-    if head > n_max:
-        return n, np.exp(n * lx), None, None
-    pts, wts = _panel_points(float(n_max - head), head or (-1.0 / lx if lx < 0.0 else math.inf))
-    nodes = np.concatenate([n, pts + head, [float(head), float(n_max)]])
-    weights = np.exp(nodes * lx)
-    k = weights[-2:, None] * (_EM_POLY @ lx**_ORDERS)
-    k[0] *= -1.0
-    weights[head:-2] *= wts
-    weights[-2:] *= 0.5
-    return nodes, weights, nodes[-2:], k
+    table = np.array([plan[:4] for plan in plans], dtype=float)
+    lx, start, terms = table[:, 0], table[:, 2], table[:, 3]
+    slots, count = layout
+    nodes = np.repeat(np.arange(slots, dtype=float)[None], len(plans), axis=0)
+    weights = np.exp(nodes * lx[:, None])
+    if min(plan[3] for plan in plans) < slots:
+        weights *= nodes < terms[:, None]
+    if not count:
+        return nodes, weights, np.zeros((len(plans), 2)), np.zeros((len(plans), 2, _EM_ORDER + 1))
+    # an axis' panels past its own are empty: its last edge repeated
+    edges = np.array([plan[4] + (plan[4] or (0.0,))[-1:] * (count + 1 - len(plan[4])) for plan in plans])
+    points, scales = _panel_points(edges)
+    points += start[:, None]
+    ends = table[:, [2, 1]]
+    at_ends = np.exp(ends * lx[:, None])
+    poly = (lx[:, None, None] ** _ORDERS @ _EM_POLY.T)[:, 0, :]
+    k = at_ends[..., None] * (poly[:, None, :] * _END_SIGNS + _TRAPEZOID)
+    if not all(plan[4] for plan in plans):
+        k[[not plan[4] for plan in plans]] = 0.0
+    weights = np.concatenate((weights, np.exp(points * lx[:, None]) * scales), axis=1)
+    return np.concatenate((nodes, points), axis=1), weights, ends, k
 
 
-def _h_derivatives(z: np.ndarray, c_inv: float | np.ndarray, top: int) -> np.ndarray:
+def _h_derivatives(z: np.ndarray, c_inv, top: int) -> np.ndarray:
     """h^(m), m = 0..top (top >= 2), of h(w) = z ln z with z = 1 + w/C, given
-    z, stacked along a new first axis: h' = (ln z + 1)/C and, for m >= 2,
+    z, stacked along a new last axis: h' = (ln z + 1)/C and, for m >= 2,
     h^(m) = (-1)^m (m-2)! / (C^m z^(m-1)), the running product of
     h'' = 1/(C^2 z) and the factors -(m-2)/(C z). With c_inv * u in place of
     c_inv (u may be an array) they come out as u^m h^(m)."""
     ln_z = np.log(z)
-    factors = _H_STEPS[: top - 1].reshape((-1,) + (1,) * z.ndim) * (c_inv / z)
-    factors[0] *= c_inv
-    return np.concatenate(((z * ln_z)[None], ((ln_z + 1.0) * c_inv)[None], factors.cumprod(axis=0)))
+    factors = (c_inv / z)[..., None] * _H_STEPS[: top - 1]
+    factors[..., 0] *= c_inv
+    return np.concatenate(((z * ln_z)[..., None], ((ln_z + 1.0) * c_inv)[..., None], factors.cumprod(axis=-1)), axis=-1)
 
 
-def _log_moment(lx: float, n_max: int) -> float:
-    """sum_{n=0..N} (n+1) x^n ln(n+1), with lx = ln x (-inf allowed).
+def _log_moment(lx, n_max) -> np.ndarray:
+    """Per point, sum_{n=0..N} (n+1) x^n ln(n+1), with lx = ln x (-inf allowed).
 
     ln(n+1) varies on the scale n itself, so a smooth axis adds its first
     _LOG_HEAD terms one by one before Euler-Maclaurin takes over. The end
     corrections need g^(j) of g(n) = (n+1) ln(n+1), which is _h_derivatives'
-    h^(j) at z = n+1 with C = 1.
+    h^(j) at z = n+1 with C = 1. Points are batched by their layouts.
     """
-    nodes, weights, ends, k = _axis_rule(lx, n_max, None if lx * SMOOTH_SCALE < -1.0 else _LOG_HEAD)
-    z = nodes + 1.0
-    total = float(weights @ (z * np.log(z)))
-    if k is not None:
-        total += float((k * _h_derivatives(ends + 1.0, 1.0, _EM_ORDER).T).sum())
+    plans = [_axis_plan(v, n, math.inf if v * SMOOTH_SCALE < -1.0 else _LOG_HEAD) for v, n in zip(lx, n_max)]
+    layouts = [_layout(plan, coarse=True) for plan in plans]
+    total = np.empty(len(plans))
+    for idx in _batches(layouts, lambda layout: layout[0] + _PAD * layout[1]):
+        layout = layouts[idx[0]]
+        nodes, weights, ends, k = _axis_rule([plans[i] for i in idx], layout)
+        z = nodes + 1.0
+        total[idx] = _dot(weights, z * np.log(z))
+        if layout[1]:
+            total[idx] += (k * _h_derivatives(ends + 1.0, 1.0, _EM_ORDER)).reshape(idx.size, -1).sum(axis=-1)
     return total
 
 
@@ -327,111 +489,103 @@ def _corner_table() -> np.ndarray:
 
 
 _CORNER_TABLE = _corner_table()
+# floats per point in _corners' largest temporary
+_CORNER_CELLS = 4 * (_EM_ORDER + 1) ** 2
 
 
-def _grid(u: np.ndarray, wu: np.ndarray, v: np.ndarray, wv: np.ndarray, c_inv: float, symmetric: bool) -> float:
-    """sum_ik wu_i wv_k h(u_i v_k), h(w) = z ln z, z = 1 + w/C, in row blocks
-    of at most _BLOCK_CELLS cells. A symmetric grid (u = v, wu = wv) is summed
-    over its upper triangle: each row block's diagonal block once, the
-    columns right of it twice. Its row blocks are at most one Gauss-Legendre
-    panel (32 rows) tall, so the triangle is honoured at every size: at 194
-    nodes a side 58% of the cells are evaluated."""
-    cv = v * c_inv
-    rows = max(1, _BLOCK_CELLS // v.size)
+def _grid(u: np.ndarray, wu: np.ndarray, v: np.ndarray, wv: np.ndarray, c_inv: np.ndarray, symmetric: bool) -> np.ndarray:
+    """Per point p, sum_ik wu_pi wv_pk h(u_pi v_pk), h(w) = z ln z,
+    z = 1 + w/C_p, in row blocks, each over as many points as keep its cells
+    within _CHUNK_CELLS. A symmetric grid (u = v, wu = wv) is summed over its
+    upper triangle: each row block's diagonal block once, the columns right
+    of it twice. Its row blocks are one Gauss-Legendre panel (32 rows) tall,
+    so at 192 nodes a side 58% of the cells are evaluated."""
+    points, width = v.shape
+    cv = v * c_inv[:, None]
+    rows = _PAD if symmetric else max(1, _CHUNK_CELLS // width)
     if symmetric:
-        rows, twice = min(rows, _GL_NODES.size), 2.0 * wv
-    total = 0.0
-    for lo in range(0, u.size, rows):
-        hi = lo + rows
-        if symmetric:
-            cols, w = slice(lo, None), np.concatenate((wv[lo:hi], twice[hi:]))
-        else:
-            cols, w = slice(None), wv
-        z = u[lo:hi, None] * cv[cols]
-        z += 1.0
-        h = np.log(z)
-        h *= z
-        total += float(wu[lo:hi] @ (h @ w))
-    return total
+        twice = 2.0 * wv
+    row_sums = np.empty(u.shape + (1,))
+    for lo in range(0, u.shape[1], rows):
+        hi = min(lo + rows, u.shape[1])
+        cols = lo if symmetric else 0
+        w = (np.concatenate((wv[:, lo:hi], twice[:, hi:]), axis=1) if symmetric else wv)[:, :, None]
+        step = max(1, _CHUNK_CELLS // ((hi - lo) * (width - cols)))
+        for p in range(0, points, step):
+            q = slice(p, p + step)
+            z = u[q, lo:hi, None] * cv[q, None, cols:]
+            z += 1.0
+            h = np.log(z)
+            h *= z
+            row_sums[q, lo:hi] = h @ w[q]
+    return _dot(wu, row_sums[..., 0])
 
 
-def _strip(u: np.ndarray, ends: np.ndarray, k: np.ndarray, c_inv: float) -> np.ndarray:
-    """One axis' end corrections applied to h(uv) at each node u of the other:
-    sum_{e,j} k[e, j] u^j h^(j)(u v_e) with v_e = ends + 1, since
-    d^j/dv^j h(uv) = u^j h^(j)(uv)."""
-    cu = c_inv * u[:, None]
-    d = _h_derivatives(1.0 + cu * (ends + 1.0), cu, _EM_ORDER)
-    return np.einsum("jne,ej->n", d, k)
+def _strip(u: np.ndarray, ends: np.ndarray, k: np.ndarray, c_inv: np.ndarray) -> np.ndarray:
+    """One axis' end corrections applied to h(uv) at each node u of the other,
+    per point: sum_{e,j} k[e, j] u^j h^(j)(u v_e) with v_e = ends + 1, since
+    d^j/dv^j h(uv) = u^j h^(j)(uv). Taken as many points at a time as keep
+    the derivatives within _CHUNK_CELLS."""
+    out = np.empty(u.shape)
+    step = max(1, _CHUNK_CELLS // (k[0].size * u.shape[1]))
+    for p in range(0, len(u), step):
+        q = slice(p, p + step)
+        cu = (c_inv[q, None] * u[q])[..., None]
+        d = _h_derivatives(1.0 + cu * (ends[q, None, :] + 1.0), cu, _EM_ORDER)
+        out[q] = (d.reshape(d.shape[:2] + (-1,)) @ k[q].reshape(len(d), -1, 1))[..., 0]
+    return out
 
 
-def _corners(s_ends: np.ndarray, kx: np.ndarray, t_ends: np.ndarray, ky: np.ndarray, c_inv: float) -> float:
-    """Both axes' end corrections together: sum kx[a, i] ky[b, j] D^{i,j} h(uv)
-    at the corners (u_a, v_b) = (s_ends + 1, t_ends + 1), from _CORNER_TABLE."""
+def _corners(s_ends: np.ndarray, kx: np.ndarray, t_ends: np.ndarray, ky: np.ndarray, c_inv: np.ndarray) -> np.ndarray:
+    """Both axes' end corrections together, per point: sum kx[a, i] ky[b, j]
+    D^{i,j} h(uv) at the corners (u_a, v_b) = (s_ends + 1, t_ends + 1), from
+    _CORNER_TABLE."""
     u, v = s_ends + 1.0, t_ends + 1.0
-    cw = c_inv * (u[:, None] * v)
+    cw = c_inv[:, None, None] * (u[:, :, None] * v[:, None, :])
     h = _h_derivatives(1.0 + cw, cw, 2 * _EM_ORDER)
-    return float(np.einsum("ai,bj,ijm,mab->", kx / u[:, None] ** _ORDERS, ky / v[:, None] ** _ORDERS, _CORNER_TABLE, h))
+    mixed = (h @ _CORNER_TABLE.reshape(-1, h.shape[-1]).T).reshape(h.shape[:-1] + _CORNER_TABLE.shape[:2])
+    weights = (kx / u[..., None] ** _ORDERS)[:, :, None, :, None] * (ky / v[..., None] ** _ORDERS)[:, None, :, None, :]
+    return (weights * mixed).reshape(u.shape[0], -1).sum(axis=-1)
 
 
-def _s_ab_head(lx: float) -> int | None:
-    """_axis_rule's head for a joint-series axis by its decay length 1/(-lx):
-    term by term (None) under HEAD_SCALE, _JOINT_HEAD terms under
+def _s_ab_head(lx: float) -> float:
+    """_axis_plan's head for a joint-series axis by its decay length 1/(-lx):
+    term by term (inf) under HEAD_SCALE, _JOINT_HEAD terms under
     SMOOTH_SCALE, none from there on."""
     if lx * HEAD_SCALE < -1.0:
-        return None
+        return math.inf
     return _JOINT_HEAD if lx * SMOOTH_SCALE < -1.0 else 0
 
 
-def _s_ab_remainder(lx: float, ly: float, c_inv: float, n_max: int) -> float:
-    """sum_{n,q=0..N} x^n y^q z ln z with z = 1 + (n+1)(q+1)/C.
+def _s_ab_remainder(lx, ly, c_inv, n_max) -> np.ndarray:
+    """Per point, sum_{n,q=0..N} x^n y^q z ln z with z = 1 + (n+1)(q+1)/C.
 
-    lx, ly are ln x, ln y (-inf allowed). With each axis' _axis_rule
-    (nodes, weights and end corrections), the double sum is the grid of
-    nodes, one strip per axis with end corrections (that axis' corrections
-    at the other's nodes) and the corners where both apply. When lx == ly
-    the grid is symmetric and the two strips are equal.
+    lx, ly are ln x, ln y (-inf allowed), per point. With each axis'
+    _axis_rule (nodes, weights and end corrections), the double sum is the
+    grid of nodes, one strip per axis with end corrections (that axis'
+    corrections at the other's nodes) and the corners where both apply; an
+    axis without Euler-Maclaurin has no strip. When lx == ly the grid is
+    symmetric and the two strips are equal. Points are batched by their
+    axes' layouts and symmetry.
     """
-    s, ws, s_ends, kx = _axis_rule(lx, n_max, _s_ab_head(lx))
-    symmetric = lx == ly
-    t, wt, t_ends, ky = (s, ws, s_ends, kx) if symmetric else _axis_rule(ly, n_max, _s_ab_head(ly))
-    total = _grid(s + 1.0, ws, t + 1.0, wt, c_inv, symmetric)
-    if ky is not None:
-        total += float(ws @ _strip(s + 1.0, t_ends, ky, c_inv)) * (2.0 if symmetric else 1.0)
-    if kx is not None and not symmetric:
-        total += float(wt @ _strip(t + 1.0, s_ends, kx, c_inv))
-    if kx is not None and ky is not None:
-        total += _corners(s_ends, kx, t_ends, ky, c_inv)
+    x_plans = [_axis_plan(a, n, _s_ab_head(a)) for a, n in zip(lx, n_max)]
+    y_plans = [plan if a == b else _axis_plan(b, n, _s_ab_head(b)) for plan, a, b, n in zip(x_plans, lx, ly, n_max)]
+    keys = [(_layout(px), _layout(py), a == b) for px, py, a, b in zip(x_plans, y_plans, lx, ly)]
+    c_inv = np.asarray(c_inv, dtype=float)
+    total = np.empty(len(keys))
+    for idx in _batches(keys, lambda key: max(_CORNER_CELLS, *(slots + _PAD * panels for slots, panels in key[:2]))):
+        layout_x, layout_y, sym = keys[idx[0]]
+        s, ws, s_ends, kx = _axis_rule([x_plans[i] for i in idx], layout_x)
+        t, wt, t_ends, ky = (s, ws, s_ends, kx) if sym else _axis_rule([y_plans[i] for i in idx], layout_y)
+        c = c_inv[idx]
+        u = s + 1.0
+        v = u if sym else t + 1.0
+        part = _grid(u, ws, v, wt, c, sym)
+        if layout_y[1]:
+            part += _dot(ws, _strip(u, t_ends, ky, c)) * (2.0 if sym else 1.0)
+        if layout_x[1] and not sym:
+            part += _dot(wt, _strip(v, s_ends, kx, c))
+        if layout_x[1] and layout_y[1]:
+            part += _corners(s_ends, kx, t_ends, ky, c)
+        total[idx] = part
     return total
-
-
-def s_ab_closed(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> float:
-    """Joint entropy series -sum_{n,q} P_nq log2 P_nq with
-    P_nq = (w_nq / 2)(1 + a_nq^2) = x^n y^q z_nq / (2C),
-    z_nq = 1 + (n+1)(q+1)/C, C = cosh^2 r_a cosh^2 r_b."""
-    if sq_a.r == 0.0 and sq_b.r == 0.0:
-        return 0.0
-    n_max = cfg.n_max or resolve_cutoff(sq_a, sq_b, cfg)
-    x = sq_a.tanh_r**2
-    y = sq_b.tanh_r**2
-    l2c = 2.0 * (math.log2(sq_a.cosh_r) + math.log2(sq_b.cosh_r))
-    c_inv = 2.0**-l2c
-    # log2 P = n l2x + q l2y - 1 - l2c + log2 z: the linear part weights P by
-    # n, q and 1, whose sums are geometric moments (l2x multiplies only
-    # moments that vanish when x = 0)
-    l2x = math.log2(x) if x > 0.0 else 0.0
-    l2y = math.log2(y) if y > 0.0 else 0.0
-    a0x, a1x, b1x, b2x = _moments(x, n_max)
-    a0y, a1y, b1y, b2y = _moments(y, n_max)
-    linear = 0.5 * c_inv * (
-        (1.0 + l2c) * (a0x * a0y + c_inv * b1x * b1y)
-        - l2x * (a1x * a0y + c_inv * b2x * b1y)
-        - l2y * (a0x * a1y + c_inv * b1x * b2y)
-    )
-    lx = math.log(x) if x > 0.0 else -math.inf
-    ly = math.log(y) if y > 0.0 else -math.inf
-    return linear - 0.5 * c_inv / _LN2 * _s_ab_remainder(lx, ly, c_inv, n_max)
-
-
-def mutual_info_closed(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> float:
-    """Mutual information assembled as S_A + S_B - S_AB."""
-    return s_a_closed(sq_a, cfg) + s_b_closed(sq_b, cfg) - s_ab_closed(sq_a, sq_b, cfg)

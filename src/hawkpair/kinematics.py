@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .closed_form import _real
+
 # largest squeezing parameter accepted: the weights divide by cosh^2 r, which
 # overflows a float just above r = 355.6 (tanh r rounds to 1 from r ~ 19.1)
 R_MAX = 355.0
@@ -22,6 +24,8 @@ class ModeSpec:
     omega: float
 
     def __post_init__(self):
+        object.__setattr__(self, "mass", _real(self.mass, "mass"))
+        object.__setattr__(self, "omega", _real(self.omega, "omega"))
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not (math.isfinite(self.omega) and self.omega > 0):
@@ -41,17 +45,18 @@ class SqueezeParam:
     cosh_r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0):
+        if not (math.isfinite(_real(self.r, "r")) and self.r >= 0):
             raise ValueError(f"r must be non-negative and finite, got {self.r}")
 
 
 def make_squeeze(r: float) -> SqueezeParam:
     """Build a SqueezeParam directly from r (for sweeps over the r axis)."""
+    r = _real(r, "r")
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be non-negative and finite, got {r}")
     if r > R_MAX:
         raise ValueError(f"r must be at most {R_MAX} (cosh^2 r overflows a float), got {r}")
-    return SqueezeParam(r=float(r), tanh_r=math.tanh(r), cosh_r=math.cosh(r))
+    return SqueezeParam(r=r, tanh_r=math.tanh(r), cosh_r=math.cosh(r))
 
 
 def squeezing_from_mode(mode: ModeSpec) -> SqueezeParam:
@@ -71,6 +76,7 @@ def squeezing_from_mode(mode: ModeSpec) -> SqueezeParam:
 
 def mass_from_squeezing(r: float, omega: float) -> float:
     """Invert the mass <-> squeezing relation: M = -ln(tanh r)/(4*pi*omega)."""
+    r, omega = _real(r, "r"), _real(omega, "omega")
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"r must be positive and finite, got {r}")
     if not (math.isfinite(omega) and omega > 0):

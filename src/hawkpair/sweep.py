@@ -45,6 +45,8 @@ class SweepConfig:
     methods: tuple = ("closed", "numeric")
 
     def __post_init__(self):
+        for name in ("r_min", "r_max", "omega_ratio"):
+            object.__setattr__(self, name, cf._real(getattr(self, name), name))
         if not all(math.isfinite(v) for v in (self.r_min, self.r_max, self.omega_ratio)):
             raise ValueError(
                 f"r_min, r_max and omega_ratio must be finite, got "
@@ -117,8 +119,8 @@ def run_point(
             raise ValueError("omega_prime (--omega-prime) applies to a mass and omega, not to r values")
         if r_a is None:
             raise ValueError("r_a (or a ModeSpec) is required")
-        sq_a = make_squeeze(r_a)
-        sq_b = make_squeeze(r_b) if r_b is not None else sq_a
+        sq_a = make_squeeze(cf._real(r_a, "r_a"))
+        sq_b = make_squeeze(cf._real(r_b, "r_b")) if r_b is not None else sq_a
     _check_methods(methods)
 
     n_max, past_cap = _resolve(sq_a, sq_b, cutoff, methods)
@@ -127,7 +129,7 @@ def run_point(
             f"numeric method needs cutoff {n_max}, above the oracle cap of "
             f"{NUMERIC_CAP} (its time grows as N_max^4)"
         )
-    return _evaluate(sq_a, sq_b, n_max, cutoff, methods)
+    return _reports([_point(sq_a, sq_b, n_max, cutoff, methods)])[0]
 
 
 def _resolve(sq_a, sq_b, cutoff: cf.SeriesConfig, methods) -> tuple:
@@ -136,37 +138,63 @@ def _resolve(sq_a, sq_b, cutoff: cf.SeriesConfig, methods) -> tuple:
     return n_max, "numeric" in methods and n_max > NUMERIC_CAP
 
 
-def _evaluate(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> EntanglementReport:
-    """The report of a point whose cutoff n_max is resolved; methods may be empty."""
-    values: dict = {}
-    if "closed" in methods:
-        # the pair's cutoff is that of its side with the larger tanh^2 r, so
-        # that side's marginal takes it as resolved; the other resolves its own
-        resolved = cf.SeriesConfig(n_max=n_max)
-        x = sq_a.tanh_r**2
-        y = sq_b.tanh_r**2
-        s_a = cf.s_a_closed(sq_a, resolved if x >= y else cutoff)
-        # equal squeezing on both sides (every symmetric point) is one series
-        s_b = s_a if sq_b == sq_a else cf.s_b_closed(sq_b, resolved if y >= x else cutoff)
-        s_ab = cf.s_ab_closed(sq_a, sq_b, resolved)
-        values.update(
-            e_n_block00=cf.e_n_paper(sq_a, sq_b),
-            s_a_closed=s_a,
-            s_b_closed=s_b,
-            s_ab_closed=s_ab,
-            i_closed=s_a + s_b - s_ab,
-        )
-        values["trace_deficit"] = 1.0 - (1.0 - x ** (n_max + 1)) * (1.0 - y ** (n_max + 1))
+def _point(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> dict:
+    """A point whose pair cutoff n_max is resolved: its squeezings and cutoff,
+    its oracle values when the numeric method runs, and the marginal series it
+    needs when the closed method runs, as (squeezing, cutoff) pairs. Equal
+    squeezing on both sides (every symmetric point) is one series. The pair's
+    cutoff is that of its side with the larger tanh^2 r, so that side's
+    marginal takes it as resolved; the other resolves its own."""
+    point = {"sq_a": sq_a, "sq_b": sq_b, "n_max": n_max, "marginals": (), "numeric": {}}
     if "numeric" in methods:
-        values.update(pair_measures(sq_a, sq_b, n_max))
-    return EntanglementReport(r_a=sq_a.r, r_b=sq_b.r, n_max=n_max, **values)
+        point["numeric"] = pair_measures(sq_a, sq_b, n_max)
+    if "closed" in methods:
+        x, y = sq_a.tanh_r**2, sq_b.tanh_r**2
+
+        def own(sq, larger):
+            return n_max if larger else cutoff.n_max or cf.resolve_cutoff(sq, sq, cutoff)
+
+        point["marginals"] = ((sq_a, n_max),) if sq_b == sq_a else ((sq_a, own(sq_a, x >= y)), (sq_b, own(sq_b, y >= x)))
+    return point
+
+
+def _reports(points) -> list:
+    """One report per point of _point, the closed forms of all of them summed
+    in one closed_form call."""
+    closed = [p for p in points if p["marginals"]]
+    marginals, joints = cf.closed_form(
+        [m for p in closed for m in p["marginals"]], [(p["sq_a"], p["sq_b"], p["n_max"]) for p in closed]
+    )
+    marginals, joints = iter(marginals), iter(joints)
+    reports = []
+    for p in points:
+        sq_a, sq_b, n_max = p["sq_a"], p["sq_b"], p["n_max"]
+        values: dict = {}
+        if p["marginals"]:
+            s_a = next(marginals)
+            s_b = s_a if sq_b == sq_a else next(marginals)
+            s_ab = next(joints)
+            x, y = sq_a.tanh_r**2, sq_b.tanh_r**2
+            values.update(
+                e_n_block00=cf.e_n_paper(sq_a, sq_b),
+                s_a_closed=s_a,
+                s_b_closed=s_b,
+                s_ab_closed=s_ab,
+                i_closed=s_a + s_b - s_ab,
+                trace_deficit=1.0 - (1.0 - x ** (n_max + 1)) * (1.0 - y ** (n_max + 1)),
+            )
+        values.update(p["numeric"])
+        reports.append(EntanglementReport(r_a=sq_a.r, r_b=sq_b.r, n_max=n_max, **values))
+    return reports
 
 
 def run_sweep(cfg: SweepConfig) -> list:
     """One report per grid point, ascending r, each resolving its cutoff once. A point
     past NUMERIC_CAP drops the numeric method (noted once on stderr), so its
-    numeric fields are None; a numeric-only point keeps just r_a, r_b and n_max."""
-    rows = []
+    numeric fields are None; a numeric-only point keeps just r_a, r_b and n_max.
+    The closed forms of all points are summed together once every point is
+    resolved; a point that fails is named, with its error as the cause."""
+    points = []
     warned = False
     for k in range(cfg.steps):
         r = cfg.r_min + k * (cfg.r_max - cfg.r_min) / (cfg.steps - 1)
@@ -189,15 +217,15 @@ def run_sweep(cfg: SweepConfig) -> list:
                 )
                 warned = True
             methods = tuple(m for m in cfg.methods if m != "numeric") if past_cap else cfg.methods
-            rows.append(_evaluate(sq_a, sq_b, n_max, cfg.cutoff, methods))
+            points.append(_point(sq_a, sq_b, n_max, cfg.cutoff, methods))
         except Exception as exc:
             raise SweepPointError(f"sweep failed at r = {r} (r_b = {r_b}): {exc}") from exc
-    return rows
+    return _reports(points)
 
 
 def check_warn_threshold(warn_threshold: float) -> None:
     """Refuse a comparison threshold that is not a finite number >= 0."""
-    if not (math.isfinite(warn_threshold) and warn_threshold >= 0.0):
+    if not (math.isfinite(cf._real(warn_threshold, "warn_threshold")) and warn_threshold >= 0.0):
         raise ValueError(f"warn_threshold must be finite and >= 0, got {warn_threshold}")
 
 

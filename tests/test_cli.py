@@ -226,20 +226,20 @@ def test_numeric_cap_exit_3():
 )
 def test_sweep_point_failure_keeps_exit_code_of_cause(monkeypatch, capsys, error, code):
     # a failed sweep point is reported with its r and exits as its cause would
-    def failing_s_a(sq, cfg):
+    def failing_resolve(sq_a, sq_b, cfg):
         raise error
 
-    monkeypatch.setattr(cf, "s_a_closed", failing_s_a)
+    monkeypatch.setattr(cf, "resolve_cutoff", failing_resolve)
     assert cli.main(["sweep", "--r-min", "0.1", "--r-max", "0.2", "--steps", "2", "--methods", "closed"]) == code
     err = capsys.readouterr().err
     assert "sweep failed at r = 0.1" in err and "stubbed" in err
 
 
 def test_sweep_point_failure_with_unmapped_cause_propagates(monkeypatch):
-    def failing_s_a(sq, cfg):
+    def failing_resolve(sq_a, sq_b, cfg):
         raise KeyError("stubbed")
 
-    monkeypatch.setattr(cf, "s_a_closed", failing_s_a)
+    monkeypatch.setattr(cf, "resolve_cutoff", failing_resolve)
     with pytest.raises(SweepPointError) as info:
         cli.main(["sweep", "--r-min", "0.1", "--r-max", "0.2", "--steps", "2", "--methods", "closed"])
     assert isinstance(info.value.__cause__, KeyError)

@@ -22,13 +22,16 @@ from hawkpair.closed_form import (
     SMOOTH_SCALE,
     ConvergenceError,
     SeriesConfig,
+    _axis_plan,
     _axis_rule,
     _corners,
     _grid,
     _h_derivatives,
     _JOINT_HEAD,
+    _layout,
     _LOG_HEAD,
     _moments,
+    _panel_edges,
     _panel_points,
     _s_ab_head,
     _s_ab_remainder,
@@ -42,6 +45,12 @@ from hawkpair.closed_form import (
 )
 from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
+
+# joint-series axes of decay lengths 4 (term by term), 20 (head path) and 100
+# (Euler-Maclaurin from the first term), at cutoffs 300, 600 and 3000: the
+# helpers below are fed batches that mix all three paths
+MIXED_LX = (-0.25, -0.05, -0.01)
+MIXED_N = (300, 600, 3000)
 
 SECH2_1 = 0.4199743416140261
 SECH2_6 = 2.4576547405332701e-05
@@ -113,6 +122,13 @@ def series_s_ab_grid(r_a, r_b, n_max):
         p = p[p > 0.0]
         total -= float(np.sum(p * np.log2(p)))
     return total
+
+
+def joint_rule(lx, n_max):
+    """_axis_rule of a batch of joint-series axes, with the head each takes,
+    on the slots of the batch's longest layout."""
+    plans = [_axis_plan(v, int(n), _s_ab_head(v)) for v, n in zip(lx, n_max)]
+    return _axis_rule(plans, tuple(map(max, zip(*map(_layout, plans)))))
 
 
 # ------------------------------------------------------------------- blocks
@@ -399,9 +415,9 @@ def test_s_ab_below_smooth_scale_matches_grid_sum(r):
 @pytest.mark.parametrize("r,head", [(1.72, None), (1.74, _JOINT_HEAD)])
 def test_s_ab_around_head_scale_matches_grid_sum(r, head):
     # decay lengths of 7.8 and 8.1 lattice steps: term by term just below
-    # HEAD_SCALE, the head path just above it
+    # HEAD_SCALE (an infinite head), the head path just above it
     sq = make_squeeze(r)
-    assert _s_ab_head(math.log(sq.tanh_r**2)) == head
+    assert _s_ab_head(math.log(sq.tanh_r**2)) == (math.inf if head is None else head)
     n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
     value = s_ab_closed(sq, sq, SeriesConfig(n_max=n_max))
     assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
@@ -473,40 +489,42 @@ def test_s_ab_head_path_error_against_term_by_term(monkeypatch):
 @pytest.mark.parametrize("r,n_max,block_cells", [(2.4, None, None), (3.5, 2000, 4096)])
 def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
     # lx == ly sums the upper triangle of the grid and one strip twice; one ulp
-    # off, the full grid and both strips. r = 2.4 is on the head path, r = 3.5
-    # Euler-Maclaurin from its first term, with row blocks of 31 rows there;
-    # a symmetric grid's row blocks are at most 32 rows, so each grid has
-    # row-block boundaries inside the triangle
+    # off, the full grid and both strips, for the point and the mixed axes in
+    # one batch. r = 2.4 is on the head path, r = 3.5 (128 nodes at N = 2000)
+    # Euler-Maclaurin from its first term, where 4096-cell chunks take one
+    # point per call; a symmetric grid's row blocks are 32 rows, so each grid
+    # has row-block boundaries inside the triangle
     if block_cells is not None:
-        monkeypatch.setattr(closed_form, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(closed_form, "_CHUNK_CELLS", block_cells)
     sq = make_squeeze(r)
     n_max = n_max or resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
-    lx = math.log(sq.tanh_r**2)
-    c_inv = sq.cosh_r**-4
-    nodes = _axis_rule(lx, n_max, _s_ab_head(lx))[0]
-    assert nodes.size > 32
-    ly = float(np.nextafter(lx, -math.inf))
-    assert _s_ab_remainder(lx, lx, c_inv, n_max) == pytest.approx(_s_ab_remainder(lx, ly, c_inv, n_max), rel=1e-14)
+    lx = [math.log(sq.tanh_r**2), *MIXED_LX]
+    n = [n_max, *MIXED_N]
+    c_inv = [sq.cosh_r**-4, 0.5, 0.01, 1e-4]
+    assert joint_rule(lx[:1], n[:1])[0].shape[1] > 32
+    ly = np.nextafter(lx, -math.inf).tolist()
+    np.testing.assert_allclose(_s_ab_remainder(lx, lx, c_inv, n), _s_ab_remainder(lx, ly, c_inv, n), rtol=1e-14)
     value = s_ab_closed(sq, sq, SeriesConfig(n_max=n_max))
     assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
 
 
 def test_symmetric_grid_evaluates_about_half_its_cells(monkeypatch):
-    # r = 4: 194 nodes a side; the triangle, with its diagonal blocks in
-    # full, is 58% of the 194^2 cells, counted at np.log's input
+    # r = 4: 192 nodes a side; the triangle, with its diagonal blocks in
+    # full, is 58% of the 192^2 cells, counted at np.log's input. The mixed
+    # axes share the batch, laid out on the same slots
     sq = make_squeeze(4.0)
     n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
-    u, w = _axis_rule(math.log(sq.tanh_r**2), n_max)[:2]
-    assert u.size == 194
-    c_inv = sq.cosh_r**-4
+    assert joint_rule([math.log(sq.tanh_r**2)], [n_max])[0].shape[1] == 192
+    u, w = joint_rule([math.log(sq.tanh_r**2), *MIXED_LX], [n_max, *MIXED_N])[:2]
+    c_inv = np.append(sq.cosh_r**-4, [0.5, 0.01, 1e-4])
     full = _grid(u + 1.0, w, u + 1.0, w, c_inv, False)
     cells = []
     log = np.log
     monkeypatch.setattr(np, "log", lambda z: cells.append(z.size) or log(z))
     triangle = _grid(u + 1.0, w, u + 1.0, w, c_inv, True)
     monkeypatch.undo()
-    assert sum(cells) <= 0.6 * u.size**2
-    assert triangle == pytest.approx(full, rel=1e-14)
+    assert sum(cells) <= 0.6 * u.size * u.shape[1]
+    np.testing.assert_allclose(triangle, full, rtol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -530,24 +548,26 @@ def test_mixed_partials_match_finite_differences(s, t):
     # D^{i,j} of h((s+1)(t+1)), h(w) = z ln z, z = 1 + w/C, for orders up to
     # 5 on each axis: one-axis orders from _strip, mixed ones from _corners,
     # each against a central difference of the order below it, already checked
-    c_inv = 1.0 / 37.0
+    # (a batch of the point and its mirror image; the checks read the point)
+    c_inv = np.array([1.0 / 37.0, 1.0 / 37.0])
     step = 1e-3
 
     def unit(order):
-        k = np.zeros((1, 6))
-        k[0, order] = 1.0
+        k = np.zeros((2, 1, 6))
+        k[:, 0, order] = 1.0
         return k
 
     def d(i, j, ds=0.0, dt=0.0):
-        u, v = np.array([s + ds]), np.array([t + dt])
+        u, v = np.array([[s + ds], [t + dt]]), np.array([[t + dt], [s + ds]])
         if i == 0:
-            return float(_strip(u + 1.0, v, unit(j), c_inv)[0])
+            return float(_strip(u + 1.0, v, unit(j), c_inv)[0, 0])
         if j == 0:
-            return float(_strip(v + 1.0, u, unit(i), c_inv)[0])
-        return _corners(u, unit(i), v, unit(j), c_inv)
+            return float(_strip(v + 1.0, u, unit(i), c_inv)[0, 0])
+        return float(_corners(u, unit(i), v, unit(j), c_inv)[0])
 
-    assert d(0, 0) == pytest.approx(_h_of_product(s, t, c_inv), rel=1e-14)
-    assert _corners(np.array([s]), unit(0), np.array([t]), unit(0), c_inv) == pytest.approx(d(0, 0), rel=1e-14)
+    assert d(0, 0) == pytest.approx(_h_of_product(s, t, c_inv[0]), rel=1e-14)
+    u, v = np.array([[s], [t]]), np.array([[t], [s]])
+    assert _corners(u, unit(0), v, unit(0), c_inv)[0] == pytest.approx(d(0, 0), rel=1e-14)
     for i in range(6):
         for j in range(6):
             if i:
@@ -565,53 +585,86 @@ def test_h_derivatives_match_closed_form():
     z = np.array([[1.5, 40.0], [1e3, 2.5e6]])
     c_inv = 1.0 / 37.0
     d = _h_derivatives(z, c_inv, 10)
-    assert d.shape == (11, 2, 2)
+    assert d.shape == (2, 2, 11)
     for zi in (1.5, 40.0, 1e3, 2.5e6):
         i = tuple(np.argwhere(z == zi)[0])
         expected = [zi * math.log(zi), (math.log(zi) + 1.0) * c_inv]
         expected += [(-1) ** m * math.factorial(m - 2) * c_inv**m / zi ** (m - 1) for m in range(2, 11)]
-        np.testing.assert_allclose(d[(slice(None),) + i], expected, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(d[i], expected, rtol=1e-14, atol=0.0)
 
 
 def test_axis_rule_end_weights_are_leibniz_sums():
     # for g(n) = e^(a n), f = e^(n lx) g has f^(b) = (lx + a)^b f, so
-    # sum_j k[e, j] a^j = -+e^(end lx) sum_b c_b (lx + a)^b
-    lx, a = -0.02, 0.3
-    _, _, ends, k = _axis_rule(lx, 500)
-    lam = lx + a
-    em = lam / 12.0 - lam**3 / 720.0 + lam**5 / 30240.0
-    np.testing.assert_allclose(k @ a ** np.arange(6), np.array([-1.0, 1.0]) * np.exp(ends * lx) * em, rtol=1e-14)
+    # sum_j k[e, j] a^j = -+e^(end lx) sum_b c_b (lx + a)^b, plus the
+    # trapezoid's e^(end lx) / 2 at each end; batched with the mixed axes,
+    # whose term-by-term one has no end weights
+    lx, a = (-0.02, *MIXED_LX), 0.3
+    _, _, ends, k = joint_rule(lx, (500, *MIXED_N))
+    assert not k[1].any()
+    for row in (0, 2, 3):
+        lam = lx[row] + a
+        em = lam / 12.0 - lam**3 / 720.0 + lam**5 / 30240.0
+        at_ends = np.exp(ends[row] * lx[row])
+        np.testing.assert_allclose(k[row] @ a ** np.arange(6), (np.array([-1.0, 1.0]) * em + 0.5) * at_ends, rtol=1e-14)
 
 
 @pytest.mark.parametrize("decay,n_max", [(32.01, 800), (100.0, 5000), (100.0, 3)])
 def test_axis_rule_sums_geometric_series(decay, n_max):
-    # g = 1: the rule's nodes and zeroth-order end weights sum e^(n lx)
-    lx = -1.0 / decay
-    nodes, weights, ends, k = _axis_rule(lx, n_max)
-    assert ends is not None
-    exact = -math.expm1((n_max + 1) * lx) / -math.expm1(lx)
-    assert float(weights.sum() + k[:, 0].sum()) == pytest.approx(exact, rel=1e-14)
+    # g = 1: each axis' nodes and zeroth-order end weights sum e^(n lx),
+    # the point's and the mixed axes' in one batch
+    lx, n = np.array([-1.0 / decay, *MIXED_LX]), np.array([n_max, *MIXED_N])
+    nodes, weights, ends, k = joint_rule(lx, n)
+    assert k[0].any()
+    exact = -np.expm1((n + 1.0) * lx) / -np.expm1(lx)
+    np.testing.assert_allclose(weights.sum(axis=1) + k[:, :, 0].sum(axis=1), exact, rtol=1e-14)
 
 
 @pytest.mark.parametrize("hi,scale", [(1.0, 275.0), (7000.0, 275.0), (1_515_955.0, 33.6), (5000.0 - 64.0, 64.0)])
 def test_panel_points_match_per_panel_loop(hi, scale):
-    # the broadcast over panels gives the per-panel loop's nodes and weights bit for bit
-    nodes, weights = _panel_points(hi, scale)
+    # the broadcast over panels gives the per-panel loop's nodes and weights
+    # bit for bit, each axis of a batch of all four cases on its own panels
+    # (_panel_edges) and the slots past them, empty panels, weighing 0
+    cases = [(1.0, 275.0), (7000.0, 275.0), (1_515_955.0, 33.6), (5000.0 - 64.0, 64.0)]
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
-    edges = [0.0]
-    width, pos = max(scale, 1.0), 0.0
-    while pos + width < hi:
-        pos += width
-        edges.append(pos)
-        width *= 2.0
-    edges.append(hi)
-    pts, wts = [], []
-    for lo, up in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (up - lo)
-        pts.append(half * (gl_nodes + 1.0) + lo)
-        wts.append(half * gl_weights)
-    assert np.array_equal(nodes, np.concatenate(pts))
-    assert np.array_equal(weights, np.concatenate(wts))
+
+    def loop(hi, scale):
+        edges = [0.0]
+        width, pos = max(scale, 1.0), 0.0
+        while pos + width < hi:
+            pos += width
+            edges.append(pos)
+            width *= 2.0
+        edges.append(hi)
+        pts, wts = [], []
+        for lo, up in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (up - lo)
+            pts.append(half * (gl_nodes + 1.0) + lo)
+            wts.append(half * gl_weights)
+        return np.concatenate(pts), np.concatenate(wts)
+
+    edges = [_panel_edges(h, w) for h, w in cases]
+    count = max(map(len, edges))
+    nodes, weights = _panel_points(np.array([e + e[-1:] * (count - len(e)) for e in edges]))
+    row = cases.index((hi, scale))
+    want_nodes, want_weights = loop(hi, scale)
+    assert np.array_equal(nodes[row, : want_nodes.size], want_nodes)
+    assert np.array_equal(weights[row, : want_weights.size], want_weights)
+    assert not weights[row, want_weights.size :].any()
+
+
+def test_closed_form_values_do_not_depend_on_the_batch():
+    # one call over points on every per-axis path, symmetric and not, at
+    # resolved and explicit cutoffs, gives each point exactly what it gets
+    # alone: each batch shares one node layout and no sum spans two points
+    rs = [0.0, 1e-160] + [0.05 + 5.5 * k / 96 for k in range(97)]
+    cfg = SeriesConfig(tail_tol=1e-10)
+    marginals = [(make_squeeze(r), resolve_cutoff(make_squeeze(r), make_squeeze(r), cfg)) for r in rs]
+    marginals += [(sq, n) for sq, _ in marginals[::7] for n in (1, 31, 33, 200, 5000)]
+    joints = [(sq, sq, n) for sq, n in marginals]
+    joints += [(a, b, max(n, m)) for (a, n), (b, m) in zip(marginals[::3], marginals[5::3])]
+    s, s_ab = closed_form.closed_form(marginals, joints)
+    assert s == [closed_form.closed_form([point], [])[0][0] for point in marginals]
+    assert s_ab == [closed_form.closed_form([], [point])[1][0] for point in joints]
 
 
 def test_s_ab_closed_needs_no_sympy():

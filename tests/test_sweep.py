@@ -4,13 +4,14 @@ import io
 import json
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from hawkpair import closed_form as cf
 from hawkpair.closed_form import ConvergenceError, SeriesConfig
-from hawkpair.kinematics import ModeSpec, make_squeeze
+from hawkpair.kinematics import ModeSpec, make_squeeze, mass_from_squeezing
 from hawkpair.sweep import (
     CSV_HEADER,
     NUMERIC_CAP,
@@ -18,6 +19,7 @@ from hawkpair.sweep import (
     NumericCapError,
     SweepConfig,
     SweepPointError,
+    check_warn_threshold,
     compare_closed_vs_numeric,
     csv_lines,
     emit_rows,
@@ -92,7 +94,7 @@ def test_run_point_checks_numeric_cap_before_series(monkeypatch):
     def no_series(*args):
         raise AssertionError("series summed before the numeric cap check")
 
-    for name in ("s_a_closed", "s_b_closed", "s_ab_closed"):
+    for name in ("closed_form", "s_a_closed", "s_b_closed", "s_ab_closed"):
         monkeypatch.setattr(cf, name, no_series)
     with pytest.raises(NumericCapError):
         run_point(r_a=1.0, r_b=0.5, cutoff=SeriesConfig(n_max=NUMERIC_CAP + 1))
@@ -205,14 +207,14 @@ class _TwoArgumentError(Exception):
 def test_sweep_failure_keeps_cause_with_other_constructor(monkeypatch):
     # the point error wraps the original instead of rebuilding its type from a message
     original = _TwoArgumentError(7, "stubbed failure")
-    s_a_closed = cf.s_a_closed
+    resolve = cf.resolve_cutoff
 
-    def failing_s_a(sq, cfg):
-        if sq.r > 0.5:
+    def failing_resolve(sq_a, sq_b, cfg):
+        if sq_a.r > 0.5:
             raise original
-        return s_a_closed(sq, cfg)
+        return resolve(sq_a, sq_b, cfg)
 
-    monkeypatch.setattr(cf, "s_a_closed", failing_s_a)
+    monkeypatch.setattr(cf, "resolve_cutoff", failing_resolve)
     with pytest.raises(SweepPointError, match=r"sweep failed at r = 1\.0 .*7: stubbed failure") as info:
         run_sweep(SweepConfig(r_min=0.0, r_max=1.0, steps=3, methods=("closed",)))
     assert info.value.__cause__ is original
@@ -235,6 +237,39 @@ def test_sweep_config_validation():
             SweepConfig(steps=3, **bounds)
 
 
+REAL_FIELDS = {
+    "SweepConfig.r_min": ("r_min", lambda bad: SweepConfig(r_min=bad, r_max=1.0, steps=3)),
+    "SweepConfig.r_max": ("r_max", lambda bad: SweepConfig(r_min=0.0, r_max=bad, steps=3)),
+    "SweepConfig.omega_ratio": ("omega_ratio", lambda bad: SweepConfig(r_min=0.0, r_max=1.0, steps=3, omega_ratio=bad)),
+    "ModeSpec.mass": ("mass", lambda bad: ModeSpec(mass=bad, omega=1.0)),
+    "ModeSpec.omega": ("omega", lambda bad: ModeSpec(mass=1.0, omega=bad)),
+    "make_squeeze.r": ("r", make_squeeze),
+    "mass_from_squeezing.r": ("r", lambda bad: mass_from_squeezing(bad, 1.0)),
+    "mass_from_squeezing.omega": ("omega", lambda bad: mass_from_squeezing(0.5, bad)),
+    "run_point.r_a": ("r_a", lambda bad: run_point(r_a=bad)),
+    "run_point.r_b": ("r_b", lambda bad: run_point(r_a=0.5, r_b=bad)),
+    "SeriesConfig.tail_tol": ("tail_tol", lambda bad: SeriesConfig(tail_tol=bad)),
+    "check_warn_threshold": ("warn_threshold", check_warn_threshold),
+}
+
+
+@pytest.mark.parametrize("where", REAL_FIELDS)
+@pytest.mark.parametrize("bad", ["1", True, np.bool_(False)], ids=["str", "bool", "numpy-bool"])
+def test_real_fields_refuse_other_types_by_name(where, bad):
+    # a string or a bool is no real number: refused naming the field, not a bare TypeError
+    field, build = REAL_FIELDS[where]
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(bad))}$"):
+        build(bad)
+
+
+def test_real_fields_keep_numpy_floats_as_python_floats():
+    cfg = SweepConfig(r_min=np.float64(0.0), r_max=np.float32(1.0), steps=3, omega_ratio=np.int64(2))
+    mode = ModeSpec(mass=np.float32(0.5), omega=np.float64(1.0))
+    values = (cfg.r_min, cfg.r_max, cfg.omega_ratio, mode.mass, mode.omega, SeriesConfig(tail_tol=np.float64(1e-9)).tail_tol)
+    assert all(type(v) is float for v in values)
+    assert values == (0.0, 1.0, 2.0, 0.5, 1.0, 1e-9)
+
+
 def test_sweep_config_steps_must_be_an_integer():
     cfg = SweepConfig(r_min=0.0, r_max=1.0, steps=np.int64(3))
     assert cfg.steps == 3 and type(cfg.steps) is int
@@ -244,22 +279,41 @@ def test_sweep_config_steps_must_be_an_integer():
 
 
 def test_symmetric_point_sums_marginal_series_once(monkeypatch):
-    # s_b is s_a when both sides have the same squeezing; an asymmetric
-    # point still sums Bob's series
+    # s_b is s_a when both sides have the same squeezing, so a symmetric
+    # sweep sums one marginal series per point, all in one closed_form call;
+    # an asymmetric point still sums Bob's series
     calls = []
-    s_b_closed = cf.s_b_closed
+    closed_form = cf.closed_form
 
-    def counted(sq, cfg):
-        calls.append(sq.r)
-        return s_b_closed(sq, cfg)
+    def counted(marginals, joints):
+        calls.append([sq.r for sq, _ in marginals])
+        return closed_form(marginals, joints)
 
-    monkeypatch.setattr(cf, "s_b_closed", counted)
+    monkeypatch.setattr(cf, "closed_form", counted)
     rows = run_sweep(SweepConfig(r_min=0.0, r_max=3.0, steps=4, methods=("closed",)))
-    assert calls == []
+    assert calls == [[0.0, 1.0, 2.0, 3.0]]
     assert all(row.s_b_closed == row.s_a_closed for row in rows)
+    calls.clear()
     asym = run_point(r_a=1.0, r_b=0.5, methods=("closed",))
-    assert calls == [0.5]
-    assert asym.s_b_closed == s_b_closed(make_squeeze(0.5), SeriesConfig(tail_tol=1e-10))
+    assert calls == [[1.0, 0.5]]
+    assert asym.s_b_closed == cf.s_b_closed(make_squeeze(0.5), SeriesConfig(tail_tol=1e-10))
+
+
+@pytest.mark.parametrize("r_min", [0.0, 1e-160])
+@pytest.mark.parametrize("omega_ratio", [1.0, 2.0, 0.5])
+@pytest.mark.parametrize("n_max", [None, 1, 20, 40, 100, 5000])
+def test_sweep_rows_do_not_depend_on_the_batch(r_min, omega_ratio, n_max):
+    # the closed forms of a sweep are summed in one batch; each row must be
+    # exactly what its point gives alone. r in [0, 4.5] crosses the
+    # term-by-term, head and Euler-Maclaurin axes; tanh^2 r underflows to 0
+    # at r = 0 and r = 1e-160
+    cutoff = SeriesConfig(tail_tol=1e-10) if n_max is None else SeriesConfig(n_max=n_max)
+    rows = run_sweep(SweepConfig(r_min=r_min, r_max=4.5, steps=31, omega_ratio=omega_ratio, cutoff=cutoff, methods=("closed",)))
+    assert rows[0].r_a == r_min
+    for row in rows:
+        alone = run_point(r_a=row.r_a, r_b=row.r_b, cutoff=cutoff, methods=("closed",))
+        for field in fields(EntanglementReport):
+            assert getattr(row, field.name) == getattr(alone, field.name), (row.r_a, field.name)
 
 
 @pytest.mark.parametrize("r_a,r_b,resolves", [(2.0, 2.0, 1), (1.0, 0.5, 2), (0.5, 1.0, 2)])
