@@ -18,20 +18,20 @@ z = 1 + (n+1)(q+1)/C: the linear part weights P by n, q and 1, whose sums are
 closed-form geometric moments, so only sum x^n y^q z ln z is summed
 numerically. Each axis of that sum is chosen by its decay length
 1/(-ln x), in lattice steps: below HEAD_SCALE = 8 it is summed term by term,
-up to where x^n falls below 2^-60; from SMOOTH_SCALE = 32 on the summand is
-smooth on the lattice and the axis is summed by Euler-Maclaurin with
-Gauss-Legendre panel quadrature and end corrections through fifth order (the
-B2/2!, B4/4! and B6/6! terms); in between, the first _JOINT_HEAD = 32 terms
-are added one by one and the rest is summed by Euler-Maclaurin, its panels
-starting 32 wide. All three paths share one rule: weighted nodes plus end
-weights on the derivatives at the two ends of the Euler-Maclaurin range
-(zero on a term-by-term axis), with the factor x^n and the trapezoid end
-values folded in. The double sum is then a grid of nodes, one strip of end
-corrections per axis and four corners, with the derivatives of z ln z written
-out by hand. The resolved cutoff reaches 1e5..1e6 in the large-r regime;
-only Euler-Maclaurin axes see it, so the cost per point stays bounded. When
-both axes have the same x the grid is symmetric and only its upper triangle
-is evaluated, in row blocks of 32 rows.
+up to where x^n falls below 2^-60; from SMOOTH_SCALE = 64 on the summand is
+smooth on the lattice and the axis is summed by Euler-Maclaurin from its
+first term; in between, the first _JOINT_HEAD = 32 terms are added one by one
+and the rest is summed by Euler-Maclaurin, its panels starting 32 wide.
+Euler-Maclaurin over n = h..N is Gauss-Legendre panel quadrature plus
+Gregory's end correction, which stands for the Bernoulli-number derivative
+terms by fixed weights on the lattice nodes h..h+14 and N-14..N; an axis
+with fewer than 30 terms past its head is summed term by term. So every
+axis is plain nodes and weights, with the factor x^n folded into the weights,
+and the double sum is one weighted grid of the two axes' nodes. The resolved
+cutoff reaches 1e5..1e6 in the large-r regime; only Euler-Maclaurin axes see
+it, so the cost per point stays bounded. When both axes have the same x the
+grid is symmetric and only its upper triangle is evaluated, in row blocks of
+32 rows.
 
 The marginal series takes the same split, log2 p_n = n l2x - l2c2 and
 log2 p'_n = log2(n+1) + n l2x - 2 l2c2, so only the log moment
@@ -67,19 +67,19 @@ if TYPE_CHECKING:
 # 1e-10 tail tolerance still resolves at r = 6 (N ~ 1.52e6 there)
 HARD_SERIES_CAP = 4_000_000
 # decay length 1/(-ln tanh^2 r), in lattice steps, from which an axis of the
-# joint series is summed by Euler-Maclaurin (end corrections through fifth
-# order) from its first term on, and the marginal log moment by
-# Euler-Maclaurin after its head instead of term by term. Over decay lengths
-# 32..128, the other axis' from 1 to 0.05 times as long, the joint series
-# stays within 1.45e-14 relative of its term-by-term sum (worst at 32); with
-# no head it would be off by 2.1e-14 at 30 and by 3.2e-13 at 20
-SMOOTH_SCALE = 32.0
+# joint series is summed by Euler-Maclaurin from its first term on, and the
+# marginal log moment by Euler-Maclaurin after its head instead of term by
+# term. Over decay lengths 64..256, the other axis' from 1 to 0.05 times as
+# long, the joint series stays within 3.3e-16 relative of its term-by-term
+# sum (worst at 64); with no head it would be off by 1.0e-15 at 56, by
+# 1.3e-13 at 32 and by 1.5e-9 at 8
+SMOOTH_SCALE = 64.0
 # decay length from which a joint-series axis under SMOOTH_SCALE adds its
 # first _JOINT_HEAD terms one by one and sums the rest by Euler-Maclaurin
-# instead of term by term. Over decay lengths 8..32, the other axis' from 1
-# to 0.05 times as long, the joint series stays within 5.4e-16 relative of
-# its term-by-term sum (worst at 8). Near 8 both rules cost about the same
-# per point; below it term by term is the cheaper one
+# instead of term by term. Over decay lengths 8..64, the other axis' from 1
+# to 0.05 times as long, the joint series stays within 1.7e-16 relative of
+# its term-by-term sum. Near 8 both rules cost about the same per point;
+# below it term by term is the cheaper one
 HEAD_SCALE = 8.0
 # terms of the joint remainder added one by one on a head-path axis: past
 # them the singular point of z ln z, at n = -1 - C/(q+1), is at least 33
@@ -91,9 +91,9 @@ _LOG_HEAD = 64
 # a term-by-term axis stops where its weight falls below 2^-60 of the first
 _CLIP_BITS = 60
 # floats in one temporary: 64 KiB. The node grid holds two at a time (z and
-# z ln z); at 128 KiB together they fit in the free space glibc keeps at the
-# top of its heap, so their pages are reused instead of faulted in afresh for
-# every row block (at 120 KiB each, one (4, 3) point took 78 faults)
+# z ln z). Their pages are not all reused: glibc trims the top of its heap
+# when a batch's temporaries are freed, so a fig3 pass takes 50 to 140 minor
+# page faults (none with glibc's trim threshold raised to 64 MiB)
 _CHUNK_CELLS = 1 << 13
 
 _LN2 = math.log(2.0)
@@ -306,28 +306,29 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL_SPANS = _GL_NODES + 1.0
 # nodes per panel, and the granule of the term slots of _layout
 _PAD = _GL_NODES.size
-
-# Euler-Maclaurin end corrections B_2k/(2k)! (f^(b)(N) - f^(b)(h)), b = 2k - 1
-_EM_TERMS = ((1, 1.0 / 12.0), (3, -1.0 / 720.0), (5, 1.0 / 30240.0))
-_EM_ORDER = 5
-_ORDERS = np.arange(_EM_ORDER + 1)
+# lattice nodes at each end of an Euler-Maclaurin range that carry its end
+# correction: Gregory's, exact for polynomials of degree _STENCIL - 1
+_STENCIL = 15
 
 
-def _em_poly() -> np.ndarray:
-    """P[j, p] with sum_b c_b C(b, j) lx^(b-j) = sum_p P[j, p] lx^p over the _EM_TERMS."""
-    poly = np.zeros((_EM_ORDER + 1, _EM_ORDER + 1))
-    for b, c in _EM_TERMS:
-        for j in range(b + 1):
-            poly[j, b - j] = c * math.comb(b, j)
-    return poly
+def _end_weights() -> np.ndarray:
+    """Gregory's end weights w_i, i = 0.._STENCIL-1, with which
+    sum_{n=h..N} f(n) = int_h^N f + sum_i w_i (f(h+i) + f(N-i)):
+    w_i = [i=0]/2 + sum_{k=max(i,1)}^{_STENCIL-1} G_{k+1} (-1)^(k-i) C(k, i),
+    where G_k are the coefficients of x / ln(1+x), the reciprocal of
+    sum_j (-1)^j x^j / (j+1). They stand for the Euler-Maclaurin end
+    functional f(h)/2 - sum_k B_2k/(2k)! f^(2k-1)(h) by values at lattice
+    points, exactly for polynomials of degree _STENCIL - 1."""
+    g = [1.0]
+    for n in range(1, _STENCIL + 1):
+        g.append(-sum((-1) ** j / (j + 1) * g[n - j] for j in range(1, n + 1)))
+    return np.array([
+        0.5 * (i == 0) + sum(g[k + 1] * (-1) ** (k - i) * math.comb(k, i) for k in range(max(i, 1), _STENCIL))
+        for i in range(_STENCIL)
+    ])
 
 
-_EM_POLY = _em_poly()
-# k[e, j] = e^(end_e lx) (sign_e poly_j + trapezoid_j): -+ at h and N, 1/2 at j = 0
-_END_SIGNS = np.array([[-1.0], [1.0]])
-_TRAPEZOID = np.eye(1, _EM_ORDER + 1)[0] / 2.0
-# _h_derivatives' running-product factors for orders m = 2..2*_EM_ORDER: 1, then -(m-2)
-_H_STEPS = np.concatenate(([1.0], -np.arange(1.0, 2 * _EM_ORDER - 1)))
+_END_WEIGHTS = _end_weights()
 
 
 def _batches(keys, cells):
@@ -355,13 +356,14 @@ def _axis_plan(lx: float, n_max: int, head: float) -> tuple:
     that axis has the one node n = 0, of weight x^0 = 1 for any finite lx.
 
     A head of inf sums the axis term by term, up to where e^(n lx) falls
-    below 2^-60; a head past N adds all N + 1 terms. The panels start at the
-    head's length, or at the decay length 1/(-lx) when there is no head.
+    below 2^-60; fewer than 2 _STENCIL terms past the head add all N + 1
+    terms. The panels start at the head's length, or at the decay length
+    1/(-lx) when there is no head.
     """
     finite = lx if lx > -math.inf else 0.0
     if head == math.inf:
         return finite, n_max, 0.0, min(n_max, math.ceil(_CLIP_BITS * _LN2 / -lx)) + 1, ()
-    if head > n_max:
+    if n_max + 1 - head < 2 * _STENCIL:
         return finite, n_max, 0.0, n_max + 1, ()
     return lx, n_max, head, head, _panel_edges(n_max - head, head or (-1.0 / lx if lx < 0.0 else math.inf))
 
@@ -405,92 +407,60 @@ def _panel_points(edges: np.ndarray) -> tuple:
 
 def _axis_rule(plans, layout: tuple):
     """Linear functionals that sum f(n) = e^(n lx) g(n) over n = 0..N along
-    each axis of a batch (its _axis_plan's), as stacked
-    (nodes, weights, ends, k), standing for
-    weights @ g(nodes) + sum_{e,j} k[e, j] g^(j)(ends[e]); the weights carry
-    the factor e^(n lx). The nodes are laid out on layout's slots, at least
-    any axis' own: its term slots, then its panel slots, where an axis'
-    unused slots weigh 0.
+    each axis of a batch (its _axis_plan's), as stacked (nodes, weights),
+    standing for weights @ g(nodes); the weights carry the factor e^(n lx).
+    The nodes are laid out on layout's slots, at least any axis' own: its
+    term slots, then, with panels, the 2 _STENCIL end nodes and the panel
+    slots, where an axis' unused slots weigh 0.
 
-    Euler-Maclaurin over n = h..N is
-    sum f = int_h^N f + (f(h)+f(N))/2 + sum_b c_b (f^(b)(N) - f^(b)(h)) over
-    the _EM_TERMS, with the integral on the Gauss-Legendre panels. With
-    f^(b) = e^(n lx) sum_j C(b, j) lx^(b-j) g^(j),
-    k[e, j] = -+e^(end_e lx) sum_p _EM_POLY[j, p] lx^p, and k[e, 0] also
-    carries the trapezoid's e^(end_e lx) / 2. An axis without
-    Euler-Maclaurin has zero k. The callers pick the head by the decay
-    length: _s_ab_head and _log_moment.
+    Euler-Maclaurin over n = h..N is the integral on the Gauss-Legendre
+    panels plus Gregory's end correction (_END_WEIGHTS) on the lattice nodes
+    h..h+14 and N-14..N. An axis without Euler-Maclaurin has zero end
+    weights. The callers pick the head by the decay length: _s_ab_head and
+    _log_moment.
     """
     table = np.array([plan[:4] for plan in plans], dtype=float)
-    lx, start, terms = table[:, 0], table[:, 2], table[:, 3]
+    lx, last, start, terms = table.T
     slots, count = layout
     nodes = np.repeat(np.arange(slots, dtype=float)[None], len(plans), axis=0)
+    if count:
+        # an axis' panels past its own are empty: its last edge repeated
+        edges = np.array([plan[4] + (plan[4] or (0.0,))[-1:] * (count + 1 - len(plan[4])) for plan in plans])
+        points, scales = _panel_points(edges)
+        steps = np.arange(_STENCIL, dtype=float)
+        ends = np.concatenate((start[:, None] + steps, last[:, None] - steps), axis=1)
+        nodes = np.concatenate((nodes, ends, points + start[:, None]), axis=1)
     weights = np.exp(nodes * lx[:, None])
     if min(plan[3] for plan in plans) < slots:
-        weights *= nodes < terms[:, None]
-    if not count:
-        return nodes, weights, np.zeros((len(plans), 2)), np.zeros((len(plans), 2, _EM_ORDER + 1))
-    # an axis' panels past its own are empty: its last edge repeated
-    edges = np.array([plan[4] + (plan[4] or (0.0,))[-1:] * (count + 1 - len(plan[4])) for plan in plans])
-    points, scales = _panel_points(edges)
-    points += start[:, None]
-    ends = table[:, [2, 1]]
-    at_ends = np.exp(ends * lx[:, None])
-    poly = (lx[:, None, None] ** _ORDERS @ _EM_POLY.T)[:, 0, :]
-    k = at_ends[..., None] * (poly[:, None, :] * _END_SIGNS + _TRAPEZOID)
-    if not all(plan[4] for plan in plans):
-        k[[not plan[4] for plan in plans]] = 0.0
-    weights = np.concatenate((weights, np.exp(points * lx[:, None]) * scales), axis=1)
-    return np.concatenate((nodes, points), axis=1), weights, ends, k
+        weights[:, :slots] *= nodes[:, :slots] < terms[:, None]
+    if count:
+        em = np.array([bool(plan[4]) for plan in plans])[:, None]
+        weights[:, slots:] *= np.concatenate((np.tile(_END_WEIGHTS, 2) * em, scales), axis=1)
+    return nodes, weights
 
 
-def _h_derivatives(z: np.ndarray, c_inv, top: int) -> np.ndarray:
-    """h^(m), m = 0..top (top >= 2), of h(w) = z ln z with z = 1 + w/C, given
-    z, stacked along a new last axis: h' = (ln z + 1)/C and, for m >= 2,
-    h^(m) = (-1)^m (m-2)! / (C^m z^(m-1)), the running product of
-    h'' = 1/(C^2 z) and the factors -(m-2)/(C z). With c_inv * u in place of
-    c_inv (u may be an array) they come out as u^m h^(m)."""
-    ln_z = np.log(z)
-    factors = (c_inv / z)[..., None] * _H_STEPS[: top - 1]
-    factors[..., 0] *= c_inv
-    return np.concatenate(((z * ln_z)[..., None], ((ln_z + 1.0) * c_inv)[..., None], factors.cumprod(axis=-1)), axis=-1)
+def _width(layout: tuple) -> int:
+    """Nodes of an axis on layout: its term slots, and with panels, the end
+    nodes and the panel slots."""
+    slots, panels = layout
+    return slots + (2 * _STENCIL + _PAD * panels if panels else 0)
 
 
 def _log_moment(lx, n_max) -> np.ndarray:
     """Per point, sum_{n=0..N} (n+1) x^n ln(n+1), with lx = ln x (-inf allowed).
 
     ln(n+1) varies on the scale n itself, so a smooth axis adds its first
-    _LOG_HEAD terms one by one before Euler-Maclaurin takes over. The end
-    corrections need g^(j) of g(n) = (n+1) ln(n+1), which is _h_derivatives'
-    h^(j) at z = n+1 with C = 1. Points are batched by their layouts.
+    _LOG_HEAD terms one by one before Euler-Maclaurin takes over. Points are
+    batched by their layouts.
     """
     plans = [_axis_plan(v, n, math.inf if v * SMOOTH_SCALE < -1.0 else _LOG_HEAD) for v, n in zip(lx, n_max)]
     layouts = [_layout(plan, coarse=True) for plan in plans]
     total = np.empty(len(plans))
-    for idx in _batches(layouts, lambda layout: layout[0] + _PAD * layout[1]):
-        layout = layouts[idx[0]]
-        nodes, weights, ends, k = _axis_rule([plans[i] for i in idx], layout)
+    for idx in _batches(layouts, _width):
+        nodes, weights = _axis_rule([plans[i] for i in idx], layouts[idx[0]])
         z = nodes + 1.0
         total[idx] = _dot(weights, z * np.log(z))
-        if layout[1]:
-            total[idx] += (k * _h_derivatives(ends + 1.0, 1.0, _EM_ORDER)).reshape(idx.size, -1).sum(axis=-1)
     return total
-
-
-def _corner_table() -> np.ndarray:
-    """T[i, j, m] with u^i v^j d^i/du^i d^j/dv^j h(uv) = sum_m T[i, j, m] (uv)^m h^(m)(uv):
-    each k = 0..min(i, j) adds C(i, k) j!/(j-k)! at m = i + j - k."""
-    table = np.zeros((_EM_ORDER + 1, _EM_ORDER + 1, 2 * _EM_ORDER + 1))
-    for i in range(_EM_ORDER + 1):
-        for j in range(_EM_ORDER + 1):
-            for k in range(min(i, j) + 1):
-                table[i, j, i + j - k] += math.comb(i, k) * math.perm(j, k)
-    return table
-
-
-_CORNER_TABLE = _corner_table()
-# floats per point in _corners' largest temporary
-_CORNER_CELLS = 4 * (_EM_ORDER + 1) ** 2
 
 
 def _grid(u: np.ndarray, wu: np.ndarray, v: np.ndarray, wv: np.ndarray, c_inv: np.ndarray, symmetric: bool) -> np.ndarray:
@@ -499,7 +469,7 @@ def _grid(u: np.ndarray, wu: np.ndarray, v: np.ndarray, wv: np.ndarray, c_inv: n
     within _CHUNK_CELLS. A symmetric grid (u = v, wu = wv) is summed over its
     upper triangle: each row block's diagonal block once, the columns right
     of it twice. Its row blocks are one Gauss-Legendre panel (32 rows) tall,
-    so at 192 nodes a side 58% of the cells are evaluated."""
+    so at 222 nodes a side 57% of the cells are evaluated."""
     points, width = v.shape
     cv = v * c_inv[:, None]
     rows = _PAD if symmetric else max(1, _CHUNK_CELLS // width)
@@ -521,33 +491,6 @@ def _grid(u: np.ndarray, wu: np.ndarray, v: np.ndarray, wv: np.ndarray, c_inv: n
     return _dot(wu, row_sums[..., 0])
 
 
-def _strip(u: np.ndarray, ends: np.ndarray, k: np.ndarray, c_inv: np.ndarray) -> np.ndarray:
-    """One axis' end corrections applied to h(uv) at each node u of the other,
-    per point: sum_{e,j} k[e, j] u^j h^(j)(u v_e) with v_e = ends + 1, since
-    d^j/dv^j h(uv) = u^j h^(j)(uv). Taken as many points at a time as keep
-    the derivatives within _CHUNK_CELLS."""
-    out = np.empty(u.shape)
-    step = max(1, _CHUNK_CELLS // (k[0].size * u.shape[1]))
-    for p in range(0, len(u), step):
-        q = slice(p, p + step)
-        cu = (c_inv[q, None] * u[q])[..., None]
-        d = _h_derivatives(1.0 + cu * (ends[q, None, :] + 1.0), cu, _EM_ORDER)
-        out[q] = (d.reshape(d.shape[:2] + (-1,)) @ k[q].reshape(len(d), -1, 1))[..., 0]
-    return out
-
-
-def _corners(s_ends: np.ndarray, kx: np.ndarray, t_ends: np.ndarray, ky: np.ndarray, c_inv: np.ndarray) -> np.ndarray:
-    """Both axes' end corrections together, per point: sum kx[a, i] ky[b, j]
-    D^{i,j} h(uv) at the corners (u_a, v_b) = (s_ends + 1, t_ends + 1), from
-    _CORNER_TABLE."""
-    u, v = s_ends + 1.0, t_ends + 1.0
-    cw = c_inv[:, None, None] * (u[:, :, None] * v[:, None, :])
-    h = _h_derivatives(1.0 + cw, cw, 2 * _EM_ORDER)
-    mixed = (h @ _CORNER_TABLE.reshape(-1, h.shape[-1]).T).reshape(h.shape[:-1] + _CORNER_TABLE.shape[:2])
-    weights = (kx / u[..., None] ** _ORDERS)[:, :, None, :, None] * (ky / v[..., None] ** _ORDERS)[:, None, :, None, :]
-    return (weights * mixed).reshape(u.shape[0], -1).sum(axis=-1)
-
-
 def _s_ab_head(lx: float) -> float:
     """_axis_plan's head for a joint-series axis by its decay length 1/(-lx):
     term by term (inf) under HEAD_SCALE, _JOINT_HEAD terms under
@@ -561,31 +504,19 @@ def _s_ab_remainder(lx, ly, c_inv, n_max) -> np.ndarray:
     """Per point, sum_{n,q=0..N} x^n y^q z ln z with z = 1 + (n+1)(q+1)/C.
 
     lx, ly are ln x, ln y (-inf allowed), per point. With each axis'
-    _axis_rule (nodes, weights and end corrections), the double sum is the
-    grid of nodes, one strip per axis with end corrections (that axis'
-    corrections at the other's nodes) and the corners where both apply; an
-    axis without Euler-Maclaurin has no strip. When lx == ly the grid is
-    symmetric and the two strips are equal. Points are batched by their
-    axes' layouts and symmetry.
+    _axis_rule, the double sum is the weighted grid of their nodes, which is
+    symmetric when lx == ly. Points are batched by their axes' layouts and
+    symmetry.
     """
     x_plans = [_axis_plan(a, n, _s_ab_head(a)) for a, n in zip(lx, n_max)]
     y_plans = [plan if a == b else _axis_plan(b, n, _s_ab_head(b)) for plan, a, b, n in zip(x_plans, lx, ly, n_max)]
     keys = [(_layout(px), _layout(py), a == b) for px, py, a, b in zip(x_plans, y_plans, lx, ly)]
     c_inv = np.asarray(c_inv, dtype=float)
     total = np.empty(len(keys))
-    for idx in _batches(keys, lambda key: max(_CORNER_CELLS, *(slots + _PAD * panels for slots, panels in key[:2]))):
+    for idx in _batches(keys, lambda key: max(_width(key[0]), _width(key[1]))):
         layout_x, layout_y, sym = keys[idx[0]]
-        s, ws, s_ends, kx = _axis_rule([x_plans[i] for i in idx], layout_x)
-        t, wt, t_ends, ky = (s, ws, s_ends, kx) if sym else _axis_rule([y_plans[i] for i in idx], layout_y)
-        c = c_inv[idx]
+        s, ws = _axis_rule([x_plans[i] for i in idx], layout_x)
+        t, wt = (s, ws) if sym else _axis_rule([y_plans[i] for i in idx], layout_y)
         u = s + 1.0
-        v = u if sym else t + 1.0
-        part = _grid(u, ws, v, wt, c, sym)
-        if layout_y[1]:
-            part += _dot(ws, _strip(u, t_ends, ky, c)) * (2.0 if sym else 1.0)
-        if layout_x[1] and not sym:
-            part += _dot(wt, _strip(v, s_ends, kx, c))
-        if layout_x[1] and layout_y[1]:
-            part += _corners(s_ends, kx, t_ends, ky, c)
-        total[idx] = part
+        total[idx] = _grid(u, ws, u if sym else t + 1.0, wt, c_inv[idx], sym)
     return total

@@ -107,7 +107,7 @@ def test_compare_reports_differences():
     res = run_cli("compare", "--r", "0.2")
     assert res.returncode == 0
     payload = json.loads(res.stdout)
-    assert set(payload) == {"n_max", "diff_e_n", "diff_s_a", "diff_s_ab", "diff_i", "warnings"}
+    assert set(payload) == {"n_max", "diff_e_n", "diff_s_a", "diff_s_b", "diff_s_ab", "diff_i", "warnings"}
     # exact PT negativity sits ~0.11 below the single-block value at r = 0.2
     assert 0.05 < payload["diff_e_n"] < 0.2
     assert any("per-block" in w for w in payload["warnings"])

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,9 +25,8 @@ from hawkpair.closed_form import (
     SeriesConfig,
     _axis_plan,
     _axis_rule,
-    _corners,
+    _END_WEIGHTS,
     _grid,
-    _h_derivatives,
     _JOINT_HEAD,
     _layout,
     _LOG_HEAD,
@@ -35,7 +35,7 @@ from hawkpair.closed_form import (
     _panel_points,
     _s_ab_head,
     _s_ab_remainder,
-    _strip,
+    _STENCIL,
     e_n_paper,
     mutual_info_closed,
     resolve_cutoff,
@@ -253,23 +253,23 @@ def test_numpy_marginal_sum_matches_loop_oracle():
         assert series_s_a_sum(r, n_max) == pytest.approx(series_s_a_oracle(r, n_max), rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("r", [0.05, 2.4, 2.45, 2.7, 2.77, 2.85, 4.0, 5.25, 6.0])
+@pytest.mark.parametrize("r", [0.05, 2.4, 2.45, 2.7, 2.77, 2.78, 2.85, 4.0, 5.25, 6.0])
 def test_s_a_closed_matches_plain_sum_at_resolved_cutoff(r):
-    # decay lengths 1/(-ln tanh^2 r) of 30.4 (r = 2.4: term by term) and of
-    # 33.6 and up (Euler-Maclaurin after a head of _LOG_HEAD terms)
+    # decay lengths 1/(-ln tanh^2 r) up to 63.7 (r = 2.77: term by term) and
+    # of 65.0 and up (Euler-Maclaurin after a head of _LOG_HEAD terms)
     sq = make_squeeze(r)
     cfg = SeriesConfig(tail_tol=1e-10)
     assert s_a_closed(sq, cfg) == pytest.approx(series_s_a_sum(r, resolve_cutoff(sq, sq, cfg)), rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n_max", [1, 40, 63, 64, 65, 100, 5000])
+@pytest.mark.parametrize("n_max", [1, 40, 63, 64, 65, 92, 93, 100, 5000])
 def test_s_a_closed_matches_plain_sum_around_the_head(n_max):
     # r = 3.5 (decay length 275) is on the Euler-Maclaurin path; a cutoff
-    # under the head of 64 terms is all head, 64 leaves a zero-width
-    # Euler-Maclaurin range
+    # with fewer than 2 _STENCIL terms past the head of 64 (N < 93) is summed
+    # term by term, 93 leaves the two end stencils and no lattice node between
     sq = make_squeeze(3.5)
     assert -math.log(sq.tanh_r**2) * SMOOTH_SCALE < 1.0
-    assert _LOG_HEAD == 64
+    assert _LOG_HEAD + 2 * _STENCIL == 94
     value = s_a_closed(sq, SeriesConfig(n_max=n_max))
     assert value == pytest.approx(series_s_a_sum(3.5, n_max), rel=0.0, abs=1e-12)
 
@@ -358,9 +358,10 @@ def test_s_ab_doubled_cutoff_stable():
 
 def test_smooth_path_matches_direct_on_overlap(monkeypatch):
     # same cutoff evaluated by Euler-Maclaurin (decay lengths 1/(-ln tanh^2 r)
-    # of 33.6 to 150 lattice steps) and, with HEAD_SCALE raised, term by term;
-    # the pairs from (2.5, 2.5) on have a smaller decay length in [32, 64)
-    pairs = [(2.85, 2.85), (3.2, 3.2), (3.2, 2.9), (3.1, 1.0), (2.5, 2.5), (2.65, 2.65), (2.7, 2.5), (3.2, 2.45)]
+    # of 65.0 to 150 lattice steps) and, with HEAD_SCALE raised, term by term;
+    # the pairs from (2.78, 2.78) on have a smaller decay length in [64, 75),
+    # and (3.2, 2.77) pairs one with a head-path axis (63.7)
+    pairs = [(2.85, 2.85), (3.2, 3.2), (3.2, 2.9), (3.1, 1.0), (2.78, 2.78), (2.8, 2.8), (2.85, 2.78), (3.2, 2.77)]
     smooth = {}
     for r_a, r_b in pairs:
         sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
@@ -369,7 +370,7 @@ def test_smooth_path_matches_direct_on_overlap(monkeypatch):
     monkeypatch.setattr(closed_form, "HEAD_SCALE", math.inf)
     for r_a, r_b in pairs:
         direct = s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), SeriesConfig(tail_tol=1e-10))
-        assert smooth[r_a, r_b] == pytest.approx(direct, rel=1e-12, abs=0.0)
+        assert smooth[r_a, r_b] == pytest.approx(direct, rel=1e-15, abs=0.0)
 
 
 def test_grid_oracle_matches_loop_oracle():
@@ -400,9 +401,9 @@ def test_s_ab_short_decay_axis_matches_grid_sum(r_a, r_b, cfg):
     assert s_ab_closed(sq_a, sq_b, cfg) == pytest.approx(series_s_ab_grid(r_a, r_b, n_max), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("r", [2.2, 2.4])
+@pytest.mark.parametrize("r", [2.2, 2.4, 2.77])
 def test_s_ab_below_smooth_scale_matches_grid_sum(r):
-    # decay lengths of 20 and 30.4 lattice steps, between HEAD_SCALE and
+    # decay lengths of 20, 30.4 and 63.7 lattice steps, between HEAD_SCALE and
     # SMOOTH_SCALE: the first _JOINT_HEAD terms one by one, Euler-Maclaurin
     # after them
     sq = make_squeeze(r)
@@ -423,9 +424,9 @@ def test_s_ab_around_head_scale_matches_grid_sum(r, head):
     assert value == pytest.approx(series_s_ab_grid(r, r, n_max), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("r", [2.45, 2.65])
+@pytest.mark.parametrize("r", [2.78, 2.85])
 def test_s_ab_above_smooth_scale_matches_grid_sum(r):
-    # decay lengths of 33.6 and 50 lattice steps, just above SMOOTH_SCALE:
+    # decay lengths of 65.0 and 74.7 lattice steps, just above SMOOTH_SCALE:
     # Euler-Maclaurin on both axes
     sq = make_squeeze(r)
     assert -math.log(sq.tanh_r**2) * SMOOTH_SCALE < 1.0
@@ -435,9 +436,10 @@ def test_s_ab_above_smooth_scale_matches_grid_sum(r):
 
 
 @pytest.mark.parametrize("r_b", [3.5, 2.9])
-@pytest.mark.parametrize("n_max", [1, 2, 5, 31, 32, 33, 64, 200])
+@pytest.mark.parametrize("n_max", [1, 2, 5, 28, 29, 31, 32, 33, 64, 200])
 def test_s_ab_explicit_cutoffs_on_euler_maclaurin_axes(r_b, n_max):
-    # decay lengths 275 and 83: cutoffs far below, around and above SMOOTH_SCALE
+    # decay lengths 275 and 83: cutoffs far below, around and above SMOOTH_SCALE;
+    # under 2 _STENCIL terms (N <= 28) the axes are summed term by term
     sq_a, sq_b = make_squeeze(3.5), make_squeeze(r_b)
     assert -math.log(sq_b.tanh_r**2) * SMOOTH_SCALE < 1.0
     value = s_ab_closed(sq_a, sq_b, SeriesConfig(n_max=n_max))
@@ -445,38 +447,39 @@ def test_s_ab_explicit_cutoffs_on_euler_maclaurin_axes(r_b, n_max):
 
 
 @pytest.mark.parametrize("r_a,r_b", [(2.2, 2.2), (2.2, 1.9), (3.5, 2.2)])
-@pytest.mark.parametrize("n_max", [1, 2, 5, 31, 32, 33, 64, 200])
+@pytest.mark.parametrize("n_max", [1, 2, 5, 31, 32, 33, 60, 61, 64, 200])
 def test_s_ab_explicit_cutoffs_on_head_path_axes(r_a, r_b, n_max):
     # decay lengths 20 and 11 are on the head path (r = 3.5 Euler-Maclaurin
-    # from its first term): cutoffs inside the head, at its end, and past it
+    # from its first term): cutoffs inside the head, at its end, and past it;
+    # with under 2 _STENCIL terms past the head (N <= 60) the axis is summed
+    # term by term
     assert _s_ab_head(math.log(math.tanh(r_b) ** 2)) == _JOINT_HEAD
     value = s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), SeriesConfig(n_max=n_max))
     assert value == pytest.approx(series_s_ab_grid(r_a, r_b, n_max), rel=1e-12, abs=0.0)
 
 
 def test_s_ab_euler_maclaurin_error_against_term_by_term(monkeypatch):
-    # decay lengths L_a from SMOOTH_SCALE to 128, L_b / L_a from 1 to 0.05:
-    # the worst error, 1.45e-14, is at L_a = L_b = 32
+    # decay lengths L_a from SMOOTH_SCALE to 256, L_b / L_a from 1 to 0.05:
+    # the worst error, 3.3e-16, is at L_a = L_b = 64
     def r_of(decay):
         return math.atanh(math.exp(-0.5 / decay))
 
-    pairs = [(r_of(la), r_of(la * ratio)) for la in (32.01, 40, 48, 64, 96, 128) for ratio in (1.0, 0.7, 0.4, 0.2, 0.05)]
+    pairs = [(r_of(la), r_of(la * ratio)) for la in (64.01, 80, 96, 128, 192, 256) for ratio in (1.0, 0.7, 0.4, 0.2, 0.05)]
     assert all(-math.log(math.tanh(r_a) ** 2) * SMOOTH_SCALE < 1.0 for r_a, _ in pairs)
     cfg = SeriesConfig(tail_tol=1e-10)
     smooth = [s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), cfg) for r_a, r_b in pairs]
     monkeypatch.setattr(closed_form, "HEAD_SCALE", math.inf)
     direct = [s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), cfg) for r_a, r_b in pairs]
-    assert max(abs(s - d) / d for s, d in zip(smooth, direct)) <= 2e-14
+    assert max(abs(s - d) / d for s, d in zip(smooth, direct)) <= 1e-15
 
 
 def test_s_ab_head_path_error_against_term_by_term(monkeypatch):
     # decay lengths L_a from HEAD_SCALE to SMOOTH_SCALE, L_b / L_a from 1 to
-    # 0.05 (L_b under HEAD_SCALE is term by term): the worst error, 5.4e-16,
-    # is at L_a = 8
+    # 0.05 (L_b under HEAD_SCALE is term by term): the worst error is 1.7e-16
     def r_of(decay):
         return math.atanh(math.exp(-0.5 / decay))
 
-    pairs = [(r_of(la), r_of(la * ratio)) for la in (8.0, 10, 12, 16, 24, 31.99) for ratio in (1.0, 0.7, 0.4, 0.2, 0.05)]
+    pairs = [(r_of(la), r_of(la * ratio)) for la in (8.0, 12, 16, 24, 32, 48, 63.99) for ratio in (1.0, 0.7, 0.4, 0.2, 0.05)]
     assert all(_s_ab_head(math.log(math.tanh(r_a) ** 2)) == _JOINT_HEAD for r_a, _ in pairs)
     assert HEAD_SCALE == 8.0
     cfg = SeriesConfig(tail_tol=1e-10)
@@ -488,10 +491,10 @@ def test_s_ab_head_path_error_against_term_by_term(monkeypatch):
 
 @pytest.mark.parametrize("r,n_max,block_cells", [(2.4, None, None), (3.5, 2000, 4096)])
 def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
-    # lx == ly sums the upper triangle of the grid and one strip twice; one ulp
-    # off, the full grid and both strips, for the point and the mixed axes in
-    # one batch. r = 2.4 is on the head path, r = 3.5 (128 nodes at N = 2000)
-    # Euler-Maclaurin from its first term, where 4096-cell chunks take one
+    # lx == ly sums the upper triangle of the grid; one ulp off, the full
+    # grid, for the point and the mixed axes in one batch. r = 2.4 is on the
+    # head path, r = 3.5 (158 nodes at N = 2000) Euler-Maclaurin from its
+    # first term, where 4096-cell chunks take one
     # point per call; a symmetric grid's row blocks are 32 rows, so each grid
     # has row-block boundaries inside the triangle
     if block_cells is not None:
@@ -509,13 +512,13 @@ def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
 
 
 def test_symmetric_grid_evaluates_about_half_its_cells(monkeypatch):
-    # r = 4: 192 nodes a side; the triangle, with its diagonal blocks in
-    # full, is 58% of the 192^2 cells, counted at np.log's input. The mixed
+    # r = 4: 222 nodes a side; the triangle, with its diagonal blocks in
+    # full, is 57% of the 222^2 cells, counted at np.log's input. The mixed
     # axes share the batch, laid out on the same slots
     sq = make_squeeze(4.0)
     n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
-    assert joint_rule([math.log(sq.tanh_r**2)], [n_max])[0].shape[1] == 192
-    u, w = joint_rule([math.log(sq.tanh_r**2), *MIXED_LX], [n_max, *MIXED_N])[:2]
+    assert joint_rule([math.log(sq.tanh_r**2)], [n_max])[0].shape[1] == 222
+    u, w = joint_rule([math.log(sq.tanh_r**2), *MIXED_LX], [n_max, *MIXED_N])
     c_inv = np.append(sq.cosh_r**-4, [0.5, 0.01, 1e-4])
     full = _grid(u + 1.0, w, u + 1.0, w, c_inv, False)
     cells = []
@@ -538,85 +541,70 @@ def test_geometric_moments_match_term_sums(x, n_max):
     np.testing.assert_allclose(_moments(x, n_max), expected, rtol=1e-13, atol=0.0)
 
 
-def _h_of_product(s, t, c_inv):
-    z = 1.0 + (s + 1.0) * (t + 1.0) * c_inv
-    return z * math.log(z)
+def _bernoulli(count):
+    """B_0..B_(count-1) as fractions, from sum_{j<m+1} C(m+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, count):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
 
 
-@pytest.mark.parametrize("s,t", [(0.0, 0.0), (3.5, 12.0), (40.0, 7.0)])
-def test_mixed_partials_match_finite_differences(s, t):
-    # D^{i,j} of h((s+1)(t+1)), h(w) = z ln z, z = 1 + w/C, for orders up to
-    # 5 on each axis: one-axis orders from _strip, mixed ones from _corners,
-    # each against a central difference of the order below it, already checked
-    # (a batch of the point and its mirror image; the checks read the point)
-    c_inv = np.array([1.0 / 37.0, 1.0 / 37.0])
-    step = 1e-3
-
-    def unit(order):
-        k = np.zeros((2, 1, 6))
-        k[:, 0, order] = 1.0
-        return k
-
-    def d(i, j, ds=0.0, dt=0.0):
-        u, v = np.array([[s + ds], [t + dt]]), np.array([[t + dt], [s + ds]])
-        if i == 0:
-            return float(_strip(u + 1.0, v, unit(j), c_inv)[0, 0])
-        if j == 0:
-            return float(_strip(v + 1.0, u, unit(i), c_inv)[0, 0])
-        return float(_corners(u, unit(i), v, unit(j), c_inv)[0])
-
-    assert d(0, 0) == pytest.approx(_h_of_product(s, t, c_inv[0]), rel=1e-14)
-    u, v = np.array([[s], [t]]), np.array([[t], [s]])
-    assert _corners(u, unit(0), v, unit(0), c_inv)[0] == pytest.approx(d(0, 0), rel=1e-14)
-    for i in range(6):
-        for j in range(6):
-            if i:
-                estimate = (d(i - 1, j, step) - d(i - 1, j, -step)) / (2.0 * step)
-            elif j:
-                estimate = (d(0, j - 1, 0.0, step) - d(0, j - 1, 0.0, -step)) / (2.0 * step)
-            else:
-                continue
-            assert d(i, j) == pytest.approx(estimate, rel=1e-6), (i, j)
+def test_end_weights_are_exact_gregory_weights():
+    # the weights w_i on the nodes h..h+14 for which sum_i w_i p(h+i) is the
+    # Euler-Maclaurin end functional p(h)/2 - sum_k B_2k/(2k)! p^(2k-1)(h) for
+    # every p of degree <= 14: at h = 0 and p = n^m that is 1/2 (m = 0),
+    # -B_(m+1)/(m+1) (m odd) or 0; the Vandermonde system solved in fractions
+    b = _bernoulli(_STENCIL + 1)
+    rhs = [Fraction(1, 2)] + [-b[m + 1] / (m + 1) if m % 2 else Fraction(0) for m in range(1, _STENCIL)]
+    rows = [[Fraction(i**m) for i in range(_STENCIL)] + [rhs[m]] for m in range(_STENCIL)]
+    for col in range(_STENCIL):
+        pivot = next(r for r in range(col, _STENCIL) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(_STENCIL):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    exact = [rows[i][-1] / rows[i][i] for i in range(_STENCIL)]
+    assert _STENCIL == 15 and _END_WEIGHTS.shape == (_STENCIL,)
+    np.testing.assert_allclose(_END_WEIGHTS, [float(w) for w in exact], rtol=1e-15, atol=0.0)
 
 
-def test_h_derivatives_match_closed_form():
-    # h^(m) of h(w) = z ln z, z = 1 + w/C: z ln z, (ln z + 1)/C, then
-    # (-1)^m (m-2)! / (C^m z^(m-1)), each order on its own
-    z = np.array([[1.5, 40.0], [1e3, 2.5e6]])
-    c_inv = 1.0 / 37.0
-    d = _h_derivatives(z, c_inv, 10)
-    assert d.shape == (2, 2, 11)
-    for zi in (1.5, 40.0, 1e3, 2.5e6):
-        i = tuple(np.argwhere(z == zi)[0])
-        expected = [zi * math.log(zi), (math.log(zi) + 1.0) * c_inv]
-        expected += [(-1) ** m * math.factorial(m - 2) * c_inv**m / zi ** (m - 1) for m in range(2, 11)]
-        np.testing.assert_allclose(d[i], expected, rtol=1e-14, atol=0.0)
+@pytest.mark.parametrize("head", [0, _JOINT_HEAD])
+@pytest.mark.parametrize("n_max", [29, 61, 100, 5000])
+def test_axis_rule_sums_polynomials_exactly(head, n_max):
+    # with x = 1 the summand is the polynomial itself: the panels integrate
+    # it exactly and Gregory's end weights are exact up to degree 14 (a
+    # Chebyshev series on [0, N], whose high derivatives are large enough
+    # that weights exact only to degree 13 miss by up to 7e-6); with
+    # x = e^-0.01 (decay length 100) the product with a cubic is summed to
+    # rounding, here 1e-14 of the sum of the terms' sizes (the series cancel).
+    # Cutoffs with under 2 _STENCIL terms past the head are summed term by term
+    rng = np.random.default_rng(n_max + head)
+    for lx, degree in ((0.0, 14), (-0.01, 3)):
+        plan = _axis_plan(lx, n_max, head)
+        assert bool(plan[4]) == (n_max + 1 - head >= 2 * _STENCIL)
+        nodes, weights = _axis_rule([plan], _layout(plan))
+        coef = rng.uniform(0.5, 1.5, degree + 1)
+
+        def p(n):
+            return np.polynomial.chebyshev.chebval(2.0 * n / n_max - 1.0, coef)
+
+        n = np.arange(n_max + 1, dtype=float)
+        terms = np.exp(n * lx) * p(n)
+        size = math.fsum(np.abs(terms))
+        assert float(weights[0] @ p(nodes[0])) == pytest.approx(math.fsum(terms), rel=0.0, abs=1e-14 * size)
 
 
-def test_axis_rule_end_weights_are_leibniz_sums():
-    # for g(n) = e^(a n), f = e^(n lx) g has f^(b) = (lx + a)^b f, so
-    # sum_j k[e, j] a^j = -+e^(end lx) sum_b c_b (lx + a)^b, plus the
-    # trapezoid's e^(end lx) / 2 at each end; batched with the mixed axes,
-    # whose term-by-term one has no end weights
-    lx, a = (-0.02, *MIXED_LX), 0.3
-    _, _, ends, k = joint_rule(lx, (500, *MIXED_N))
-    assert not k[1].any()
-    for row in (0, 2, 3):
-        lam = lx[row] + a
-        em = lam / 12.0 - lam**3 / 720.0 + lam**5 / 30240.0
-        at_ends = np.exp(ends[row] * lx[row])
-        np.testing.assert_allclose(k[row] @ a ** np.arange(6), (np.array([-1.0, 1.0]) * em + 0.5) * at_ends, rtol=1e-14)
-
-
-@pytest.mark.parametrize("decay,n_max", [(32.01, 800), (100.0, 5000), (100.0, 3)])
+@pytest.mark.parametrize("decay,n_max", [(32.01, 800), (64.01, 800), (100.0, 5000), (100.0, 29), (100.0, 3)])
 def test_axis_rule_sums_geometric_series(decay, n_max):
-    # g = 1: each axis' nodes and zeroth-order end weights sum e^(n lx),
-    # the point's and the mixed axes' in one batch
+    # g = 1: each axis' weights sum e^(n lx), the point's (on the head path,
+    # or Euler-Maclaurin from its first term unless its cutoff is under
+    # 2 _STENCIL terms) and the mixed axes' in one batch
     lx, n = np.array([-1.0 / decay, *MIXED_LX]), np.array([n_max, *MIXED_N])
-    nodes, weights, ends, k = joint_rule(lx, n)
-    assert k[0].any()
+    assert _axis_plan(lx[0], n_max, _s_ab_head(lx[0]))[4] or n_max < 2 * _STENCIL
+    nodes, weights = joint_rule(lx, n)
     exact = -np.expm1((n + 1.0) * lx) / -np.expm1(lx)
-    np.testing.assert_allclose(weights.sum(axis=1) + k[:, :, 0].sum(axis=1), exact, rtol=1e-14)
+    np.testing.assert_allclose(weights.sum(axis=1), exact, rtol=1e-14)
 
 
 @pytest.mark.parametrize("hi,scale", [(1.0, 275.0), (7000.0, 275.0), (1_515_955.0, 33.6), (5000.0 - 64.0, 64.0)])

@@ -359,6 +359,21 @@ def test_compare_flags_per_block_gap():
     assert any("s_ab" in w for w in cmp_rep.warnings)
 
 
+def test_compare_flags_bob_marginal_gap_only_at_asymmetric_points():
+    # the oracle-sweep point: r_a = 0.930, r_b = 0.595 at N = 14, where Bob's
+    # marginal is off by 0.47 bits
+    rep = run_point(mode=ModeSpec(0.025, 1.0), omega_prime=2.0, cutoff=SeriesConfig(n_max=14))
+    cmp_rep = compare_closed_vs_numeric(rep)
+    assert cmp_rep.diff_s_b == abs(rep.s_b_closed - rep.s_b_num)
+    assert cmp_rep.diff_s_b == pytest.approx(0.4746, abs=1e-4)
+    assert [w.split()[0] for w in cmp_rep.warnings] == ["e_n", "s_a", "s_b", "s_ab", "i"]
+    # at a symmetric point s_b repeats s_a, and only s_a is flagged
+    sym = run_point(r_a=0.9, cutoff=SeriesConfig(n_max=14))
+    cmp_sym = compare_closed_vs_numeric(sym)
+    assert cmp_sym.diff_s_b == cmp_sym.diff_s_a > 1e-2
+    assert [w.split()[0] for w in cmp_sym.warnings] == ["e_n", "s_a", "s_ab", "i"]
+
+
 def test_compare_rejects_meaningless_threshold():
     rep = run_point(r_a=0.2, cutoff=SeriesConfig(n_max=4))
     for threshold in (math.nan, math.inf, -1e-2):
