@@ -22,16 +22,16 @@ up to where x^n falls below 2^-60; from SMOOTH_SCALE = 64 on the summand is
 smooth on the lattice and the axis is summed by Euler-Maclaurin from its
 first term; in between, the first _JOINT_HEAD = 32 terms are added one by one
 and the rest is summed by Euler-Maclaurin, its panels starting 32 wide.
-Euler-Maclaurin over n = h..N is Gauss-Legendre panel quadrature plus
-Gregory's end correction, which stands for the Bernoulli-number derivative
-terms by fixed weights on the lattice nodes h..h+14 and N-14..N; an axis
-with fewer than 30 terms past its head is summed term by term. So every
-axis is plain nodes and weights, with the factor x^n folded into the weights,
-and the double sum is one weighted grid of the two axes' nodes. The resolved
+Euler-Maclaurin over n = h..N is 16-node Gauss-Legendre panel quadrature
+plus Gregory's end correction, which stands for the Bernoulli-number terms
+by fixed weights on the lattice nodes h..h+14 and N-14..N; an axis with
+fewer than 30 terms past its head is summed term by term. So every axis is
+plain nodes and weights, with the factor x^n folded into the weights, and
+the double sum is one weighted grid of the two axes' nodes. The resolved
 cutoff reaches 1e5..1e6 in the large-r regime; only Euler-Maclaurin axes see
 it, so the cost per point stays bounded. When both axes have the same x the
 grid is symmetric and only its upper triangle is evaluated, in row blocks of
-32 rows.
+16 rows.
 
 The marginal series takes the same split, log2 p_n = n l2x - l2c2 and
 log2 p'_n = log2(n+1) + n l2x - 2 l2c2, so only the log moment
@@ -40,8 +40,8 @@ one change: ln(n+1) is smooth on the lattice only from n ~ 64 on, so on the
 Euler-Maclaurin side its first _LOG_HEAD = 64 terms are added one by one and
 the panels start 64 wide.
 
-Each axis is laid out on slots set by its own node count: up to 32 terms
-added one by one take their own count, more the next multiple of 32 (the
+Each axis is laid out on slots set by its own node count: up to 16 terms
+added one by one take their own count, more the next multiple of 16 (the
 marginal series, whose nodes are cheap, the next power of two, with its
 panels rounded up to a multiple of 4), and unused slots weigh 0. Only points
 of the same layout share a numpy call, and no sum spans two points, so every
@@ -69,9 +69,9 @@ HARD_SERIES_CAP = 4_000_000
 # decay length 1/(-ln tanh^2 r), in lattice steps, from which an axis of the
 # joint series is summed by Euler-Maclaurin from its first term on, and the
 # marginal log moment by Euler-Maclaurin after its head instead of term by
-# term. Over decay lengths 64..256, the other axis' from 1 to 0.05 times as
-# long, the joint series stays within 3.3e-16 relative of its term-by-term
-# sum (worst at 64); with no head it would be off by 1.0e-15 at 56, by
+# term. Over decay lengths 64..320, the other axis' from 1 to 0.05 times as
+# long, the joint series stays within 4.1e-16 relative of its term-by-term
+# sum (worst at 160); with no head it would be off by 1.1e-15 at 56, by
 # 1.3e-13 at 32 and by 1.5e-9 at 8
 SMOOTH_SCALE = 64.0
 # decay length from which a joint-series axis under SMOOTH_SCALE adds its
@@ -92,7 +92,7 @@ _LOG_HEAD = 64
 _CLIP_BITS = 60
 # floats in one temporary: 64 KiB. The node grid holds two at a time (z and
 # z ln z). Their pages are not all reused: glibc trims the top of its heap
-# when a batch's temporaries are freed, so a fig3 pass takes 50 to 140 minor
+# when a batch's temporaries are freed, so a fig3 pass takes about 180 minor
 # page faults (none with glibc's trim threshold raised to 64 MiB)
 _CHUNK_CELLS = 1 << 13
 
@@ -302,9 +302,9 @@ def _moments(x: float, n_max: int) -> tuple:
     return a0, a1, b1, b2
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_SPANS = _GL_NODES + 1.0
-# nodes per panel, and the granule of the term slots of _layout
+# nodes per panel, the term-slot granule of _layout (12 miss by 5.5e-14 at r = 3..6)
 _PAD = _GL_NODES.size
 # lattice nodes at each end of an Euler-Maclaurin range that carry its end
 # correction: Gregory's, exact for polynomials of degree _STENCIL - 1
@@ -384,8 +384,8 @@ def _panel_edges(hi: float, scale: float) -> tuple:
 
 def _layout(plan: tuple, coarse: bool = False) -> tuple:
     """An axis' node layout: its slots for the terms added one by one, and
-    its panel slots. Up to one panel (32) of terms take their own count of
-    slots, more take the next multiple of 32. A coarse layout takes the next
+    its panel slots. Up to one panel (16) of terms take their own count of
+    slots, more take the next multiple of 16. A coarse layout takes the next
     power of two instead and rounds the panels up to a multiple of 4: the
     marginal series' nodes are cheap, and fewer layouts put more of its
     points in one batch."""
@@ -468,8 +468,8 @@ def _grid(u: np.ndarray, wu: np.ndarray, v: np.ndarray, wv: np.ndarray, c_inv: n
     z = 1 + w/C_p, in row blocks, each over as many points as keep its cells
     within _CHUNK_CELLS. A symmetric grid (u = v, wu = wv) is summed over its
     upper triangle: each row block's diagonal block once, the columns right
-    of it twice. Its row blocks are one Gauss-Legendre panel (32 rows) tall,
-    so at 222 nodes a side 57% of the cells are evaluated."""
+    of it twice. Its row blocks are one Gauss-Legendre panel (16 rows) tall,
+    so at 126 nodes a side 53% of the cells are evaluated."""
     points, width = v.shape
     cv = v * c_inv[:, None]
     rows = _PAD if symmetric else max(1, _CHUNK_CELLS // width)

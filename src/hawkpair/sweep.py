@@ -13,6 +13,8 @@ from .density import NUMERIC_CAP, pair_measures
 from .kinematics import ModeSpec, make_squeeze, squeezing_from_mode
 
 DEFAULT_CUTOFF = cf.SeriesConfig(tail_tol=1e-10)
+# most grid points of a sweep: 10^5 closed-form points over r in 0..6 take 190 MB
+MAX_SWEEP_STEPS = 100_000
 CSV_HEADER = (
     "r_a,r_b,n_max,e_n_block00,neg_sum_num,e_n_num,s_a_closed,s_b_closed,"
     "s_ab_closed,i_closed,s_a_num,s_b_num,s_ab_num,i_num,trace_deficit"
@@ -57,8 +59,8 @@ class SweepConfig:
         if self.r_min < 0:
             raise ValueError("r_min must be non-negative")
         object.__setattr__(self, "steps", cf._integer(self.steps, "steps"))
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_SWEEP_STEPS:
+            raise ValueError(f"steps must be in 2..{MAX_SWEEP_STEPS}, got {self.steps}")
         if self.omega_ratio <= 0:
             raise ValueError("omega_ratio must be positive")
         _check_methods(self.methods)

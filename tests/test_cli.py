@@ -14,7 +14,7 @@ import pytest
 from hawkpair import cli
 from hawkpair import closed_form as cf
 from hawkpair.closed_form import ConvergenceError
-from hawkpair.sweep import CSV_HEADER, NumericCapError, SweepPointError
+from hawkpair.sweep import CSV_HEADER, MAX_SWEEP_STEPS, NumericCapError, SweepPointError
 
 
 def run_cli(*args):
@@ -190,6 +190,17 @@ def test_compare_checks_threshold_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_point", no_point)
     assert cli.main(["compare", "--r", "1.6", "--warn-threshold", "nan"]) == 2
     assert "warn_threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", [MAX_SWEEP_STEPS + 1, 100_000_000_000])
+def test_oversized_sweep_exits_2_before_any_point(steps, monkeypatch, capsys):
+    def no_sweep(cfg):
+        raise AssertionError("sweep run before the steps check")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    argv = ["sweep", "--r-min", "0", "--r-max", "1", "--steps", str(steps), "--methods", "closed"]
+    assert cli.main(argv) == 2
+    assert f"steps must be in 2..{MAX_SWEEP_STEPS}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- exit 3

@@ -26,6 +26,8 @@ from hawkpair.closed_form import (
     _axis_plan,
     _axis_rule,
     _END_WEIGHTS,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _grid,
     _JOINT_HEAD,
     _layout,
@@ -489,13 +491,34 @@ def test_s_ab_head_path_error_against_term_by_term(monkeypatch):
     assert max(abs(h - d) / d for h, d in zip(head, direct)) <= 1e-15
 
 
+def test_panel_rule_matches_32_nodes_at_large_decay_lengths(monkeypatch):
+    # r = 3..6 (decay lengths 100..4e4, cutoffs up to 1.5e6, where the
+    # term-by-term sums are out of reach), r_b / r_a from 1 to 0.6: the
+    # 16-node panel rule agrees with a 32-node one within 2.9e-16 (s_ab) and
+    # 3.5e-16 (s_a); 12 nodes are off by 5.5e-14
+    pairs = [(r_a, r_a * ratio) for r_a in (3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0) for ratio in (1.0, 0.9, 0.8, 0.7, 0.6)]
+    cfg = SeriesConfig(tail_tol=1e-10)
+
+    def sums():
+        return [
+            (s_ab_closed(make_squeeze(r_a), make_squeeze(r_b), cfg), s_a_closed(make_squeeze(r_a), cfg))
+            for r_a, r_b in pairs
+        ]
+
+    rule = sums()
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    for name, value in (("_GL_NODES", nodes), ("_GL_WEIGHTS", weights), ("_GL_SPANS", nodes + 1.0), ("_PAD", 32)):
+        monkeypatch.setattr(closed_form, name, value)
+    np.testing.assert_allclose(rule, sums(), rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("r,n_max,block_cells", [(2.4, None, None), (3.5, 2000, 4096)])
 def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
     # lx == ly sums the upper triangle of the grid; one ulp off, the full
     # grid, for the point and the mixed axes in one batch. r = 2.4 is on the
-    # head path, r = 3.5 (158 nodes at N = 2000) Euler-Maclaurin from its
+    # head path, r = 3.5 (94 nodes at N = 2000) Euler-Maclaurin from its
     # first term, where 4096-cell chunks take one
-    # point per call; a symmetric grid's row blocks are 32 rows, so each grid
+    # point per call; a symmetric grid's row blocks are 16 rows, so each grid
     # has row-block boundaries inside the triangle
     if block_cells is not None:
         monkeypatch.setattr(closed_form, "_CHUNK_CELLS", block_cells)
@@ -512,12 +535,12 @@ def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
 
 
 def test_symmetric_grid_evaluates_about_half_its_cells(monkeypatch):
-    # r = 4: 222 nodes a side; the triangle, with its diagonal blocks in
-    # full, is 57% of the 222^2 cells, counted at np.log's input. The mixed
+    # r = 4: 126 nodes a side; the triangle, with its diagonal blocks in
+    # full, is 53% of the 126^2 cells, counted at np.log's input. The mixed
     # axes share the batch, laid out on the same slots
     sq = make_squeeze(4.0)
     n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
-    assert joint_rule([math.log(sq.tanh_r**2)], [n_max])[0].shape[1] == 222
+    assert joint_rule([math.log(sq.tanh_r**2)], [n_max])[0].shape[1] == 126
     u, w = joint_rule([math.log(sq.tanh_r**2), *MIXED_LX], [n_max, *MIXED_N])
     c_inv = np.append(sq.cosh_r**-4, [0.5, 0.01, 1e-4])
     full = _grid(u + 1.0, w, u + 1.0, w, c_inv, False)
@@ -613,7 +636,6 @@ def test_panel_points_match_per_panel_loop(hi, scale):
     # bit for bit, each axis of a batch of all four cases on its own panels
     # (_panel_edges) and the slots past them, empty panels, weighing 0
     cases = [(1.0, 275.0), (7000.0, 275.0), (1_515_955.0, 33.6), (5000.0 - 64.0, 64.0)]
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
 
     def loop(hi, scale):
         edges = [0.0]
@@ -626,8 +648,8 @@ def test_panel_points_match_per_panel_loop(hi, scale):
         pts, wts = [], []
         for lo, up in zip(edges[:-1], edges[1:]):
             half = 0.5 * (up - lo)
-            pts.append(half * (gl_nodes + 1.0) + lo)
-            wts.append(half * gl_weights)
+            pts.append(half * (_GL_NODES + 1.0) + lo)
+            wts.append(half * _GL_WEIGHTS)
         return np.concatenate(pts), np.concatenate(wts)
 
     edges = [_panel_edges(h, w) for h, w in cases]

@@ -14,6 +14,7 @@ from hawkpair.closed_form import ConvergenceError, SeriesConfig
 from hawkpair.kinematics import ModeSpec, make_squeeze, mass_from_squeezing
 from hawkpair.sweep import (
     CSV_HEADER,
+    MAX_SWEEP_STEPS,
     NUMERIC_CAP,
     EntanglementReport,
     NumericCapError,
@@ -275,6 +276,14 @@ def test_sweep_config_steps_must_be_an_integer():
     assert cfg.steps == 3 and type(cfg.steps) is int
     for steps in (3.5, 3.0, "3", True):
         with pytest.raises(ValueError, match="steps must be an integer"):
+            SweepConfig(r_min=0.0, r_max=1.0, steps=steps)
+
+
+def test_sweep_config_refuses_more_than_max_steps():
+    # refused at construction, before any point is evaluated
+    assert SweepConfig(r_min=0.0, r_max=1.0, steps=MAX_SWEEP_STEPS).steps == MAX_SWEEP_STEPS
+    for steps in (MAX_SWEEP_STEPS + 1, 100_000_000_000):
+        with pytest.raises(ValueError, match=f"steps must be in 2..{MAX_SWEEP_STEPS}, got {steps}"):
             SweepConfig(r_min=0.0, r_max=1.0, steps=steps)
 
 
