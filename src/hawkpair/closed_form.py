@@ -35,10 +35,11 @@ grid is symmetric and only its upper triangle is evaluated, in row blocks of
 
 The marginal series takes the same split, log2 p_n = n l2x - l2c2 and
 log2 p'_n = log2(n+1) + n l2x - 2 l2c2, so only the log moment
-sum (n+1) x^n ln(n+1) is summed numerically, by the same per-axis rule with
-one change: ln(n+1) is smooth on the lattice only from n ~ 64 on, so on the
-Euler-Maclaurin side its first _LOG_HEAD = 64 terms are added one by one and
-the panels start 64 wide.
+sum (n+1) x^n ln(n+1) is summed numerically, with the joint series' head
+rule and no head-free path: term by term under HEAD_SCALE, the first
+_JOINT_HEAD terms one by one from there on. Past that head the singular
+point of (n+1) ln(n+1), at n = -1, is 33 steps away, as that of z ln z is
+on a joint axis, so the rest is smooth on the lattice.
 
 Each axis is laid out on slots set by its own node count: up to 16 terms
 added one by one take their own count, more the next multiple of 16 (the
@@ -67,27 +68,24 @@ if TYPE_CHECKING:
 # 1e-10 tail tolerance still resolves at r = 6 (N ~ 1.52e6 there)
 HARD_SERIES_CAP = 4_000_000
 # decay length 1/(-ln tanh^2 r), in lattice steps, from which an axis of the
-# joint series is summed by Euler-Maclaurin from its first term on, and the
-# marginal log moment by Euler-Maclaurin after its head instead of term by
-# term. Over decay lengths 64..320, the other axis' from 1 to 0.05 times as
-# long, the joint series stays within 4.1e-16 relative of its term-by-term
-# sum (worst at 160); with no head it would be off by 1.1e-15 at 56, by
-# 1.3e-13 at 32 and by 1.5e-9 at 8
+# joint series is summed by Euler-Maclaurin from its first term on. Over
+# decay lengths 64..320, the other axis' from 1 to 0.05 times as long, the
+# joint series stays within 4.1e-16 relative of its term-by-term sum (worst
+# at 160); with no head it would be off by 1.1e-15 at 56, by 1.3e-13 at 32
+# and by 1.5e-9 at 8
 SMOOTH_SCALE = 64.0
-# decay length from which a joint-series axis under SMOOTH_SCALE adds its
-# first _JOINT_HEAD terms one by one and sums the rest by Euler-Maclaurin
-# instead of term by term. Over decay lengths 8..64, the other axis' from 1
-# to 0.05 times as long, the joint series stays within 1.7e-16 relative of
-# its term-by-term sum. Near 8 both rules cost about the same per point;
-# below it term by term is the cheaper one
+# decay length from which a joint-series axis under SMOOTH_SCALE, and the
+# marginal log moment at any decay length, add their first _JOINT_HEAD terms
+# one by one and sum the rest by Euler-Maclaurin instead of term by term.
+# Over decay lengths 8..64, the other axis' from 1 to 0.05 times as long, the
+# joint series stays within 1.7e-16 relative of its term-by-term sum. Near 8
+# both rules cost about the same per point; below it term by term is the
+# cheaper one
 HEAD_SCALE = 8.0
-# terms of the joint remainder added one by one on a head-path axis: past
-# them the singular point of z ln z, at n = -1 - C/(q+1), is at least 33
-# steps away, so the rest is smooth on the lattice
+# terms added one by one on a head-path axis: past them the singular point
+# of z ln z, at n = -1 - C/(q+1), and that of (n+1) ln(n+1), at n = -1, are
+# at least 33 steps away, so the rest is smooth on the lattice
 _JOINT_HEAD = 32
-# terms of the marginal log moment added one by one before Euler-Maclaurin:
-# ln(n+1) becomes smooth on the lattice only from about here on
-_LOG_HEAD = 64
 # a term-by-term axis stops where its weight falls below 2^-60 of the first
 _CLIP_BITS = 60
 # floats in one temporary: 64 KiB. The node grid holds two at a time (z and
@@ -416,8 +414,7 @@ def _axis_rule(plans, layout: tuple):
     Euler-Maclaurin over n = h..N is the integral on the Gauss-Legendre
     panels plus Gregory's end correction (_END_WEIGHTS) on the lattice nodes
     h..h+14 and N-14..N. An axis without Euler-Maclaurin has zero end
-    weights. The callers pick the head by the decay length: _s_ab_head and
-    _log_moment.
+    weights. The callers pick the head by the decay length (_s_ab_head).
     """
     table = np.array([plan[:4] for plan in plans], dtype=float)
     lx, last, start, terms = table.T
@@ -449,11 +446,11 @@ def _width(layout: tuple) -> int:
 def _log_moment(lx, n_max) -> np.ndarray:
     """Per point, sum_{n=0..N} (n+1) x^n ln(n+1), with lx = ln x (-inf allowed).
 
-    ln(n+1) varies on the scale n itself, so a smooth axis adds its first
-    _LOG_HEAD terms one by one before Euler-Maclaurin takes over. Points are
+    The joint series' head rule (_s_ab_head), with a _JOINT_HEAD head where
+    that takes none, since ln(n+1) varies on the scale n itself. Points are
     batched by their layouts.
     """
-    plans = [_axis_plan(v, n, math.inf if v * SMOOTH_SCALE < -1.0 else _LOG_HEAD) for v, n in zip(lx, n_max)]
+    plans = [_axis_plan(v, n, _s_ab_head(v) or _JOINT_HEAD) for v, n in zip(lx, n_max)]
     layouts = [_layout(plan, coarse=True) for plan in plans]
     total = np.empty(len(plans))
     for idx in _batches(layouts, _width):

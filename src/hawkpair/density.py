@@ -73,21 +73,12 @@ def _entropy_bits(eigenvalues) -> float:
     return s if s > 0.0 else 0.0  # also maps -0.0 to 0.0
 
 
-def _diagonals(a: np.ndarray, count: int, width: int, fill: float) -> np.ndarray:
-    """Row k (k = 0..count-1) holds the diagonal a[j, j + k], left-aligned and
-    filled out with `fill` to `width` entries (width >= a's size)."""
-    cols = count + width
-    skew = np.full((width + 1, cols), fill)
-    skew[: a.shape[0], : a.shape[1]] = a
-    # reading skew's rows with a stride one longer shifts row j left by j
-    return skew.ravel()[: width * (cols + 1)].reshape(width, cols + 1)[:, :count].T
-
-
 def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False) -> np.ndarray:
     """Eigenvalues of every symmetric tridiagonal block whose diagonal runs
     along a diagonal k = -N..N of `diag` and whose off-diagonal runs along the
     same diagonal of `off` (one row and column smaller), block after block,
-    each block's ascending.
+    each block's ascending: entry j of block k is read at
+    (j + max(-k, 0), j + max(k, 0)).
 
     Blocks are solved in stacks, one `eigvalsh` call per padded length (a
     multiple of PAD_MULTIPLE). A padding row is decoupled with diagonal
@@ -98,19 +89,25 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False
     """
     n = diag.shape[0] - 1
     width = -(-(n + 1) // PAD_MULTIPLE) * PAD_MULTIPLE
-    d = _diagonals(diag, n + 1, width, PAD_EIGENVALUE)
-    c = _diagonals(off, n + 1, width, 0.0)
-    if not mirrored:  # block -k is block k of the transposes
-        d = np.concatenate((_diagonals(diag.T, n + 1, width, PAD_EIGENVALUE)[:0:-1], d))
-        c = np.concatenate((_diagonals(off.T, n + 1, width, 0.0)[:0:-1], c))
-    lengths = n + 1 - np.abs(np.arange(0 if mirrored else -n, n + 1))
+    k = np.arange(0 if mirrored else -n, n + 1)
+    lengths = n + 1 - np.abs(k)
     padded = -(-lengths // PAD_MULTIPLE) * PAD_MULTIPLE
-    spectra = np.full(d.shape, PAD_EIGENVALUE)
+    # a padding entry lies under PAD_MULTIPLE steps past the last row or
+    # column: a margin that wide holds it, the same for both matrices
+    size = n + 1 + PAD_MULTIPLE
+    d = np.full((size, size), PAD_EIGENVALUE)
+    d[: n + 1, : n + 1] = diag
+    c = np.zeros((size, size))
+    c[:n, :n] = off
+    d, c = d.ravel(), c.ravel()
+    start = np.maximum(-k, 0) * size + np.maximum(k, 0)
+    spectra = np.full((k.size, width), PAD_EIGENVALUE)
     for p in range(PAD_MULTIPLE, width + 1, PAD_MULTIPLE):
         rows = padded == p
-        stack = np.zeros((np.count_nonzero(rows), p * p))
-        stack[:, :: p + 1] = d[rows, :p]
-        stack[:, 1 :: p + 1] = stack[:, p :: p + 1] = c[rows, : p - 1]
+        at = start[rows, None] + np.arange(p) * (size + 1)
+        stack = np.zeros((at.shape[0], p * p))
+        stack[:, :: p + 1] = d[at]
+        stack[:, 1 :: p + 1] = stack[:, p :: p + 1] = c[at[:, :-1]]
         spectra[rows, :p] = np.linalg.eigvalsh(stack.reshape(-1, p, p))
     inside = np.arange(width) < lengths[:, None]
     if np.any(spectra[~inside] != PAD_EIGENVALUE):
@@ -142,7 +139,7 @@ def marginal_entropies(diag: np.ndarray) -> dict:
 def negativity(diag: np.ndarray, off: np.ndarray) -> dict:
     """neg_sum_num = -(sum of the partial transpose's negative eigenvalues) and e_n_num = 2|lambda_min|."""
     pt = _block_eigenvalues(diag[:, ::-1], off[:, ::-1])
-    return {"neg_sum_num": float(-pt[pt < 0.0].sum()), "e_n_num": max(0.0, -2.0 * float(pt.min()))}
+    return {"neg_sum_num": max(0.0, float(-pt[pt < 0.0].sum())), "e_n_num": max(0.0, -2.0 * float(pt.min()))}
 
 
 def joint_entropy(diag: np.ndarray, off: np.ndarray, symmetric: bool) -> dict:

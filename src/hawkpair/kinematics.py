@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 from .closed_form import _real
 
-# largest squeezing parameter accepted: the weights divide by cosh^2 r, which
-# overflows a float just above r = 355.6 (tanh r rounds to 1 from r ~ 19.1)
-R_MAX = 355.0
+# largest squeezing parameter accepted: the series divide by cosh^4 r, which
+# overflows a float above r = 178.1, and the oracle's weight 1/(2 cosh^4 r)
+# is subnormal from r = 177.6 (tanh r rounds to 1 from r ~ 19.1)
+R_MAX = 177.0
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def make_squeeze(r: float) -> SqueezeParam:
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be non-negative and finite, got {r}")
     if r > R_MAX:
-        raise ValueError(f"r must be at most {R_MAX} (cosh^2 r overflows a float), got {r}")
+        raise ValueError(f"r must be at most {R_MAX} (past it cosh^4 r or its inverse is no normal float), got {r}")
     return SqueezeParam(r=r, tanh_r=math.tanh(r), cosh_r=math.cosh(r))
 
 

@@ -15,10 +15,6 @@ from .kinematics import ModeSpec, make_squeeze, squeezing_from_mode
 DEFAULT_CUTOFF = cf.SeriesConfig(tail_tol=1e-10)
 # most grid points of a sweep: 10^5 closed-form points over r in 0..6 take 190 MB
 MAX_SWEEP_STEPS = 100_000
-CSV_HEADER = (
-    "r_a,r_b,n_max,e_n_block00,neg_sum_num,e_n_num,s_a_closed,s_b_closed,"
-    "s_ab_closed,i_closed,s_a_num,s_b_num,s_ab_num,i_num,trace_deficit"
-)
 
 
 class NumericCapError(RuntimeError):
@@ -91,6 +87,10 @@ class EntanglementReport:
     trace_deficit: float | None = None
 
 
+# the CSV columns, in the order csv_lines writes a report's fields
+CSV_HEADER = ",".join(f.name for f in fields(EntanglementReport))
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     n_max: int
@@ -126,19 +126,13 @@ def run_point(
         sq_b = make_squeeze(cf._real(r_b, "r_b")) if r_b is not None else sq_a
     _check_methods(methods)
 
-    n_max, past_cap = _resolve(sq_a, sq_b, cutoff, methods)
-    if past_cap:
+    n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
+    if "numeric" in methods and n_max > NUMERIC_CAP:
         raise NumericCapError(
             f"numeric method needs cutoff {n_max}, above the oracle cap of "
             f"{NUMERIC_CAP} (its time grows as N_max^4)"
         )
     return _reports([_point(sq_a, sq_b, n_max, cutoff, methods)])[0]
-
-
-def _resolve(sq_a, sq_b, cutoff: cf.SeriesConfig, methods) -> tuple:
-    """The point's cutoff, and whether it is past NUMERIC_CAP for a numeric method."""
-    n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
-    return n_max, "numeric" in methods and n_max > NUMERIC_CAP
 
 
 def _point(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> dict:
@@ -211,7 +205,8 @@ def run_sweep(cfg: SweepConfig) -> list:
                     f"for omega_ratio = {cfg.omega_ratio:g}"
                 )
             sq_a, sq_b = make_squeeze(r), make_squeeze(r_b)
-            n_max, past_cap = _resolve(sq_a, sq_b, cfg.cutoff, cfg.methods)
+            n_max = cf.resolve_cutoff(sq_a, sq_b, cfg.cutoff)
+            past_cap = "numeric" in cfg.methods and n_max > NUMERIC_CAP
             if past_cap and not warned:
                 print(
                     f"note: numeric method disabled where the resolved cutoff "
@@ -256,13 +251,7 @@ def compare_closed_vs_numeric(report: EntanglementReport, warn_threshold: float 
         if diff > warn_threshold and (name != "s_b" or report.r_b != report.r_a)
     )
     return ComparisonReport(
-        n_max=report.n_max,
-        diff_e_n=diffs["e_n"],
-        diff_s_a=diffs["s_a"],
-        diff_s_b=diffs["s_b"],
-        diff_s_ab=diffs["s_ab"],
-        diff_i=diffs["i"],
-        warnings=warnings,
+        n_max=report.n_max, warnings=warnings, **{f"diff_{name}": diff for name, diff in diffs.items()}
     )
 
 

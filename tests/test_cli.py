@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import re
 import shutil
@@ -87,6 +88,18 @@ def test_numeric_only_sweep_past_the_cap():
     assert all(value == "" for k, value in rows[2].items() if k not in kept)
 
 
+@pytest.mark.parametrize("methods", ["closed", "numeric"])
+def test_point_at_largest_r(methods):
+    # r = 177 is kinematics.R_MAX: cosh^4 r is finite and 1/(2 cosh^4 r) a
+    # normal float, so both methods give finite values, the oracle's entropies
+    # non-zero (at r = 200 its weights underflowed to all-zero entropies)
+    res = run_cli("point", "--r", "177", "--nmax", "10", "--methods", methods)
+    assert res.returncode == 0, res.stderr
+    cells = dict(zip(CSV_HEADER.split(","), res.stdout.strip().split("\n")[1].split(",")))
+    assert all(math.isfinite(float(value)) for value in cells.values() if value)
+    assert float(cells["s_a_closed" if methods == "closed" else "s_a_num"]) > 0.0
+
+
 def test_sweep_to_file_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("sweep", "--r-min", "0", "--r-max", "0.4", "--steps", "5")
@@ -168,6 +181,8 @@ def test_stdout_and_out_file_are_the_same_bytes(tmp_path, args):
         ("sweep", "--r-min", "0", "--r-max", "1", "--steps", "3", "--omega-ratio", "inf"),
         ("point", "--mass", "1e-300", "--omega", "1e-300", "--methods", "closed"),  # r = inf
         ("compare", "--r", "2.0", "--warn-threshold", "nan"),  # bad argument, not the oracle cap (exit 3)
+        ("point", "--r", "178", "--nmax", "10", "--methods", "closed"),  # past R_MAX = 177
+        ("point", "--r", "178", "--nmax", "10", "--methods", "numeric"),
     ],
 )
 def test_invalid_arguments_exit_2(args):

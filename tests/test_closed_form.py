@@ -31,7 +31,6 @@ from hawkpair.closed_form import (
     _grid,
     _JOINT_HEAD,
     _layout,
-    _LOG_HEAD,
     _moments,
     _panel_edges,
     _panel_points,
@@ -255,23 +254,23 @@ def test_numpy_marginal_sum_matches_loop_oracle():
         assert series_s_a_sum(r, n_max) == pytest.approx(series_s_a_oracle(r, n_max), rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("r", [0.05, 2.4, 2.45, 2.7, 2.77, 2.78, 2.85, 4.0, 5.25, 6.0])
+@pytest.mark.parametrize("r", [0.05, 1.72, 1.74, 2.4, 2.45, 2.7, 2.77, 2.78, 2.85, 4.0, 5.25, 6.0])
 def test_s_a_closed_matches_plain_sum_at_resolved_cutoff(r):
-    # decay lengths 1/(-ln tanh^2 r) up to 63.7 (r = 2.77: term by term) and
-    # of 65.0 and up (Euler-Maclaurin after a head of _LOG_HEAD terms)
+    # decay lengths 1/(-ln tanh^2 r) up to 7.8 (r = 1.72: term by term) and
+    # of 8.1 and up (Euler-Maclaurin after a head of _JOINT_HEAD terms)
     sq = make_squeeze(r)
     cfg = SeriesConfig(tail_tol=1e-10)
     assert s_a_closed(sq, cfg) == pytest.approx(series_s_a_sum(r, resolve_cutoff(sq, sq, cfg)), rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n_max", [1, 40, 63, 64, 65, 92, 93, 100, 5000])
+@pytest.mark.parametrize("n_max", [1, 40, 61, 62, 63, 64, 65, 92, 93, 100, 5000])
 def test_s_a_closed_matches_plain_sum_around_the_head(n_max):
     # r = 3.5 (decay length 275) is on the Euler-Maclaurin path; a cutoff
-    # with fewer than 2 _STENCIL terms past the head of 64 (N < 93) is summed
-    # term by term, 93 leaves the two end stencils and no lattice node between
+    # with fewer than 2 _STENCIL terms past the head of 32 (N < 61) is summed
+    # term by term, 61 leaves the two end stencils and no lattice node between
     sq = make_squeeze(3.5)
     assert -math.log(sq.tanh_r**2) * SMOOTH_SCALE < 1.0
-    assert _LOG_HEAD + 2 * _STENCIL == 94
+    assert _JOINT_HEAD + 2 * _STENCIL == 62
     value = s_a_closed(sq, SeriesConfig(n_max=n_max))
     assert value == pytest.approx(series_s_a_sum(3.5, n_max), rel=0.0, abs=1e-12)
 

@@ -1,6 +1,8 @@
 """Physics of the exterior pair on the brute-force reference (reductions,
 partial transpose, entropies), and the oracle's one entropy rule."""
 
+import math
+
 import numpy as np
 import pytest
 from brute_force import (
@@ -113,6 +115,12 @@ def test_negativity_sum_examples():
     ppt, _, _ = measures(product_pair_state(1.0, cutoff=6))
     assert ppt["neg_sum_num"] == 0.0
     assert ppt["e_n_num"] == 0.0
+    # r = 3, N = 1: no eigenvalue of the partial transpose is negative; the
+    # empty sum must be +0.0, since -0.0 == 0.0 yet prints with a sign
+    sq3 = make_squeeze(3.0)
+    unentangled = pair_measures(sq3, sq3, 1)
+    assert math.copysign(1.0, unentangled["neg_sum_num"]) == 1.0
+    assert math.copysign(1.0, unentangled["e_n_num"]) == 1.0
 
 
 # ----------------------------------------------------------- mutual information

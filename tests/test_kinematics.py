@@ -1,11 +1,12 @@
 """Tests for the mass/frequency <-> squeezing-parameter conversions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hawkpair.kinematics import ModeSpec, make_squeeze, mass_from_squeezing, squeezing_from_mode
+from hawkpair.kinematics import R_MAX, ModeSpec, make_squeeze, mass_from_squeezing, squeezing_from_mode
 
 # high-precision reference values (50-digit evaluation, frozen)
 MW_FOR_HALF = 0.0551589000381628983  # ln(2)/(4 pi): makes exp(-4 pi M w) = 1/2
@@ -73,16 +74,18 @@ def test_mode_spec_rejects_bad_input(mass, omega):
         ModeSpec(mass=mass, omega=omega)
 
 
-@pytest.mark.parametrize("r", [-0.1, math.inf, math.nan, 355.5, 800.0, 1000.0])
+@pytest.mark.parametrize("r", [-0.1, math.inf, math.nan, 177.5, 178.0, 355.5, 800.0, 1000.0])
 def test_make_squeeze_rejects_bad_input(r):
     with pytest.raises(ValueError):
         make_squeeze(r)
 
 
 def test_make_squeeze_largest_r_has_finite_cosh_squared():
-    # r = 355 is the largest accepted; its cosh^2 r still fits a float
-    sq = make_squeeze(355.0)
-    assert math.isfinite(sq.cosh_r**2)
+    # r = R_MAX is the largest accepted: cosh^4 r, by which the series divide,
+    # is finite, and the oracle's weight 1/(2 cosh^4 r) is a normal float
+    sq = make_squeeze(R_MAX)
+    assert math.isfinite(sq.cosh_r**4)
+    assert 0.5 / sq.cosh_r**4 >= sys.float_info.min
 
 
 @pytest.mark.parametrize("r,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
