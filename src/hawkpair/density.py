@@ -1,7 +1,8 @@
 """Density-matrix numeric oracle for the exterior pair.
 
-`pair_measures` gives the oracle's columns exactly at a cutoff N, from the
-block structure of rho_AB; nothing of size (N+1)^4 is built.
+`oracle` gives the oracle's columns exactly for a batch of points, each at
+its own cutoff N, from the block structure of rho_AB; nothing of size
+(N+1)^4 is built. `pair_measures` is its call on one point.
 
 The blocks. With V(k), O(k) the amplitudes of `fock.mode_amplitudes`,
 O(k) = sqrt(k+1) V(k) / cosh r, so a mode's one-particle state is its
@@ -29,12 +30,16 @@ diagonals of D and C. The partial transpose on B moves each coupling to
 diagonals of the column-flipped D and C. rho_A and rho_B are diagonal: the
 row and column sums of D.
 
-`_pair_blocks` builds D and C once, and one function per column family reads
-them: `marginal_entropies` (s_a_num, s_b_num) the row and column sums,
-`negativity` (neg_sum_num, e_n_num) the partial-transpose blocks and
-`joint_entropy` (s_ab_num, trace_deficit = 1 - tr D) the rho_AB blocks, solved
-in stacks of one padded length (`_block_eigenvalues`). Entropies are in bits.
-`sweep` keeps the cutoff within NUMERIC_CAP, the oracle's cost limit.
+`_pair_blocks` builds each point's D and C once. Points of one cutoff and
+symmetry are stacked, in chunks that keep every eigensolver stack within
+STACK_BUDGET, and one function per column family reads a stack:
+`marginal_entropies` (s_a_num, s_b_num) the row and column sums, `negativity`
+(neg_sum_num, e_n_num) the partial-transpose blocks and `joint_entropy`
+(s_ab_num, trace_deficit = 1 - tr D) the rho_AB blocks. The blocks of all
+points of a chunk are solved together, one `eigvalsh` call per padded length
+(`_block_eigenvalues`); each point's spectrum is then reduced on its own, so
+its values do not depend on the batch. Entropies are in bits. `sweep` keeps
+the cutoff within NUMERIC_CAP, the oracle's cost limit.
 """
 
 from __future__ import annotations
@@ -44,16 +49,20 @@ import numpy as np
 from .fock import mode_amplitudes
 from .kinematics import SqueezeParam
 
-# largest cutoff the oracle runs at: it diagonalises 4N+2 tridiagonal blocks of
-# size up to N+1 (3N+2 at a symmetric point), so its time grows as N^4 (about
-# 0.47 s at 200 on one Xeon core, 0.42 s at a symmetric point; fig2's numeric
-# columns reach r = 1.65); memory stays O(N^2)
+# largest cutoff the oracle runs at: a point has 4N+2 tridiagonal blocks of
+# size up to N+1 (3N+2 at a symmetric point), and from N = 32 on it is solved
+# alone, so its time grows as N^4 (about 0.45 s at 200 on one Xeon core, 0.40 s
+# at a symmetric point; fig2's numeric columns reach r = 1.65); memory stays
+# O(N^2)
 NUMERIC_CAP = 200
 EIGENVALUE_CLAMP = 1e-10
 # blocks are stacked by length rounded up to this multiple, one eigvalsh call
 # per stack; the diagonal of a padding row is PAD_EIGENVALUE
 PAD_MULTIPLE = 8
 PAD_EIGENVALUE = 2.0
+# bytes the stacks of one eigvalsh call may take: a chunk of points of one
+# cutoff is cut to fit (17 points at N = 14; from N = 32 on, one point)
+STACK_BUDGET = 1 << 20
 
 
 def _entropy_bits(eigenvalues) -> float:
@@ -78,16 +87,17 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False
     along a diagonal k = -N..N of `diag` and whose off-diagonal runs along the
     same diagonal of `off` (one row and column smaller), block after block,
     each block's ascending: entry j of block k is read at
-    (j + max(-k, 0), j + max(k, 0)).
+    (j + max(-k, 0), j + max(k, 0)). `diag` and `off` may carry leading point
+    axes; each point's spectrum is a C-contiguous row of the result.
 
-    Blocks are solved in stacks, one `eigvalsh` call per padded length (a
-    multiple of PAD_MULTIPLE). A padding row is decoupled with diagonal
-    PAD_EIGENVALUE, above every eigenvalue a block of rho_AB (in [0, 1]) or
-    of its partial transpose (in [-1/2, 1]) can have, so a block's own
-    eigenvalues come first in its row. With `mirrored` (`diag` and `off`
+    Blocks of all points are solved in stacks, one `eigvalsh` call per padded
+    length (a multiple of PAD_MULTIPLE). A padding row is decoupled with
+    diagonal PAD_EIGENVALUE, above every eigenvalue a block of rho_AB (in
+    [0, 1]) or of its partial transpose (in [-1/2, 1]) can have, so a block's
+    own eigenvalues come first in its row. With `mirrored` (`diag` and `off`
     symmetric, so blocks k and -k are equal) only k >= 0 is solved.
     """
-    n = diag.shape[0] - 1
+    lead, n = diag.shape[:-2], diag.shape[-1] - 1
     width = -(-(n + 1) // PAD_MULTIPLE) * PAD_MULTIPLE
     k = np.arange(0 if mirrored else -n, n + 1)
     lengths = n + 1 - np.abs(k)
@@ -95,29 +105,30 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False
     # a padding entry lies under PAD_MULTIPLE steps past the last row or
     # column: a margin that wide holds it, the same for both matrices
     size = n + 1 + PAD_MULTIPLE
-    d = np.full((size, size), PAD_EIGENVALUE)
-    d[: n + 1, : n + 1] = diag
-    c = np.zeros((size, size))
-    c[:n, :n] = off
-    d, c = d.ravel(), c.ravel()
+    d = np.full(lead + (size, size), PAD_EIGENVALUE)
+    d[..., : n + 1, : n + 1] = diag
+    c = np.zeros(lead + (size, size))
+    c[..., :n, :n] = off
+    d, c = d.reshape(lead + (-1,)), c.reshape(lead + (-1,))
     start = np.maximum(-k, 0) * size + np.maximum(k, 0)
-    spectra = np.full((k.size, width), PAD_EIGENVALUE)
+    spectra = np.full(lead + (k.size, width), PAD_EIGENVALUE)
     for p in range(PAD_MULTIPLE, width + 1, PAD_MULTIPLE):
         rows = padded == p
         at = start[rows, None] + np.arange(p) * (size + 1)
-        stack = np.zeros((at.shape[0], p * p))
-        stack[:, :: p + 1] = d[at]
-        stack[:, 1 :: p + 1] = stack[:, p :: p + 1] = c[at[:, :-1]]
-        spectra[rows, :p] = np.linalg.eigvalsh(stack.reshape(-1, p, p))
+        stack = np.zeros(lead + (at.shape[0], p * p))
+        stack[..., :: p + 1] = d[..., at]
+        stack[..., 1 :: p + 1] = stack[..., p :: p + 1] = c[..., at[:, :-1]]
+        spectra[..., rows, :p] = np.linalg.eigvalsh(stack.reshape(-1, p, p)).reshape(stack.shape[:-1] + (p,))
     inside = np.arange(width) < lengths[:, None]
-    if np.any(spectra[~inside] != PAD_EIGENVALUE):
+    if np.any(spectra[..., ~inside] != PAD_EIGENVALUE):
         raise ArithmeticError(
             "a padded block has an eigenvalue out of place: the padding no longer "
             "sorts after the block's own spectrum"
         )
     if mirrored:
-        spectra, inside = (np.concatenate((x[:0:-1], x)) for x in (spectra, inside))
-    return spectra[inside]
+        spectra, inside = (np.concatenate((x[..., :0:-1, :], x), axis=-2) for x in (spectra, inside))
+    # a row of a[..., mask] is strided; its sums would depend on the batch
+    return np.ascontiguousarray(spectra[..., inside])
 
 
 def _pair_blocks(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int):
@@ -131,26 +142,51 @@ def _pair_blocks(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int):
     return diag, off
 
 
-def marginal_entropies(diag: np.ndarray) -> dict:
-    """s_a_num and s_b_num: rho_A and rho_B are the row and column sums of D."""
-    return {"s_a_num": _entropy_bits(diag.sum(axis=1)), "s_b_num": _entropy_bits(diag.sum(axis=0))}
+def marginal_entropies(diag: np.ndarray) -> list:
+    """Each point's s_a_num and s_b_num: the row and column sums of its D are rho_A and rho_B."""
+    return [{"s_a_num": _entropy_bits(d.sum(axis=1)), "s_b_num": _entropy_bits(d.sum(axis=0))} for d in diag]
 
 
-def negativity(diag: np.ndarray, off: np.ndarray) -> dict:
-    """neg_sum_num = -(sum of the partial transpose's negative eigenvalues) and e_n_num = 2|lambda_min|."""
-    pt = _block_eigenvalues(diag[:, ::-1], off[:, ::-1])
-    return {"neg_sum_num": max(0.0, float(-pt[pt < 0.0].sum())), "e_n_num": max(0.0, -2.0 * float(pt.min()))}
+def negativity(diag: np.ndarray, off: np.ndarray) -> list:
+    """Each point's neg_sum_num = -(sum of the partial transpose's negative eigenvalues) and e_n_num = 2|lambda_min|."""
+    return [
+        {"neg_sum_num": max(0.0, float(-pt[pt < 0.0].sum())), "e_n_num": max(0.0, -2.0 * float(pt.min()))}
+        for pt in _block_eigenvalues(diag[..., ::-1], off[..., ::-1])
+    ]
 
 
-def joint_entropy(diag: np.ndarray, off: np.ndarray, symmetric: bool) -> dict:
-    """s_ab_num and trace_deficit = 1 - tr D; a symmetric point solves each mirrored block pair once."""
-    ab = _block_eigenvalues(diag, off, mirrored=symmetric)
-    return {"s_ab_num": _entropy_bits(ab), "trace_deficit": max(1.0 - float(diag.sum()), 0.0)}
+def joint_entropy(diag: np.ndarray, off: np.ndarray, symmetric: bool) -> list:
+    """Each point's s_ab_num and trace_deficit = 1 - tr D; symmetric points solve each mirrored block pair once."""
+    return [
+        {"s_ab_num": _entropy_bits(ab), "trace_deficit": max(1.0 - float(d.sum()), 0.0)}
+        for d, ab in zip(diag, _block_eigenvalues(diag, off, mirrored=symmetric))
+    ]
+
+
+def oracle(points) -> list:
+    """The oracle's columns at each of a list of (sq_a, sq_b, n_max) points:
+    the three families and i_num = s_a + s_b - s_ab. Points of one cutoff and
+    symmetry are solved together, in chunks whose partial-transpose stacks
+    (2N + 1 blocks a point, each at most the padded width) fit STACK_BUDGET,
+    or one point alone; a point's values do not depend on the others."""
+    groups: dict = {}
+    for i, (sq_a, sq_b, n_max) in enumerate(points):
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        groups.setdefault((n_max, sq_a == sq_b), []).append(i)
+    out: list = [None] * len(points)
+    for (n_max, symmetric), members in groups.items():
+        width = -(-(n_max + 1) // PAD_MULTIPLE) * PAD_MULTIPLE
+        step = max(1, STACK_BUDGET // (8 * (2 * n_max + 1) * width * width))
+        for lo in range(0, len(members), step):
+            chunk = members[lo : lo + step]
+            diag, off = (np.stack(m) for m in zip(*(_pair_blocks(*points[i]) for i in chunk)))
+            families = zip(negativity(diag, off), marginal_entropies(diag), joint_entropy(diag, off, symmetric))
+            for i, (neg, marg, joint) in zip(chunk, families):
+                out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}
+    return out
 
 
 def pair_measures(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int) -> dict:
-    """The oracle's columns at cutoff n_max: the three families and i_num = s_a + s_b - s_ab."""
-    diag, off = _pair_blocks(sq_a, sq_b, n_max)
-    columns = {**negativity(diag, off), **marginal_entropies(diag), **joint_entropy(diag, off, sq_a == sq_b)}
-    columns["i_num"] = columns["s_a_num"] + columns["s_b_num"] - columns["s_ab_num"]
-    return columns
+    """The oracle's columns at one point: `oracle` of that point alone."""
+    return oracle([(sq_a, sq_b, n_max)])[0]

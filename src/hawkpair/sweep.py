@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from . import closed_form as cf
-from .density import NUMERIC_CAP, pair_measures
+from .density import NUMERIC_CAP, oracle
 from .kinematics import ModeSpec, make_squeeze, squeezing_from_mode
 
 DEFAULT_CUTOFF = cf.SeriesConfig(tail_tol=1e-10)
@@ -127,7 +127,7 @@ def run_point(
     _check_methods(methods)
 
     n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
-    if "numeric" in methods and n_max > NUMERIC_CAP:
+    if _past_cap(methods, n_max):
         raise NumericCapError(
             f"numeric method needs cutoff {n_max}, above the oracle cap of "
             f"{NUMERIC_CAP} (its time grows as N_max^4)"
@@ -135,16 +135,19 @@ def run_point(
     return _reports([_point(sq_a, sq_b, n_max, cutoff, methods)])[0]
 
 
+def _past_cap(methods, n_max: int) -> bool:
+    """Whether the numeric method is asked for past NUMERIC_CAP, where the oracle does not run."""
+    return "numeric" in methods and n_max > NUMERIC_CAP
+
+
 def _point(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> dict:
     """A point whose pair cutoff n_max is resolved: its squeezings and cutoff,
-    its oracle values when the numeric method runs, and the marginal series it
-    needs when the closed method runs, as (squeezing, cutoff) pairs. Equal
-    squeezing on both sides (every symmetric point) is one series. The pair's
-    cutoff is that of its side with the larger tanh^2 r, so that side's
-    marginal takes it as resolved; the other resolves its own."""
-    point = {"sq_a": sq_a, "sq_b": sq_b, "n_max": n_max, "marginals": (), "numeric": {}}
-    if "numeric" in methods:
-        point["numeric"] = pair_measures(sq_a, sq_b, n_max)
+    whether the oracle runs at it (the numeric method), and the marginal
+    series it needs when the closed method runs, as (squeezing, cutoff)
+    pairs. Equal squeezing on both sides (every symmetric point) is one
+    series. The pair's cutoff is that of its side with the larger tanh^2 r,
+    so that side's marginal takes it as resolved; the other resolves its own."""
+    point = {"sq_a": sq_a, "sq_b": sq_b, "n_max": n_max, "marginals": (), "numeric": "numeric" in methods}
     if "closed" in methods:
         x, y = sq_a.tanh_r**2, sq_b.tanh_r**2
 
@@ -156,13 +159,15 @@ def _point(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> dict:
 
 
 def _reports(points) -> list:
-    """One report per point of _point, the closed forms of all of them summed
-    in one closed_form call."""
+    """One report per point of _point: the closed forms of all of them summed
+    in one closed_form call, the oracle of those it runs at in one oracle
+    call."""
     closed = [p for p in points if p["marginals"]]
     marginals, joints = cf.closed_form(
         [m for p in closed for m in p["marginals"]], [(p["sq_a"], p["sq_b"], p["n_max"]) for p in closed]
     )
-    marginals, joints = iter(marginals), iter(joints)
+    numeric = oracle([(p["sq_a"], p["sq_b"], p["n_max"]) for p in points if p["numeric"]])
+    marginals, joints, numeric = iter(marginals), iter(joints), iter(numeric)
     reports = []
     for p in points:
         sq_a, sq_b, n_max = p["sq_a"], p["sq_b"], p["n_max"]
@@ -180,7 +185,8 @@ def _reports(points) -> list:
                 i_closed=s_a + s_b - s_ab,
                 trace_deficit=1.0 - (1.0 - x ** (n_max + 1)) * (1.0 - y ** (n_max + 1)),
             )
-        values.update(p["numeric"])
+        if p["numeric"]:
+            values.update(next(numeric))
         reports.append(EntanglementReport(r_a=sq_a.r, r_b=sq_b.r, n_max=n_max, **values))
     return reports
 
@@ -189,8 +195,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     """One report per grid point, ascending r, each resolving its cutoff once. A point
     past NUMERIC_CAP drops the numeric method (noted once on stderr), so its
     numeric fields are None; a numeric-only point keeps just r_a, r_b and n_max.
-    The closed forms of all points are summed together once every point is
-    resolved; a point that fails is named, with its error as the cause."""
+    Once every point is resolved, the closed forms and the oracle run on all
+    of them together (_reports); a point that fails to resolve is named, with
+    its error as the cause."""
     points = []
     warned = False
     for k in range(cfg.steps):
@@ -206,7 +213,7 @@ def run_sweep(cfg: SweepConfig) -> list:
                 )
             sq_a, sq_b = make_squeeze(r), make_squeeze(r_b)
             n_max = cf.resolve_cutoff(sq_a, sq_b, cfg.cutoff)
-            past_cap = "numeric" in cfg.methods and n_max > NUMERIC_CAP
+            past_cap = _past_cap(cfg.methods, n_max)
             if past_cap and not warned:
                 print(
                     f"note: numeric method disabled where the resolved cutoff "

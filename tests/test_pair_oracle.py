@@ -1,6 +1,7 @@
-"""Tests for the block-structured oracle (`pair_measures`, its three column
-families and the block spectra they read): fixed points, the derivation of its
-blocks, and properties over random squeezing and cutoff checked against the
+"""Tests for the block-structured oracle (`oracle` on a batch of points,
+`pair_measures` on one, its three column families and the block spectra they
+read): fixed points, the derivation of its blocks, batches against points
+alone, and properties over random squeezing and cutoff checked against the
 brute-force reference (`brute_force.py`), a one-block-at-a-time eigensolve and
 the physical invariants."""
 
@@ -10,18 +11,22 @@ import numpy as np
 import pytest
 from brute_force import OUT_PAIR, measures, pair_state, reduce
 
+from hawkpair.closed_form import SeriesConfig
 from hawkpair.density import (
     PAD_MULTIPLE,
+    STACK_BUDGET,
     _block_eigenvalues,
     _entropy_bits,
     _pair_blocks,
     joint_entropy,
     marginal_entropies,
     negativity,
+    oracle,
     pair_measures,
 )
 from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
+from hawkpair.sweep import SweepConfig, run_sweep
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -100,8 +105,9 @@ def test_block_sizes_cover_the_truncated_space():
 
 
 def test_families_partition_the_columns():
-    diag, off = _pair_blocks(make_squeeze(0.9), make_squeeze(0.4), 7)
-    families = (marginal_entropies(diag), negativity(diag, off), joint_entropy(diag, off, symmetric=False))
+    # each family takes a stack of points' D and C, here of one point
+    diag, off = (m[None] for m in _pair_blocks(make_squeeze(0.9), make_squeeze(0.4), 7))
+    families = (marginal_entropies(diag)[0], negativity(diag, off)[0], joint_entropy(diag, off, symmetric=False)[0])
     names = [name for family in families for name in family]
     assert sorted(names + ["i_num"]) == sorted(COLUMNS)
     got = pair_measures(make_squeeze(0.9), make_squeeze(0.4), 7)
@@ -137,7 +143,8 @@ def test_structured_oracle_invariants(r_a, r_b, n_max):
 
 
 def negativity_at(r_a, r_b, n_max):
-    return negativity(*_pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max))
+    diag, off = _pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
+    return negativity(diag[None], off[None])[0]
 
 
 @properties
@@ -195,6 +202,46 @@ def test_eigensolves_are_stacked(monkeypatch):
     pair_measures(make_squeeze(0.9), make_squeeze(0.6), 14)
     assert len(shapes) <= 4
     assert all(shape[1] % PAD_MULTIPLE == 0 for shape in shapes)
+
+
+def test_batch_values_equal_each_point_alone():
+    # one oracle call over cutoffs either side of a padded length and at
+    # fig2's largest, symmetric and asymmetric points and r = 0; points that
+    # share a cutoff and symmetry are solved in one stack
+    pairs = [(0.7, 0.3), (1.5, 0.2), (1.2, 1.2), (0.4, 0.4), (0.0, 0.0), (0.0, 0.9)]
+    points = [(make_squeeze(r_a), make_squeeze(r_b), n) for n in (1, 7, 8, 9, 15, 16, 17) for r_a, r_b in pairs]
+    points += [(make_squeeze(1.6), make_squeeze(1.6), 191), (make_squeeze(1.6), make_squeeze(0.8), 191)]
+    for point, got in zip(points, oracle(points), strict=True):
+        assert got == pair_measures(*point), (point[0].r, point[1].r, point[2])
+
+
+def blocks_of_padded_length(n_max, p):
+    """How many of one point's partial-transpose blocks are padded to length p."""
+    return sum(-(-(n_max + 1 - abs(k)) // PAD_MULTIPLE) * PAD_MULTIPLE == p for k in range(-n_max, n_max + 1))
+
+
+def test_sweep_solves_each_padded_length_once(monkeypatch):
+    # 6 asymmetric points at N = 14 are one chunk: blocks padded to 8 and to
+    # 16, for rho_AB and for its partial transpose, not 4 calls a point
+    shapes = counted_eigvalsh(monkeypatch)
+    rows = run_sweep(SweepConfig(r_min=0.4, r_max=1.4, steps=6, omega_ratio=2.0, cutoff=SeriesConfig(n_max=14)))
+    assert all(row.e_n_num is not None for row in rows)
+    assert sorted(shape[1] for shape in shapes) == [8, 8, 16, 16]
+    assert sum(shape[0] for shape in shapes) == 6 * 2 * (2 * 14 + 1)
+
+
+def test_stacks_stay_within_the_budget(monkeypatch):
+    # 40 points at N = 14 take three chunks; a stack over STACK_BUDGET holds
+    # the blocks of one point alone, as at N = 191, where one point's 15
+    # partial-transpose blocks padded to 192 take 4.4 MB
+    shapes = counted_eigvalsh(monkeypatch)
+    points = [(make_squeeze(0.02 * i), make_squeeze(0.55), 14) for i in range(40)]
+    points += [(make_squeeze(1.6), make_squeeze(r), 191) for r in (0.8, 0.9)]
+    oracle(points)
+    assert sum(shape[0] for shape in shapes) == 2 * (40 * 29 + 2 * 383)
+    for count, p, _ in shapes:
+        assert 8 * count * p * p <= STACK_BUDGET or count <= blocks_of_padded_length(191, p), (count, p)
+    assert any(8 * count * p * p > STACK_BUDGET for count, p, _ in shapes)
 
 
 def test_padding_that_does_not_sort_last_is_refused():

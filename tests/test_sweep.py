@@ -325,6 +325,21 @@ def test_sweep_rows_do_not_depend_on_the_batch(r_min, omega_ratio, n_max):
             assert getattr(row, field.name) == getattr(alone, field.name), (row.r_a, field.name)
 
 
+@pytest.mark.parametrize("omega_ratio", [1.0, 2.0, 0.5])
+@pytest.mark.parametrize("n_max", [1, 9, 14, 40])
+def test_sweep_rows_do_not_depend_on_the_batch_with_the_oracle(omega_ratio, n_max):
+    # the oracle also runs on a whole sweep at once, points of one cutoff and
+    # symmetry in one stack; each row must still equal its point alone
+    cutoff = SeriesConfig(n_max=n_max)
+    rows = run_sweep(SweepConfig(r_min=0.0, r_max=1.6, steps=9, omega_ratio=omega_ratio, cutoff=cutoff))
+    assert rows[0].r_a == 0.0
+    for row in rows:
+        alone = run_point(r_a=row.r_a, r_b=row.r_b, cutoff=cutoff)
+        assert row.e_n_num is not None
+        for field in fields(EntanglementReport):
+            assert getattr(row, field.name) == getattr(alone, field.name), (row.r_a, field.name)
+
+
 @pytest.mark.parametrize("r_a,r_b,resolves", [(2.0, 2.0, 1), (1.0, 0.5, 2), (0.5, 1.0, 2)])
 def test_run_point_resolves_each_cutoff_once(monkeypatch, r_a, r_b, resolves):
     # the pair's cutoff is its more squeezed side's own, so only the other
