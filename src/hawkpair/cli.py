@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: point, sweep, fig2, fig3, compare. Exit codes: 0 success,
-2 invalid arguments, 3 convergence/cutoff failure, 4 I/O failure.
+2 invalid arguments, 3 convergence/cutoff or numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from .sweep import (
 )
 
 FIG_PRESET = dict(r_min=0.0, r_max=6.0, steps=121)
-# exit code of each error family, first match wins
-EXIT_CODES = ((cf.ConvergenceError, 3), (NumericCapError, 3), (OSError, 4), (ValueError, 2))
+# exit code of each error family, first match wins; an ArithmeticError is a
+# numerical failure (the oracle's padding check)
+EXIT_CODES = ((cf.ConvergenceError, 3), (NumericCapError, 3), (ArithmeticError, 3), (OSError, 4), (ValueError, 2))
 
 
 def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
             _cmd_fig(args, methods=("closed",))
         elif args.command == "compare":
             _cmd_compare(args)
-    except (cf.ConvergenceError, NumericCapError, OSError, ValueError, SweepPointError) as exc:
+    except (SweepPointError, *(kind for kind, _ in EXIT_CODES)) as exc:
         # a failed sweep point exits as its cause would
         cause = exc.__cause__ if isinstance(exc, SweepPointError) else exc
         code = next((code for kind, code in EXIT_CODES if isinstance(cause, kind)), None)

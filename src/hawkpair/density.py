@@ -4,7 +4,7 @@
 its own cutoff N, from the block structure of rho_AB; nothing of size
 (N+1)^4 is built. `pair_measures` is its call on one point.
 
-The blocks. With V(k), O(k) the amplitudes of `fock.mode_amplitudes`,
+The blocks. With V(k), O(k) the amplitudes of `fock.amplitude_rows`,
 O(k) = sqrt(k+1) V(k) / cosh r, so a mode's one-particle state is its
 vacuum with a^dag applied to the out mode, over cosh r; a^dag is truncated
 at N (a^dag |N> = 0, hence O(N) = 0). The pair state is then
@@ -30,23 +30,28 @@ diagonals of D and C. The partial transpose on B moves each coupling to
 diagonals of the column-flipped D and C. rho_A and rho_B are diagonal: the
 row and column sums of D.
 
-`_pair_blocks` builds each point's D and C once. Points of one cutoff and
-symmetry are stacked, in chunks that keep every eigensolver stack within
-STACK_BUDGET, and one function per column family reads a stack:
-`marginal_entropies` (s_a_num, s_b_num) the row and column sums, `negativity`
-(neg_sum_num, e_n_num) the partial-transpose blocks and `joint_entropy`
-(s_ab_num, trace_deficit = 1 - tr D) the rho_AB blocks. The blocks of all
-points of a chunk are solved together, one `eigvalsh` call per padded length
-(`_block_eigenvalues`); each point's spectrum is then reduced on its own, so
-its values do not depend on the batch. Entropies are in bits. `sweep` keeps
-the cutoff within NUMERIC_CAP, the oracle's cost limit.
+Points of one cutoff and symmetry are grouped, in chunks that keep every
+eigensolver stack within STACK_BUDGET, and each chunk is set up once:
+`_stacked_blocks` builds the D and C of all its points in one broadcast
+(`_pair_blocks` is its call on one point), and one function per column
+family reads the stack: `marginal_entropies` (s_a_num, s_b_num) the row and
+column sums, `negativity` (neg_sum_num, e_n_num) the partial-transpose
+blocks and `joint_entropy` (s_ab_num, trace_deficit = 1 - tr D) the rho_AB
+blocks. The blocks of all points of a chunk are solved together, one
+`eigvalsh` call per padded length (`_block_eigenvalues`), through a plan of
+where each block is read and written that depends only on (N, mirrored) and
+is cached (`_block_plan`). Each point's spectrum is then reduced on its own,
+so its values do not depend on the batch. Entropies are in bits. `sweep`
+keeps the cutoff within NUMERIC_CAP, the oracle's cost limit.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .fock import mode_amplitudes
+from .fock import amplitude_rows
 from .kinematics import SqueezeParam
 
 # largest cutoff the oracle runs at: a point has 4N+2 tridiagonal blocks of
@@ -63,6 +68,9 @@ PAD_EIGENVALUE = 2.0
 # bytes the stacks of one eigvalsh call may take: a chunk of points of one
 # cutoff is cut to fit (17 points at N = 14; from N = 32 on, one point)
 STACK_BUDGET = 1 << 20
+# block plans kept (_block_plan): a chunk needs one, or two at a symmetric
+# point; the largest, at N = NUMERIC_CAP, takes 0.67 MB
+PLAN_CACHE = 8
 
 
 def _entropy_bits(eigenvalues) -> float:
@@ -71,15 +79,51 @@ def _entropy_bits(eigenvalues) -> float:
     [-EIGENVALUE_CLAMP, 0) are rounding noise; anything more negative is
     refused as non-physical."""
     lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(lam < -EIGENVALUE_CLAMP):
-        raise ValueError(f"non-physical reduced density: min eigenvalue {lam.min()}")
-    lam = lam[lam > 0.0]
+    low = lam.min(initial=np.inf)
+    if low < -EIGENVALUE_CLAMP:
+        raise ValueError(f"non-physical reduced density: min eigenvalue {low}")
+    if not low > 0.0:  # also drops NaN
+        lam = lam[lam > 0.0]
     tr = lam.sum()
     if tr <= 0.0:
         return 0.0
     lam = lam / tr
-    s = float(-np.sum(lam * np.log2(lam)))
+    lam *= np.log2(lam)
+    s = float(-lam.sum())
     return s if s > 0.0 else 0.0  # also maps -0.0 to 0.0
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _block_plan(n: int, mirrored: bool) -> tuple:
+    """Where `_block_eigenvalues` reads and writes the blocks of an
+    (n+1) x (n+1) `diag`, as read-only arrays computed once per
+    (n, mirrored): the row length `size` of the margin-padded matrices; per
+    padded length p, the flat indices into them of each block's diagonal, a
+    row per block padded to p; the length of the flat spectrum these stacks
+    fill; and the indices in it of the blocks' own eigenvalues (k = -n..n,
+    each block's ascending) and of the padding's."""
+    # a padding entry lies under PAD_MULTIPLE steps past the last row or
+    # column: a margin that wide holds it, the same for both matrices
+    size = n + 1 + PAD_MULTIPLE
+    k = np.arange(0 if mirrored else -n, n + 1)
+    lengths = n + 1 - np.abs(k)
+    padded = -(-lengths // PAD_MULTIPLE) * PAD_MULTIPLE
+    start = np.maximum(-k, 0) * size + np.maximum(k, 0)
+    stacks, slot, total = [], np.empty(k.size, dtype=np.intp), 0
+    for p in range(PAD_MULTIPLE, padded.max() + 1, PAD_MULTIPLE):
+        rows = np.flatnonzero(padded == p)
+        stacks.append((p, start[rows, None] + np.arange(p) * (size + 1)))
+        slot[rows] = total + np.arange(rows.size) * p
+        total += rows.size * p
+    entry = np.arange(padded.max())
+    pad = (slot[:, None] + entry)[(entry >= lengths[:, None]) & (entry < padded[:, None])]
+    # output block k is solved as row |k| when mirrored
+    k_out = np.arange(-n, n + 1)
+    row = np.abs(k_out) if mirrored else k_out + n
+    own = (slot[row, None] + entry)[entry < (n + 1 - np.abs(k_out))[:, None]]
+    for a in [own, pad] + [at for _, at in stacks]:
+        a.setflags(write=False)
+    return size, tuple(stacks), total, own, pad
 
 
 def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False) -> np.ndarray:
@@ -95,56 +139,60 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False
     diagonal PAD_EIGENVALUE, above every eigenvalue a block of rho_AB (in
     [0, 1]) or of its partial transpose (in [-1/2, 1]) can have, so a block's
     own eigenvalues come first in its row. With `mirrored` (`diag` and `off`
-    symmetric, so blocks k and -k are equal) only k >= 0 is solved.
+    symmetric, so blocks k and -k are equal) only k >= 0 is solved. Where
+    each block is read and its eigenvalues go depends only on (N, mirrored):
+    `_block_plan` works it out once and caches it.
     """
     lead, n = diag.shape[:-2], diag.shape[-1] - 1
-    width = -(-(n + 1) // PAD_MULTIPLE) * PAD_MULTIPLE
-    k = np.arange(0 if mirrored else -n, n + 1)
-    lengths = n + 1 - np.abs(k)
-    padded = -(-lengths // PAD_MULTIPLE) * PAD_MULTIPLE
-    # a padding entry lies under PAD_MULTIPLE steps past the last row or
-    # column: a margin that wide holds it, the same for both matrices
-    size = n + 1 + PAD_MULTIPLE
+    size, stacks, total, own, pad = _block_plan(n, mirrored)
     d = np.full(lead + (size, size), PAD_EIGENVALUE)
     d[..., : n + 1, : n + 1] = diag
     c = np.zeros(lead + (size, size))
     c[..., :n, :n] = off
     d, c = d.reshape(lead + (-1,)), c.reshape(lead + (-1,))
-    start = np.maximum(-k, 0) * size + np.maximum(k, 0)
-    spectra = np.full(lead + (k.size, width), PAD_EIGENVALUE)
-    for p in range(PAD_MULTIPLE, width + 1, PAD_MULTIPLE):
-        rows = padded == p
-        at = start[rows, None] + np.arange(p) * (size + 1)
+    spectra = np.empty(lead + (total,))
+    lo = 0
+    for p, at in stacks:
         stack = np.zeros(lead + (at.shape[0], p * p))
         stack[..., :: p + 1] = d[..., at]
         stack[..., 1 :: p + 1] = stack[..., p :: p + 1] = c[..., at[:, :-1]]
-        spectra[..., rows, :p] = np.linalg.eigvalsh(stack.reshape(-1, p, p)).reshape(stack.shape[:-1] + (p,))
-    inside = np.arange(width) < lengths[:, None]
-    if np.any(spectra[..., ~inside] != PAD_EIGENVALUE):
+        spectra[..., lo : lo + at.size] = np.linalg.eigvalsh(stack.reshape(-1, p, p)).reshape(lead + (-1,))
+        lo += at.size
+    if np.any(spectra[..., pad] != PAD_EIGENVALUE):
         raise ArithmeticError(
             "a padded block has an eigenvalue out of place: the padding no longer "
             "sorts after the block's own spectrum"
         )
-    if mirrored:
-        spectra, inside = (np.concatenate((x[..., :0:-1, :], x), axis=-2) for x in (spectra, inside))
-    # a row of a[..., mask] is strided; its sums would depend on the batch
-    return np.ascontiguousarray(spectra[..., inside])
+    # a row of a[..., index] is strided, np.take's is not
+    return np.take(spectra, own, axis=-1)
+
+
+def _stacked_blocks(pairs, n_max: int):
+    """The matrices D (diagonal of rho_AB) and C (its coupling) of the module
+    docstring for each of a list of (sq_a, sq_b) pairs, stacked on a leading
+    point axis and built in one broadcast."""
+    v, o = (x.reshape(-1, 2, n_max + 1) for x in amplitude_rows([sq for pair in pairs for sq in pair], n_max))
+    v2 = v**2
+    o_prev2 = np.zeros(o.shape)
+    o_prev2[..., 1:] = o[..., :-1] ** 2
+    vo = (v * o)[..., :-1]
+    diag = 0.5 * (v2[:, 0, :, None] * v2[:, 1, None, :] + o_prev2[:, 0, :, None] * o_prev2[:, 1, None, :])
+    off = 0.5 * (vo[:, 0, :, None] * vo[:, 1, None, :])
+    return diag, off
 
 
 def _pair_blocks(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int):
-    """The matrices D (diagonal of rho_AB) and C (its coupling) of the module
-    docstring."""
-    va, oa = mode_amplitudes(sq_a, n_max)
-    vb, ob = mode_amplitudes(sq_b, n_max)
-    oa_prev, ob_prev = np.append(0.0, oa[:-1]), np.append(0.0, ob[:-1])
-    diag = 0.5 * (np.outer(va**2, vb**2) + np.outer(oa_prev**2, ob_prev**2))
-    off = 0.5 * np.outer((va * oa)[:-1], (vb * ob)[:-1])
-    return diag, off
+    """D and C of one point: `_stacked_blocks` of that pair alone."""
+    diag, off = _stacked_blocks([(sq_a, sq_b)], n_max)
+    return diag[0], off[0]
 
 
 def marginal_entropies(diag: np.ndarray) -> list:
     """Each point's s_a_num and s_b_num: the row and column sums of its D are rho_A and rho_B."""
-    return [{"s_a_num": _entropy_bits(d.sum(axis=1)), "s_b_num": _entropy_bits(d.sum(axis=0))} for d in diag]
+    return [
+        {"s_a_num": _entropy_bits(a), "s_b_num": _entropy_bits(b)}
+        for a, b in zip(diag.sum(axis=-1), diag.sum(axis=-2))
+    ]
 
 
 def negativity(diag: np.ndarray, off: np.ndarray) -> list:
@@ -180,7 +228,7 @@ def oracle(points) -> list:
         step = max(1, STACK_BUDGET // (8 * (2 * n_max + 1) * width * width))
         for lo in range(0, len(members), step):
             chunk = members[lo : lo + step]
-            diag, off = (np.stack(m) for m in zip(*(_pair_blocks(*points[i]) for i in chunk)))
+            diag, off = _stacked_blocks([points[i][:2] for i in chunk], n_max)
             families = zip(negativity(diag, off), marginal_entropies(diag), joint_entropy(diag, off, symmetric))
             for i, (neg, marg, joint) in zip(chunk, families):
                 out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}

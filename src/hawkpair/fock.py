@@ -14,13 +14,23 @@ import numpy as np
 from .kinematics import SqueezeParam
 
 
-def mode_amplitudes(sq: SqueezeParam, n_max: int):
+def amplitude_rows(squeezings, n_max: int):
     """V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2 for k = 0..n_max, with
-    t = tanh r and c = cosh r. O(n_max) = 0: |n_max + 1>_out is truncated,
-    so n_max must be at least 1 for the one-particle state to exist."""
+    t = tanh r and c = cosh r, one row per squeezing. O(n_max) = 0:
+    |n_max + 1>_out is truncated, so n_max must be at least 1 for the
+    one-particle state to exist."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     k = np.arange(n_max + 1)
-    v = sq.tanh_r**k / sq.cosh_r
-    o = np.append(np.sqrt(k[:-1] + 1.0) * sq.tanh_r ** k[:-1] / sq.cosh_r**2, 0.0)
-    return v, o
+    # c^2 by Python's float power, which numpy's c * c can miss by an ulp
+    t, c, c2 = np.array([(sq.tanh_r, sq.cosh_r, sq.cosh_r**2) for sq in squeezings]).T[..., None]
+    tk = t**k
+    o = np.zeros(tk.shape)
+    o[:, :-1] = np.sqrt(k[:-1] + 1.0) * tk[:, :-1] / c2
+    return tk / c, o
+
+
+def mode_amplitudes(sq: SqueezeParam, n_max: int):
+    """V and O of `amplitude_rows` for one squeezing."""
+    v, o = amplitude_rows([sq], n_max)
+    return v[0], o[0]

@@ -196,8 +196,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     past NUMERIC_CAP drops the numeric method (noted once on stderr), so its
     numeric fields are None; a numeric-only point keeps just r_a, r_b and n_max.
     Once every point is resolved, the closed forms and the oracle run on all
-    of them together (_reports); a point that fails to resolve is named, with
-    its error as the cause."""
+    of them together (_reports). A point that fails is named, with its error
+    as the cause: when the batch fails, its points are run one at a time to
+    find the first that does (if none does, the batch's error is raised)."""
     points = []
     warned = False
     for k in range(cfg.steps):
@@ -224,8 +225,20 @@ def run_sweep(cfg: SweepConfig) -> list:
             methods = tuple(m for m in cfg.methods if m != "numeric") if past_cap else cfg.methods
             points.append(_point(sq_a, sq_b, n_max, cfg.cutoff, methods))
         except Exception as exc:
-            raise SweepPointError(f"sweep failed at r = {r} (r_b = {r_b}): {exc}") from exc
-    return _reports(points)
+            raise _point_error(r, r_b, exc) from exc
+    try:
+        return _reports(points)
+    except Exception:
+        for p in points:
+            try:
+                _reports([p])
+            except Exception as exc:
+                raise _point_error(p["sq_a"].r, p["sq_b"].r, exc) from exc
+        raise
+
+
+def _point_error(r: float, r_b: float, exc: Exception) -> SweepPointError:
+    return SweepPointError(f"sweep failed at r = {r} (r_b = {r_b}): {exc}")
 
 
 def check_warn_threshold(warn_threshold: float) -> None:

@@ -14,6 +14,7 @@ import pytest
 
 from hawkpair import cli
 from hawkpair import closed_form as cf
+from hawkpair import density
 from hawkpair.closed_form import ConvergenceError
 from hawkpair.sweep import CSV_HEADER, MAX_SWEEP_STEPS, NumericCapError, SweepPointError
 
@@ -233,6 +234,26 @@ def test_saturated_squeezing_exit_3():
     assert res.returncode == 3
     assert "rounds to 1" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--r", "0.5", "--nmax", "8"],
+        ["sweep", "--r-min", "0.2", "--r-max", "0.6", "--steps", "3", "--nmax", "8"],
+    ],
+)
+def test_oracle_failure_exit_3(argv, monkeypatch, capsys):
+    # the eigensolver's padding check fails: an error line and exit 3, no traceback
+    def failing_blocks(diag, off, mirrored=False):
+        raise ArithmeticError("a padded block has an eigenvalue out of place")
+
+    monkeypatch.setattr(density, "_block_eigenvalues", failing_blocks)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out of place" in err
+    if argv[0] == "sweep":
+        assert "sweep failed at r = 0.2" in err
 
 
 def test_numeric_cap_exit_3():

@@ -511,6 +511,27 @@ def test_panel_rule_matches_32_nodes_at_large_decay_lengths(monkeypatch):
     np.testing.assert_allclose(rule, sums(), rtol=1e-15, atol=0.0)
 
 
+def test_gauss_legendre_table_is_the_16_point_rule():
+    # the written-out nodes and weights are leggauss(16) to 2 ulp; the weights
+    # sum to 2, and the rule integrates x^d over [-1, 1] exactly up to d = 31
+    # (to rounding: x^32 is off by 7.2e-10)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    for got, want in ((_GL_NODES, nodes), (_GL_WEIGHTS, weights)):
+        assert got.shape == (16,)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    assert math.fsum(_GL_WEIGHTS) == pytest.approx(2.0, rel=0, abs=4e-16)
+    for d in range(32):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert math.fsum(_GL_WEIGHTS * _GL_NODES**d) == pytest.approx(exact, rel=0, abs=1e-15), d
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    code = "import sys, hawkpair.cli; print('numpy.polynomial' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("r,n_max,block_cells", [(2.4, None, None), (3.5, 2000, 4096)])
 def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
     # lx == ly sums the upper triangle of the grid; one ulp off, the full

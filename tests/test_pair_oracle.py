@@ -11,13 +11,18 @@ import numpy as np
 import pytest
 from brute_force import OUT_PAIR, measures, pair_state, reduce
 
+from hawkpair import density
 from hawkpair.closed_form import SeriesConfig
 from hawkpair.density import (
+    NUMERIC_CAP,
     PAD_MULTIPLE,
+    PLAN_CACHE,
     STACK_BUDGET,
     _block_eigenvalues,
+    _block_plan,
     _entropy_bits,
     _pair_blocks,
+    _stacked_blocks,
     joint_entropy,
     marginal_entropies,
     negativity,
@@ -242,6 +247,122 @@ def test_stacks_stay_within_the_budget(monkeypatch):
     for count, p, _ in shapes:
         assert 8 * count * p * p <= STACK_BUDGET or count <= blocks_of_padded_length(191, p), (count, p)
     assert any(8 * count * p * p > STACK_BUDGET for count, p, _ in shapes)
+
+
+def blocks_point_by_point(sq_a, sq_b, n_max):
+    """D and C of one point from its amplitudes term by term and np.outer."""
+    k = np.arange(n_max + 1)
+    (va, oa), (vb, ob) = (
+        (sq.tanh_r**k / sq.cosh_r, np.append(np.sqrt(k[:-1] + 1.0) * sq.tanh_r ** k[:-1] / sq.cosh_r**2, 0.0))
+        for sq in (sq_a, sq_b)
+    )
+    oa_prev, ob_prev = np.append(0.0, oa[:-1]), np.append(0.0, ob[:-1])
+    diag = 0.5 * (np.outer(va**2, vb**2) + np.outer(oa_prev**2, ob_prev**2))
+    return diag, 0.5 * np.outer((va * oa)[:-1], (vb * ob)[:-1])
+
+
+def entropy_bits_masked(eigenvalues):
+    """_entropy_bits with an unconditional mask and no in-place steps."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    if np.any(lam < -1e-10):
+        raise ValueError("non-physical")
+    lam = lam[lam > 0.0]
+    tr = lam.sum()
+    if tr <= 0.0:
+        return 0.0
+    lam = lam / tr
+    s = float(-np.sum(lam * np.log2(lam)))
+    return s if s > 0.0 else 0.0
+
+
+def marginals_point_by_point(diag):
+    return [{"s_a_num": _entropy_bits(d.sum(axis=1)), "s_b_num": _entropy_bits(d.sum(axis=0))} for d in diag]
+
+
+# symmetric and asymmetric pairs, r = 0 on either side; at r = 1.5225,
+# cosh(r) ** 2 and cosh(r) * cosh(r) differ in the last bit
+CHUNK_PAIRS = [(0.0, 0.0), (0.0, 0.9), (1.3, 0.0), (0.7, 0.3), (1.2, 1.2), (0.4, 1.65), (2.5, 2.5), (1.5225, 0.6)]
+
+
+@pytest.mark.parametrize("n_max", (1, 2) + PAD_EDGES + (191,))
+def test_chunk_blocks_equal_the_point_by_point_ones(n_max):
+    pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
+    diag, off = _stacked_blocks(pairs, n_max)
+    assert diag.shape == (len(pairs), n_max + 1, n_max + 1) and off.shape == (len(pairs), n_max, n_max)
+    for pair, d, c in zip(pairs, diag, off):
+        want_d, want_c = blocks_point_by_point(*pair, n_max)
+        assert np.array_equal(d, want_d) and np.array_equal(c, want_c), (pair[0].r, pair[1].r)
+        one_d, one_c = _pair_blocks(*pair, n_max)
+        assert np.array_equal(one_d, want_d) and np.array_equal(one_c, want_c)
+
+
+def test_chunk_spectra_are_contiguous_rows():
+    # each point's spectrum is reduced on its own, from a C-contiguous row
+    pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
+    diag, off = _stacked_blocks(pairs, 9)
+    for spectra in (_block_eigenvalues(diag, off), _block_eigenvalues(diag[..., ::-1], off[..., ::-1])):
+        assert spectra.shape == (len(pairs), 100) and spectra.flags.c_contiguous
+
+
+def test_entropy_and_marginals_equal_the_plain_reductions():
+    rng = np.random.default_rng(5)
+    spectra = [rng.uniform(-1e-11, 1.0, size) for size in (1, 2, 7, 64, 500)]
+    spectra += [rng.uniform(0.0, 1.0, 40), np.array([0.5, 0.5, 0.0]), np.zeros(3), np.array([1.0]), np.array([])]
+    for lam in spectra:
+        assert repr(_entropy_bits(lam)) == repr(entropy_bits_masked(lam))
+    pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
+    for n_max in (1, 9, 40):
+        diag, _ = _stacked_blocks(pairs, n_max)
+        assert marginal_entropies(diag) == marginals_point_by_point(diag)
+
+
+def test_oracle_equals_its_point_by_point_set_up(monkeypatch):
+    # every value, at full precision, equals the oracle fed point-by-point D
+    # and C, plain entropies and per-point row and column sums
+    points = [(make_squeeze(r_a), make_squeeze(r_b), n) for n in (1, 8, 9, 14, 33) for r_a, r_b in CHUNK_PAIRS]
+    points += [(make_squeeze(1.6), make_squeeze(r_b), 191) for r_b in (1.6, 0.8)]
+    got = oracle(points)
+    monkeypatch.setattr(
+        density,
+        "_stacked_blocks",
+        lambda pairs, n_max: tuple(np.stack(m) for m in zip(*(blocks_point_by_point(*p, n_max) for p in pairs))),
+    )
+    monkeypatch.setattr(density, "_entropy_bits", entropy_bits_masked)
+    monkeypatch.setattr(density, "marginal_entropies", marginals_point_by_point)
+    assert repr(oracle(points)) == repr(got)
+
+
+def test_block_plans_are_cached_per_cutoff_and_symmetry():
+    _block_plan.cache_clear()
+    sq_a, sq_b = make_squeeze(0.9), make_squeeze(0.6)
+    oracle([(sq_a, sq_b, 14)])
+    # the partial transpose and the asymmetric rho_AB share (14, False)
+    assert _block_plan.cache_info().currsize == 1
+    # other points, batch sizes and values at the same cutoff add no plan
+    oracle([(make_squeeze(0.05 + 0.1 * i), sq_b, 14) for i in range(7)])
+    diag, off = _pair_blocks(sq_a, sq_b, 14)
+    _block_eigenvalues(2.0 * diag[None, None], off[None, None])
+    info = _block_plan.cache_info()
+    assert (info.currsize, info.misses) == (1, 1) and info.hits >= 4
+    oracle([(sq_a, sq_a, 14)])
+    assert _block_plan.cache_info().currsize == 2  # adds (14, True)
+    for arrays in (_block_plan(14, False), _block_plan(14, True)):
+        size, stacks, total, own, pad = arrays
+        assert not any(a.flags.writeable for a in [own, pad] + [at for _, at in stacks])
+    assert _block_plan.cache_parameters()["maxsize"] == PLAN_CACHE
+
+
+def test_block_plan_cache_stays_small():
+    # the largest plans are at the cap; PLAN_CACHE of the larger kind stay within a few MB
+    def nbytes(plan):
+        size, stacks, total, own, pad = plan
+        return own.nbytes + pad.nbytes + sum(at.nbytes for _, at in stacks)
+
+    largest = max(nbytes(_block_plan(NUMERIC_CAP, mirrored)) for mirrored in (False, True))
+    assert PLAN_CACHE * largest <= 6e6
+    for n_max in range(NUMERIC_CAP - PLAN_CACHE - 4, NUMERIC_CAP + 1):
+        _block_plan(n_max, False)
+    assert _block_plan.cache_info().currsize == PLAN_CACHE
 
 
 def test_padding_that_does_not_sort_last_is_refused():
