@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import closed_form as cf
+from .density import PaddingError
 from .kinematics import ModeSpec
 from .sweep import (
     DEFAULT_CUTOFF,
@@ -27,9 +28,9 @@ from .sweep import (
 )
 
 FIG_PRESET = dict(r_min=0.0, r_max=6.0, steps=121)
-# exit code of each error family, first match wins; an ArithmeticError is a
-# numerical failure (the oracle's padding check)
-EXIT_CODES = ((cf.ConvergenceError, 3), (NumericCapError, 3), (ArithmeticError, 3), (OSError, 4), (ValueError, 2))
+# exit code of each error family, first match wins; a PaddingError is the
+# oracle's eigensolver failing its own check
+EXIT_CODES = ((cf.ConvergenceError, 3), (NumericCapError, 3), (PaddingError, 3), (OSError, 4), (ValueError, 2))
 
 
 def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:

@@ -32,22 +32,20 @@ row and column sums of D.
 
 Points of one cutoff and symmetry are grouped, in chunks that keep every
 eigensolver stack within STACK_BUDGET, and each chunk is set up once:
-`_stacked_blocks` builds the D and C of all its points in one broadcast
-(`_pair_blocks` is its call on one point), and one function per column
-family reads the stack: `marginal_entropies` (s_a_num, s_b_num) the row and
-column sums, `negativity` (neg_sum_num, e_n_num) the partial-transpose
-blocks and `joint_entropy` (s_ab_num, trace_deficit = 1 - tr D) the rho_AB
-blocks. The blocks of all points of a chunk are solved together, one
+`_stacked_blocks` builds the D and C of all its points in one broadcast,
+and one function per column family reads the stack: `marginal_entropies`
+(s_a_num, s_b_num) the row and column sums, `negativity` (neg_sum_num,
+e_n_num) the partial-transpose blocks and `joint_entropy` (s_ab_num,
+trace_deficit = 1 - tr D) the rho_AB blocks. The blocks of all points of a chunk are solved together, one
 `eigvalsh` call per padded length (`_block_eigenvalues`), through a plan of
-where each block is read and written that depends only on (N, mirrored) and
-is cached (`_block_plan`). Each point's spectrum is then reduced on its own,
+where each block is read and written that depends only on (N, mirrored)
+(`_block_plan`): `oracle` works out each plan once per group and drops it
+when the call returns. Each point's spectrum is then reduced on its own,
 so its values do not depend on the batch. Entropies are in bits. `sweep`
 keeps the cutoff within NUMERIC_CAP, the oracle's cost limit.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -68,9 +66,10 @@ PAD_EIGENVALUE = 2.0
 # bytes the stacks of one eigvalsh call may take: a chunk of points of one
 # cutoff is cut to fit (17 points at N = 14; from N = 32 on, one point)
 STACK_BUDGET = 1 << 20
-# block plans kept (_block_plan): a chunk needs one, or two at a symmetric
-# point; the largest, at N = NUMERIC_CAP, takes 0.67 MB
-PLAN_CACHE = 8
+
+
+class PaddingError(ArithmeticError):
+    """A padded block's eigenvalues did not sort after the block's own."""
 
 
 def _entropy_bits(eigenvalues) -> float:
@@ -93,15 +92,14 @@ def _entropy_bits(eigenvalues) -> float:
     return s if s > 0.0 else 0.0  # also maps -0.0 to 0.0
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE)
 def _block_plan(n: int, mirrored: bool) -> tuple:
     """Where `_block_eigenvalues` reads and writes the blocks of an
-    (n+1) x (n+1) `diag`, as read-only arrays computed once per
-    (n, mirrored): the row length `size` of the margin-padded matrices; per
-    padded length p, the flat indices into them of each block's diagonal, a
-    row per block padded to p; the length of the flat spectrum these stacks
-    fill; and the indices in it of the blocks' own eigenvalues (k = -n..n,
-    each block's ascending) and of the padding's."""
+    (n+1) x (n+1) `diag`, which depends only on (n, mirrored): the row length
+    `size` of the margin-padded matrices; per padded length p, the flat
+    indices into them of each block's diagonal, a row per block padded to p;
+    the length of the flat spectrum these stacks fill; and the indices in it
+    of the blocks' own eigenvalues (k = -n..n, each block's ascending) and of
+    the padding's."""
     # a padding entry lies under PAD_MULTIPLE steps past the last row or
     # column: a margin that wide holds it, the same for both matrices
     size = n + 1 + PAD_MULTIPLE
@@ -121,12 +119,10 @@ def _block_plan(n: int, mirrored: bool) -> tuple:
     k_out = np.arange(-n, n + 1)
     row = np.abs(k_out) if mirrored else k_out + n
     own = (slot[row, None] + entry)[entry < (n + 1 - np.abs(k_out))[:, None]]
-    for a in [own, pad] + [at for _, at in stacks]:
-        a.setflags(write=False)
     return size, tuple(stacks), total, own, pad
 
 
-def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False) -> np.ndarray:
+def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False, plan=None) -> np.ndarray:
     """Eigenvalues of every symmetric tridiagonal block whose diagonal runs
     along a diagonal k = -N..N of `diag` and whose off-diagonal runs along the
     same diagonal of `off` (one row and column smaller), block after block,
@@ -140,11 +136,11 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False
     [0, 1]) or of its partial transpose (in [-1/2, 1]) can have, so a block's
     own eigenvalues come first in its row. With `mirrored` (`diag` and `off`
     symmetric, so blocks k and -k are equal) only k >= 0 is solved. Where
-    each block is read and its eigenvalues go depends only on (N, mirrored):
-    `_block_plan` works it out once and caches it.
+    each block is read and its eigenvalues go is `plan`, `_block_plan` of
+    (N, mirrored), worked out here unless the caller passes it.
     """
     lead, n = diag.shape[:-2], diag.shape[-1] - 1
-    size, stacks, total, own, pad = _block_plan(n, mirrored)
+    size, stacks, total, own, pad = plan or _block_plan(n, mirrored)
     d = np.full(lead + (size, size), PAD_EIGENVALUE)
     d[..., : n + 1, : n + 1] = diag
     c = np.zeros(lead + (size, size))
@@ -159,7 +155,7 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False
         spectra[..., lo : lo + at.size] = np.linalg.eigvalsh(stack.reshape(-1, p, p)).reshape(lead + (-1,))
         lo += at.size
     if np.any(spectra[..., pad] != PAD_EIGENVALUE):
-        raise ArithmeticError(
+        raise PaddingError(
             "a padded block has an eigenvalue out of place: the padding no longer "
             "sorts after the block's own spectrum"
         )
@@ -181,12 +177,6 @@ def _stacked_blocks(pairs, n_max: int):
     return diag, off
 
 
-def _pair_blocks(sq_a: SqueezeParam, sq_b: SqueezeParam, n_max: int):
-    """D and C of one point: `_stacked_blocks` of that pair alone."""
-    diag, off = _stacked_blocks([(sq_a, sq_b)], n_max)
-    return diag[0], off[0]
-
-
 def marginal_entropies(diag: np.ndarray) -> list:
     """Each point's s_a_num and s_b_num: the row and column sums of its D are rho_A and rho_B."""
     return [
@@ -195,19 +185,21 @@ def marginal_entropies(diag: np.ndarray) -> list:
     ]
 
 
-def negativity(diag: np.ndarray, off: np.ndarray) -> list:
-    """Each point's neg_sum_num = -(sum of the partial transpose's negative eigenvalues) and e_n_num = 2|lambda_min|."""
+def negativity(diag: np.ndarray, off: np.ndarray, plan=None) -> list:
+    """Each point's neg_sum_num = -(sum of the partial transpose's negative eigenvalues) and e_n_num = 2|lambda_min|;
+    `plan` is `_block_plan` of (N, False)."""
     return [
         {"neg_sum_num": max(0.0, float(-pt[pt < 0.0].sum())), "e_n_num": max(0.0, -2.0 * float(pt.min()))}
-        for pt in _block_eigenvalues(diag[..., ::-1], off[..., ::-1])
+        for pt in _block_eigenvalues(diag[..., ::-1], off[..., ::-1], plan=plan)
     ]
 
 
-def joint_entropy(diag: np.ndarray, off: np.ndarray, symmetric: bool) -> list:
-    """Each point's s_ab_num and trace_deficit = 1 - tr D; symmetric points solve each mirrored block pair once."""
+def joint_entropy(diag: np.ndarray, off: np.ndarray, symmetric: bool, plan=None) -> list:
+    """Each point's s_ab_num and trace_deficit = 1 - tr D; symmetric points solve each mirrored block pair once.
+    `plan` is `_block_plan` of (N, symmetric)."""
     return [
         {"s_ab_num": _entropy_bits(ab), "trace_deficit": max(1.0 - float(d.sum()), 0.0)}
-        for d, ab in zip(diag, _block_eigenvalues(diag, off, mirrored=symmetric))
+        for d, ab in zip(diag, _block_eigenvalues(diag, off, mirrored=symmetric, plan=plan))
     ]
 
 
@@ -216,7 +208,9 @@ def oracle(points) -> list:
     the three families and i_num = s_a + s_b - s_ab. Points of one cutoff and
     symmetry are solved together, in chunks whose partial-transpose stacks
     (2N + 1 blocks a point, each at most the padded width) fit STACK_BUDGET,
-    or one point alone; a point's values do not depend on the others."""
+    or one point alone; a point's values do not depend on the others. A
+    group's block plans are worked out once and serve all its chunks; the
+    partial transpose and an asymmetric rho_AB share one."""
     groups: dict = {}
     for i, (sq_a, sq_b, n_max) in enumerate(points):
         if n_max < 1:
@@ -226,10 +220,14 @@ def oracle(points) -> list:
     for (n_max, symmetric), members in groups.items():
         width = -(-(n_max + 1) // PAD_MULTIPLE) * PAD_MULTIPLE
         step = max(1, STACK_BUDGET // (8 * (2 * n_max + 1) * width * width))
+        pt_plan = _block_plan(n_max, False)
+        ab_plan = _block_plan(n_max, True) if symmetric else pt_plan
         for lo in range(0, len(members), step):
             chunk = members[lo : lo + step]
             diag, off = _stacked_blocks([points[i][:2] for i in chunk], n_max)
-            families = zip(negativity(diag, off), marginal_entropies(diag), joint_entropy(diag, off, symmetric))
+            families = zip(
+                negativity(diag, off, pt_plan), marginal_entropies(diag), joint_entropy(diag, off, symmetric, ab_plan)
+            )
             for i, (neg, marg, joint) in zip(chunk, families):
                 out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}
     return out

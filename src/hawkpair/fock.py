@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinematics import SqueezeParam
-
 
 def amplitude_rows(squeezings, n_max: int):
     """V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2 for k = 0..n_max, with
@@ -28,9 +26,3 @@ def amplitude_rows(squeezings, n_max: int):
     o = np.zeros(tk.shape)
     o[:, :-1] = np.sqrt(k[:-1] + 1.0) * tk[:, :-1] / c2
     return tk / c, o
-
-
-def mode_amplitudes(sq: SqueezeParam, n_max: int):
-    """V and O of `amplitude_rows` for one squeezing."""
-    v, o = amplitude_rows([sq], n_max)
-    return v[0], o[0]

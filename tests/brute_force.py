@@ -9,10 +9,16 @@ no diagonal reads, no padding. A pair state's axes are
 
 import numpy as np
 
-from hawkpair.fock import mode_amplitudes
+from hawkpair.fock import amplitude_rows
 from hawkpair.kinematics import make_squeeze
 
 IN_PAIR, OUT_PAIR = (0, 2), (1, 3)
+
+
+def mode_amplitudes(sq, n_max):
+    """V and O of `hawkpair.fock.amplitude_rows` for one squeezing."""
+    v, o = amplitude_rows([sq], n_max)
+    return v[0], o[0]
 
 
 def kruskal_states(r, n_max):

@@ -14,7 +14,16 @@ import time
 
 import numpy as np
 import pytest
-from brute_force import IN_PAIR, OUT_PAIR, entropy_bits, measures, pair_state, partial_transpose, reduce
+from brute_force import (
+    IN_PAIR,
+    OUT_PAIR,
+    entropy_bits,
+    measures,
+    mode_amplitudes,
+    pair_state,
+    partial_transpose,
+    reduce,
+)
 
 from hawkpair.closed_form import (
     SeriesConfig,
@@ -23,7 +32,6 @@ from hawkpair.closed_form import (
     s_a_closed,
     s_ab_closed,
 )
-from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
 from hawkpair.sweep import CSV_HEADER, SweepConfig, csv_lines, run_point, run_sweep
 

@@ -244,16 +244,27 @@ def test_saturated_squeezing_exit_3():
     ],
 )
 def test_oracle_failure_exit_3(argv, monkeypatch, capsys):
-    # the eigensolver's padding check fails: an error line and exit 3, no traceback
-    def failing_blocks(diag, off, mirrored=False):
-        raise ArithmeticError("a padded block has an eigenvalue out of place")
-
-    monkeypatch.setattr(density, "_block_eigenvalues", failing_blocks)
+    # the eigensolver's padding check fails (padding set to sort first): an
+    # error line and exit 3, no traceback
+    monkeypatch.setattr(density, "PAD_EIGENVALUE", -5.0)
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "out of place" in err
     if argv[0] == "sweep":
         assert "sweep failed at r = 0.2" in err
+
+
+def test_other_arithmetic_errors_keep_their_traceback(monkeypatch):
+    # only the padding check is a numerical failure; a ZeroDivisionError is a bug
+    def broken(eigenvalues):
+        raise ZeroDivisionError("stubbed bug")
+
+    monkeypatch.setattr(density, "_entropy_bits", broken)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["point", "--r", "0.5", "--nmax", "8"])
+    with pytest.raises(SweepPointError) as info:
+        cli.main(["sweep", "--r-min", "0.2", "--r-max", "0.6", "--steps", "3", "--nmax", "8"])
+    assert type(info.value.__cause__) is ZeroDivisionError
 
 
 def test_numeric_cap_exit_3():

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from brute_force import OUT_PAIR, pair_state, partial_transpose, reduce
+from brute_force import OUT_PAIR, mode_amplitudes, pair_state, partial_transpose, reduce
 
 from hawkpair import closed_form
 from hawkpair.closed_form import (
@@ -44,7 +44,6 @@ from hawkpair.closed_form import (
     s_ab_closed,
     s_b_closed,
 )
-from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
 
 # joint-series axes of decay lengths 4 (term by term), 20 (head path) and 100

@@ -16,7 +16,7 @@ from brute_force import (
     reduce,
 )
 
-from hawkpair.density import _block_eigenvalues, _entropy_bits, _pair_blocks, joint_entropy, pair_measures
+from hawkpair.density import _block_eigenvalues, _entropy_bits, _stacked_blocks, joint_entropy, pair_measures
 from hawkpair.kinematics import make_squeeze
 
 
@@ -84,8 +84,8 @@ def test_product_density_is_ppt():
 
 
 def test_spectrum_trace_check():
-    diag, off = _pair_blocks(make_squeeze(0.7), make_squeeze(1.2), 6)
-    trace = 1.0 - joint_entropy(diag[None], off[None], symmetric=False)[0]["trace_deficit"]
+    diag, off = _stacked_blocks([(make_squeeze(0.7), make_squeeze(1.2))], 6)
+    trace = 1.0 - joint_entropy(diag, off, symmetric=False)[0]["trace_deficit"]
     assert trace == pytest.approx(_block_eigenvalues(diag, off).sum(), abs=1e-14)
     assert trace == pytest.approx(np.trace(reduce(pair_state(0.7, 1.2, 6), OUT_PAIR)), abs=1e-14)
 

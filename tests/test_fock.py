@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from brute_force import kruskal_states, pair_state
+from brute_force import kruskal_states, mode_amplitudes, pair_state
 
-from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
 
 SECH_1 = 0.6480542736638854  # 1/cosh(1)

@@ -9,19 +9,17 @@ import math
 
 import numpy as np
 import pytest
-from brute_force import OUT_PAIR, measures, pair_state, reduce
+from brute_force import OUT_PAIR, measures, mode_amplitudes, pair_state, reduce
 
 from hawkpair import density
 from hawkpair.closed_form import SeriesConfig
 from hawkpair.density import (
-    NUMERIC_CAP,
     PAD_MULTIPLE,
-    PLAN_CACHE,
     STACK_BUDGET,
+    PaddingError,
     _block_eigenvalues,
     _block_plan,
     _entropy_bits,
-    _pair_blocks,
     _stacked_blocks,
     joint_entropy,
     marginal_entropies,
@@ -29,7 +27,6 @@ from hawkpair.density import (
     oracle,
     pair_measures,
 )
-from hawkpair.fock import mode_amplitudes
 from hawkpair.kinematics import make_squeeze
 from hawkpair.sweep import SweepConfig, run_sweep
 
@@ -47,6 +44,12 @@ PAD_EDGES = (7, 8, 9, 15, 16, 17, 31, 32, 33)
 properties = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
+def pair_blocks(sq_a, sq_b, n_max):
+    """D and C of one point: `_stacked_blocks` of that pair alone."""
+    diag, off = _stacked_blocks([(sq_a, sq_b)], n_max)
+    return diag[0], off[0]
+
+
 def per_block(diag, off):
     """Block spectra one eigvalsh call per block, k = -N..N, each ascending."""
     n = diag.shape[0] - 1
@@ -61,12 +64,12 @@ def block_spectra(r_a, r_b, n_max):
     """The block spectra of rho_AB (mirrored at a symmetric point, as the joint
     family solves them) and of its partial transpose on B."""
     sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
-    diag, off = _pair_blocks(sq_a, sq_b, n_max)
+    diag, off = pair_blocks(sq_a, sq_b, n_max)
     return _block_eigenvalues(diag, off, mirrored=sq_a == sq_b), _block_eigenvalues(diag[:, ::-1], off[:, ::-1])
 
 
 def assert_matches_per_block(r_a, r_b, n_max):
-    diag, off = _pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
+    diag, off = pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
     got_ab, got_pt = block_spectra(r_a, r_b, n_max)
     for got, want in (
         (got_ab, per_block(diag, off)),
@@ -101,7 +104,7 @@ def test_bell_point():
 
 
 def test_block_sizes_cover_the_truncated_space():
-    diag, _ = _pair_blocks(make_squeeze(1.0), make_squeeze(0.6), 9)
+    diag, _ = pair_blocks(make_squeeze(1.0), make_squeeze(0.6), 9)
     ab, pt = block_spectra(1.0, 0.6, 9)
     assert ab.shape == pt.shape == (100,)
     assert diag.sum(axis=1).shape == diag.sum(axis=0).shape == (10,)
@@ -111,7 +114,7 @@ def test_block_sizes_cover_the_truncated_space():
 
 def test_families_partition_the_columns():
     # each family takes a stack of points' D and C, here of one point
-    diag, off = (m[None] for m in _pair_blocks(make_squeeze(0.9), make_squeeze(0.4), 7))
+    diag, off = (m[None] for m in pair_blocks(make_squeeze(0.9), make_squeeze(0.4), 7))
     families = (marginal_entropies(diag)[0], negativity(diag, off)[0], joint_entropy(diag, off, symmetric=False)[0])
     names = [name for family in families for name in family]
     assert sorted(names + ["i_num"]) == sorted(COLUMNS)
@@ -148,7 +151,7 @@ def test_structured_oracle_invariants(r_a, r_b, n_max):
 
 
 def negativity_at(r_a, r_b, n_max):
-    diag, off = _pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
+    diag, off = pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
     return negativity(diag[None], off[None])[0]
 
 
@@ -193,7 +196,7 @@ def test_stacked_blocks_match_per_block_solve_at_pad_edges(r_a, r_b, n_max):
 @pytest.mark.parametrize("n_max", (1,) + PAD_EDGES + (64,))
 def test_symmetric_point_solves_mirrored_blocks_once(monkeypatch, n_max):
     sq = make_squeeze(1.1)
-    diag, off = _pair_blocks(sq, sq, n_max)
+    diag, off = pair_blocks(sq, sq, n_max)
     unshared = _block_eigenvalues(diag, off)
     assert np.array_equal(_block_eigenvalues(diag, off, mirrored=True), unshared)
     shapes = counted_eigvalsh(monkeypatch)
@@ -292,7 +295,7 @@ def test_chunk_blocks_equal_the_point_by_point_ones(n_max):
     for pair, d, c in zip(pairs, diag, off):
         want_d, want_c = blocks_point_by_point(*pair, n_max)
         assert np.array_equal(d, want_d) and np.array_equal(c, want_c), (pair[0].r, pair[1].r)
-        one_d, one_c = _pair_blocks(*pair, n_max)
+        one_d, one_c = pair_blocks(*pair, n_max)
         assert np.array_equal(one_d, want_d) and np.array_equal(one_c, want_c)
 
 
@@ -332,42 +335,27 @@ def test_oracle_equals_its_point_by_point_set_up(monkeypatch):
     assert repr(oracle(points)) == repr(got)
 
 
-def test_block_plans_are_cached_per_cutoff_and_symmetry():
-    _block_plan.cache_clear()
-    sq_a, sq_b = make_squeeze(0.9), make_squeeze(0.6)
-    oracle([(sq_a, sq_b, 14)])
-    # the partial transpose and the asymmetric rho_AB share (14, False)
-    assert _block_plan.cache_info().currsize == 1
-    # other points, batch sizes and values at the same cutoff add no plan
-    oracle([(make_squeeze(0.05 + 0.1 * i), sq_b, 14) for i in range(7)])
-    diag, off = _pair_blocks(sq_a, sq_b, 14)
-    _block_eigenvalues(2.0 * diag[None, None], off[None, None])
-    info = _block_plan.cache_info()
-    assert (info.currsize, info.misses) == (1, 1) and info.hits >= 4
-    oracle([(sq_a, sq_a, 14)])
-    assert _block_plan.cache_info().currsize == 2  # adds (14, True)
-    for arrays in (_block_plan(14, False), _block_plan(14, True)):
-        size, stacks, total, own, pad = arrays
-        assert not any(a.flags.writeable for a in [own, pad] + [at for _, at in stacks])
-    assert _block_plan.cache_parameters()["maxsize"] == PLAN_CACHE
+def test_block_plans_are_worked_out_once_per_group(monkeypatch):
+    # 40 asymmetric points at N = 14 take three chunks and one plan, which the
+    # partial transpose and rho_AB share; a symmetric group adds its mirrored
+    # plan; a second call keeps nothing of the first
+    plans = []
 
+    def counted(n, mirrored):
+        plans.append((n, mirrored))
+        return _block_plan(n, mirrored)
 
-def test_block_plan_cache_stays_small():
-    # the largest plans are at the cap; PLAN_CACHE of the larger kind stay within a few MB
-    def nbytes(plan):
-        size, stacks, total, own, pad = plan
-        return own.nbytes + pad.nbytes + sum(at.nbytes for _, at in stacks)
-
-    largest = max(nbytes(_block_plan(NUMERIC_CAP, mirrored)) for mirrored in (False, True))
-    assert PLAN_CACHE * largest <= 6e6
-    for n_max in range(NUMERIC_CAP - PLAN_CACHE - 4, NUMERIC_CAP + 1):
-        _block_plan(n_max, False)
-    assert _block_plan.cache_info().currsize == PLAN_CACHE
+    monkeypatch.setattr(density, "_block_plan", counted)
+    points = [(make_squeeze(0.02 * i), make_squeeze(0.55), 14) for i in range(40)]
+    points.append((make_squeeze(0.9), make_squeeze(0.9), 14))
+    want = oracle(points)
+    assert plans == [(14, False), (14, False), (14, True)]
+    assert oracle(points) == want and len(plans) == 6
 
 
 def test_padding_that_does_not_sort_last_is_refused():
     # a block eigenvalue of 3 sorts after the padding's
-    with pytest.raises(ArithmeticError, match="padding"):
+    with pytest.raises(PaddingError, match="padding"):
         _block_eigenvalues(np.full((3, 3), 3.0), np.zeros((2, 2)))
 
 
@@ -394,7 +382,7 @@ def test_blocks_follow_from_thermal_states(r_a, r_b, n_max):
     k = np.eye(d * d) + np.kron(up, up) / (sq_a.cosh_r * sq_b.cosh_r)
     rho = k @ np.kron(thermal_a, thermal_b) @ k.T / 2
     np.testing.assert_allclose(rho, reduce(pair_state(r_a, r_b, n_max), OUT_PAIR), rtol=0, atol=1e-15)
-    diag, off = _pair_blocks(sq_a, sq_b, n_max)
+    diag, off = pair_blocks(sq_a, sq_b, n_max)
     blocks = np.diag(diag.ravel())
     n, q = np.divmod(np.arange(n_max * n_max), n_max)
     blocks[n * d + q, (n + 1) * d + q + 1] = blocks[(n + 1) * d + q + 1, n * d + q] = off.ravel()
