@@ -28,6 +28,11 @@ from .sweep import (
 )
 
 FIG_PRESET = dict(r_min=0.0, r_max=6.0, steps=121)
+# the preset sweeps: name, help and the methods each runs
+FIGURES = (
+    ("fig2", "preset sweep: entanglement-measure columns, r in [0, 6], 121 steps", ("closed", "numeric")),
+    ("fig3", "preset sweep: entropy/mutual-information columns, r in [0, 6], 121 steps", ("closed",)),
+)
 # exit code of each error family, first match wins; a PaddingError is the
 # oracle's eigensolver failing its own check
 EXIT_CODES = ((cf.ConvergenceError, 3), (NumericCapError, 3), (PaddingError, 3), (OSError, 4), (ValueError, 2))
@@ -60,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="evaluate a single parameter point")
+    p_point.set_defaults(run=_cmd_point)
     p_point.add_argument("--r", type=float, help="squeezing parameter (symmetric pair)")
     p_point.add_argument("--mass", type=float, help="black-hole mass in geometric units")
     p_point.add_argument("--omega", type=float, help="mode frequency in geometric units")
@@ -69,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_point)
 
     p_sweep = sub.add_parser("sweep", help="sweep the squeezing parameter")
+    p_sweep.set_defaults(run=_cmd_sweep)
     p_sweep.add_argument("--r-min", type=float, required=True)
     p_sweep.add_argument("--r-max", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
@@ -77,14 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_methods_flag(p_sweep)
     _add_output_flags(p_sweep)
 
-    for name, help_text in (
-        ("fig2", "preset sweep: entanglement-measure columns, r in [0, 6], 121 steps"),
-        ("fig3", "preset sweep: entropy/mutual-information columns, r in [0, 6], 121 steps"),
-    ):
+    for name, help_text, methods in FIGURES:
         p_fig = sub.add_parser(name, help=help_text)
+        p_fig.set_defaults(
+            run=lambda args, methods=methods: _write_rows(run_sweep(SweepConfig(methods=methods, **FIG_PRESET)), args)
+        )
         _add_output_flags(p_fig)
 
     p_cmp = sub.add_parser("compare", help="closed-form vs numeric differences at one point")
+    p_cmp.set_defaults(run=_cmd_compare)
     p_cmp.add_argument("--r", type=float, required=True)
     _add_cutoff_flags(p_cmp)
     p_cmp.add_argument("--warn-threshold", type=float, default=1e-2)
@@ -135,11 +143,6 @@ def _cmd_sweep(args) -> None:
     _write_rows(run_sweep(cfg), args)
 
 
-def _cmd_fig(args, methods) -> None:
-    cfg = SweepConfig(methods=methods, **FIG_PRESET)
-    _write_rows(run_sweep(cfg), args)
-
-
 def _cmd_compare(args) -> None:
     check_warn_threshold(args.warn_threshold)
     report = run_point(r_a=args.r, cutoff=_cutoff_from(args), methods=("closed", "numeric"))
@@ -154,16 +157,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "point":
-            _cmd_point(args)
-        elif args.command == "sweep":
-            _cmd_sweep(args)
-        elif args.command == "fig2":
-            _cmd_fig(args, methods=("closed", "numeric"))
-        elif args.command == "fig3":
-            _cmd_fig(args, methods=("closed",))
-        elif args.command == "compare":
-            _cmd_compare(args)
+        args.run(args)
     except (SweepPointError, *(kind for kind, _ in EXIT_CODES)) as exc:
         # a failed sweep point exits as its cause would
         cause = exc.__cause__ if isinstance(exc, SweepPointError) else exc

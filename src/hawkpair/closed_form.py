@@ -54,15 +54,13 @@ array grows with the cutoff or with the number of points.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .kinematics import SqueezeParam
+from .kinematics import SqueezeParam, _integer, _real
 
 # hard ceiling for automatic cutoff resolution; sized so the default
 # 1e-10 tail tolerance still resolves at r = 6 (N ~ 1.52e6 there)
@@ -101,21 +99,6 @@ class ConvergenceError(RuntimeError):
     """Raised when a series cutoff cannot be resolved within its cap."""
 
 
-def _integer(value, name: str) -> int:
-    """value as a Python int: any integer type passes (numpy's too), anything else is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    """value as a Python float: any real number type passes (numpy's too), a
-    bool or anything else (a string) is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class SeriesConfig:
     """Either an explicit cutoff or a tail tolerance that selects one."""
@@ -137,8 +120,15 @@ class SeriesConfig:
 
 
 def resolve_cutoff(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> int:
-    """Smallest N with x^(N+1) < tail_tol and (N+2) x^(N+1) < tail_tol,
-    where x is the larger of tanh^2 r_a, tanh^2 r_b."""
+    """Smallest N >= 1 with (N+2) x^(N+1) < tail_tol, which implies
+    x^(N+1) < tail_tol, where x is the larger of tanh^2 r_a, tanh^2 r_b.
+
+    The test is (N+1) ln x + ln(N+2) < ln tail_tol, which holds from
+    N = floor((ln tail_tol - ln(N+2)) / ln x) on. The search starts at N = 1
+    and steps to that value while it rises. Its rounding can miss the
+    boundary by one either way, so the result is the first of N - 1 and N
+    that passes the test itself, else N + 1.
+    """
     if cfg.n_max is not None:
         return cfg.n_max
     x = max(sq_a.tanh_r**2, sq_b.tanh_r**2)
@@ -146,34 +136,13 @@ def resolve_cutoff(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) ->
         return 1
     if x == 1.0:  # tanh r rounds to 1 for r >~ 19.07: no finite cutoff meets the tolerance
         raise ConvergenceError(f"tanh^2 r rounds to 1 at r = {max(sq_a.r, sq_b.r)}: the series tail never falls")
-    tol = cfg.tail_tol
-    lx, log_tol = math.log(x), math.log(tol)
-
-    def ok(n):
-        lt = (n + 1) * lx
-        return lt < log_tol and lt + math.log(n + 2) < log_tol
-
-    # analytic start for the weighted condition, then settle to the minimum
-    n = max(1, math.ceil(log_tol / lx) - 1)
-    for _ in range(200):
-        need = (log_tol - math.log(n + 2)) / lx - 1
-        n_new = max(1, math.ceil(need))
-        if n_new <= n:
-            break
-        n = n_new
-    while not ok(n):
-        n += 1
-        if n > HARD_SERIES_CAP:
-            raise ConvergenceError(
-                f"cutoff resolution exceeded the cap of {HARD_SERIES_CAP} terms "
-                f"(tanh^2 r = {x} too close to 1 for tail_tol = {tol})"
-            )
-    while n > 1 and ok(n - 1):
-        n -= 1
+    lx, log_tol = math.log(x), math.log(cfg.tail_tol)
+    n = 1
+    while (step := math.floor((log_tol - math.log(n + 2)) / lx)) > n:
+        n = step
+    n = next((m for m in (n - 1, n) if m >= 1 and (m + 1) * lx + math.log(m + 2) < log_tol), n + 1)
     if n > HARD_SERIES_CAP:
-        raise ConvergenceError(
-            f"resolved cutoff {n} exceeds the cap of {HARD_SERIES_CAP} terms"
-        )
+        raise ConvergenceError(f"resolved cutoff {n} exceeds the cap of {HARD_SERIES_CAP} terms")
     return n
 
 
@@ -192,8 +161,10 @@ def closed_form(marginals, joints) -> tuple:
     """The marginal entropy series of each (sq, n_max) in marginals and the
     joint entropy series of each (sq_a, sq_b, n_max) in joints, each at its
     given cutoff, as two lists of floats in bits. A point's values do not
-    depend on the other points of the call."""
-    return _marginal_series(marginals), _joint_series(joints)
+    depend on the other points of the call. The geometric moments of each
+    (x, N) are worked out once per call, for both series."""
+    moments = functools.lru_cache(maxsize=None)(_moments)
+    return _marginal_series(marginals, moments), _joint_series(joints, moments)
 
 
 def s_a_closed(sq: SqueezeParam, cfg: SeriesConfig) -> float:
@@ -227,17 +198,17 @@ def _logs(x: float) -> tuple:
     return (math.log2(x), math.log(x)) if x > 0.0 else (0.0, -math.inf)
 
 
-def _marginal_series(points) -> list:
+def _marginal_series(points, moments) -> list:
     """1 - (1/2)(l2x A1 - l2c2 A0)/c^2 - (1/2)(l2x B2 - 2 l2c2 B1 + L/ln 2)/c^4
     per point, from log2 p_n = n l2x - l2c2 and
     log2 p'_n = log2(n+1) + n l2x - 2 l2c2: A0, A1, B1, B2 are geometric
-    moments (_moments), and the log moments L = sum (n+1) x^n ln(n+1) of all
-    points are summed together (_log_moment)."""
+    moments (`moments`, _moments' table), and the log moments
+    L = sum (n+1) x^n ln(n+1) of all points are summed together (_log_moment)."""
     parts, lx, n_max = [], [], []
     for sq, n in points:
         x, c2, l2c2 = sq.tanh_r**2, sq.cosh_r**2, 2.0 * math.log2(sq.cosh_r)
         l2x, ln_x = _logs(x)
-        a0, a1, b1, b2 = _moments(x, n)
+        a0, a1, b1, b2 = moments(x, n)
         parts.append((1.0 - 0.5 * ((l2x * a1 - l2c2 * a0) / c2), l2x * b2 - 2.0 * l2c2 * b1, c2**2))
         lx.append(ln_x)
         n_max.append(n)
@@ -247,19 +218,19 @@ def _marginal_series(points) -> list:
     ]
 
 
-def _joint_series(points) -> list:
+def _joint_series(points, moments) -> list:
     """Per point, the linear part of the joint series from the geometric
-    moments of both axes (log2 P = n l2x + q l2y - 1 - l2c + log2 z weights P
-    by n, q and 1), less 0.5 C^-1 / ln 2 times the remainder of all points
-    (_s_ab_remainder); 0 at r_a = r_b = 0."""
+    moments of both axes (`moments`, _moments' table; log2 P = n l2x + q l2y
+    - 1 - l2c + log2 z weights P by n, q and 1), less 0.5 C^-1 / ln 2 times
+    the remainder of all points (_s_ab_remainder); 0 at r_a = r_b = 0."""
     linear, lx, ly, c_inv, n_max = [], [], [], [], []
     for sq_a, sq_b, n in points:
         x, y = sq_a.tanh_r**2, sq_b.tanh_r**2
         l2c = 2.0 * (math.log2(sq_a.cosh_r) + math.log2(sq_b.cosh_r))
         c = 2.0**-l2c
         (l2x, ln_x), (l2y, ln_y) = _logs(x), _logs(y)
-        a0x, a1x, b1x, b2x = moments = _moments(x, n)
-        a0y, a1y, b1y, b2y = moments if y == x else _moments(y, n)
+        a0x, a1x, b1x, b2x = moments(x, n)
+        a0y, a1y, b1y, b2y = moments(y, n)
         linear.append(0.5 * c * (
             (1.0 + l2c) * (a0x * a0y + c * b1x * b1y)
             - l2x * (a1x * a0y + c * b2x * b1y)

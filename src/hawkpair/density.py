@@ -41,8 +41,9 @@ trace_deficit = 1 - tr D) the rho_AB blocks. The blocks of all points of a chunk
 where each block is read and written that depends only on (N, mirrored)
 (`_block_plan`): `oracle` works out each plan once per group and drops it
 when the call returns. Each point's spectrum is then reduced on its own,
-so its values do not depend on the batch. Entropies are in bits. `sweep`
-keeps the cutoff within NUMERIC_CAP, the oracle's cost limit.
+so its values do not depend on the batch. Entropies are in bits. `oracle`
+refuses a cutoff past NUMERIC_CAP, its cost limit, with NumericCapError
+before it builds anything.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import amplitude_rows
-from .kinematics import SqueezeParam
+from .kinematics import SqueezeParam, _integer
 
 # largest cutoff the oracle runs at: a point has 4N+2 tridiagonal blocks of
 # size up to N+1 (3N+2 at a symmetric point), and from N = 32 on it is solved
@@ -66,6 +67,10 @@ PAD_EIGENVALUE = 2.0
 # bytes the stacks of one eigvalsh call may take: a chunk of points of one
 # cutoff is cut to fit (17 points at N = 14; from N = 32 on, one point)
 STACK_BUDGET = 1 << 20
+
+
+class NumericCapError(RuntimeError):
+    """Requested numeric cutoff exceeds the oracle's cap."""
 
 
 class PaddingError(ArithmeticError):
@@ -122,7 +127,7 @@ def _block_plan(n: int, mirrored: bool) -> tuple:
     return size, tuple(stacks), total, own, pad
 
 
-def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False, plan=None) -> np.ndarray:
+def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, plan: tuple) -> np.ndarray:
     """Eigenvalues of every symmetric tridiagonal block whose diagonal runs
     along a diagonal k = -N..N of `diag` and whose off-diagonal runs along the
     same diagonal of `off` (one row and column smaller), block after block,
@@ -134,13 +139,13 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool = False
     length (a multiple of PAD_MULTIPLE). A padding row is decoupled with
     diagonal PAD_EIGENVALUE, above every eigenvalue a block of rho_AB (in
     [0, 1]) or of its partial transpose (in [-1/2, 1]) can have, so a block's
-    own eigenvalues come first in its row. With `mirrored` (`diag` and `off`
-    symmetric, so blocks k and -k are equal) only k >= 0 is solved. Where
-    each block is read and its eigenvalues go is `plan`, `_block_plan` of
-    (N, mirrored), worked out here unless the caller passes it.
+    own eigenvalues come first in its row. Where each block is read and its
+    eigenvalues go is `plan`, `_block_plan` of (N, mirrored): a mirrored plan
+    (for `diag` and `off` symmetric, so blocks k and -k are equal) solves
+    only k >= 0.
     """
     lead, n = diag.shape[:-2], diag.shape[-1] - 1
-    size, stacks, total, own, pad = plan or _block_plan(n, mirrored)
+    size, stacks, total, own, pad = plan
     d = np.full(lead + (size, size), PAD_EIGENVALUE)
     d[..., : n + 1, : n + 1] = diag
     c = np.zeros(lead + (size, size))
@@ -185,27 +190,29 @@ def marginal_entropies(diag: np.ndarray) -> list:
     ]
 
 
-def negativity(diag: np.ndarray, off: np.ndarray, plan=None) -> list:
+def negativity(diag: np.ndarray, off: np.ndarray, plan: tuple) -> list:
     """Each point's neg_sum_num = -(sum of the partial transpose's negative eigenvalues) and e_n_num = 2|lambda_min|;
     `plan` is `_block_plan` of (N, False)."""
     return [
         {"neg_sum_num": max(0.0, float(-pt[pt < 0.0].sum())), "e_n_num": max(0.0, -2.0 * float(pt.min()))}
-        for pt in _block_eigenvalues(diag[..., ::-1], off[..., ::-1], plan=plan)
+        for pt in _block_eigenvalues(diag[..., ::-1], off[..., ::-1], plan)
     ]
 
 
-def joint_entropy(diag: np.ndarray, off: np.ndarray, symmetric: bool, plan=None) -> list:
-    """Each point's s_ab_num and trace_deficit = 1 - tr D; symmetric points solve each mirrored block pair once.
-    `plan` is `_block_plan` of (N, symmetric)."""
+def joint_entropy(diag: np.ndarray, off: np.ndarray, plan: tuple) -> list:
+    """Each point's s_ab_num and trace_deficit = 1 - tr D; `plan` is `_block_plan` of (N, mirrored),
+    mirrored at symmetric points, which solve each mirrored block pair once."""
     return [
         {"s_ab_num": _entropy_bits(ab), "trace_deficit": max(1.0 - float(d.sum()), 0.0)}
-        for d, ab in zip(diag, _block_eigenvalues(diag, off, mirrored=symmetric, plan=plan))
+        for d, ab in zip(diag, _block_eigenvalues(diag, off, plan))
     ]
 
 
 def oracle(points) -> list:
     """The oracle's columns at each of a list of (sq_a, sq_b, n_max) points:
-    the three families and i_num = s_a + s_b - s_ab. Points of one cutoff and
+    the three families and i_num = s_a + s_b - s_ab. Before anything is
+    built, each cutoff must be an integer of at least 1 (else ValueError) and
+    at most NUMERIC_CAP (else NumericCapError). Points of one cutoff and
     symmetry are solved together, in chunks whose partial-transpose stacks
     (2N + 1 blocks a point, each at most the padded width) fit STACK_BUDGET,
     or one point alone; a point's values do not depend on the others. A
@@ -213,8 +220,14 @@ def oracle(points) -> list:
     partial transpose and an asymmetric rho_AB share one."""
     groups: dict = {}
     for i, (sq_a, sq_b, n_max) in enumerate(points):
+        n_max = _integer(n_max, "n_max")
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
+        if n_max > NUMERIC_CAP:
+            raise NumericCapError(
+                f"numeric method needs cutoff {n_max}, above the oracle cap of "
+                f"{NUMERIC_CAP} (its time grows as N_max^4)"
+            )
         groups.setdefault((n_max, sq_a == sq_b), []).append(i)
     out: list = [None] * len(points)
     for (n_max, symmetric), members in groups.items():
@@ -226,7 +239,7 @@ def oracle(points) -> list:
             chunk = members[lo : lo + step]
             diag, off = _stacked_blocks([points[i][:2] for i in chunk], n_max)
             families = zip(
-                negativity(diag, off, pt_plan), marginal_entropies(diag), joint_entropy(diag, off, symmetric, ab_plan)
+                negativity(diag, off, pt_plan), marginal_entropies(diag), joint_entropy(diag, off, ab_plan)
             )
             for i, (neg, marg, joint) in zip(chunk, families):
                 out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}

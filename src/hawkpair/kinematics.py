@@ -7,14 +7,30 @@ mass * omega is the only physical degree of freedom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
-from .closed_form import _real
+import numpy as np
 
 # largest squeezing parameter accepted: the series divide by cosh^4 r, which
 # overflows a float above r = 178.1, and the oracle's weight 1/(2 cosh^4 r)
 # is subnormal from r = 177.6 (tanh r rounds to 1 from r ~ 19.1)
 R_MAX = 177.0
+
+
+def _integer(value, name: str) -> int:
+    """value as a Python int: any integer type passes (numpy's too), anything else is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """value as a Python float: any real number type passes (numpy's too), a
+    bool or anything else (a string) is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -35,29 +51,30 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class SqueezeParam:
-    """Squeezing parameter with cached hyperbolic values.
+    """Squeezing parameter r, in 0..R_MAX, with its hyperbolic values derived from it.
 
     The Boltzmann-like factor exp(-4*pi*M*omega) equals tanh_r when the
     parameter is derived from a ModeSpec.
     """
 
     r: float
-    tanh_r: float
-    cosh_r: float
+    tanh_r: float = field(init=False)
+    cosh_r: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(_real(self.r, "r")) and self.r >= 0):
-            raise ValueError(f"r must be non-negative and finite, got {self.r}")
+        r = _real(self.r, "r")
+        if not (math.isfinite(r) and r >= 0):
+            raise ValueError(f"r must be non-negative and finite, got {r}")
+        if r > R_MAX:
+            raise ValueError(f"r must be at most {R_MAX} (past it cosh^4 r or its inverse is no normal float), got {r}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "tanh_r", math.tanh(r))
+        object.__setattr__(self, "cosh_r", math.cosh(r))
 
 
 def make_squeeze(r: float) -> SqueezeParam:
     """Build a SqueezeParam directly from r (for sweeps over the r axis)."""
-    r = _real(r, "r")
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"r must be non-negative and finite, got {r}")
-    if r > R_MAX:
-        raise ValueError(f"r must be at most {R_MAX} (past it cosh^4 r or its inverse is no normal float), got {r}")
-    return SqueezeParam(r=r, tanh_r=math.tanh(r), cosh_r=math.cosh(r))
+    return SqueezeParam(r)
 
 
 def squeezing_from_mode(mode: ModeSpec) -> SqueezeParam:

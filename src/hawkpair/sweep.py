@@ -9,16 +9,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from . import closed_form as cf
-from .density import NUMERIC_CAP, oracle
-from .kinematics import ModeSpec, make_squeeze, squeezing_from_mode
+from .density import NUMERIC_CAP, NumericCapError, oracle  # NumericCapError: re-exported for callers
+from .kinematics import ModeSpec, _integer, _real, make_squeeze, squeezing_from_mode
 
 DEFAULT_CUTOFF = cf.SeriesConfig(tail_tol=1e-10)
 # most grid points of a sweep: 10^5 closed-form points over r in 0..6 take 190 MB
 MAX_SWEEP_STEPS = 100_000
-
-
-class NumericCapError(RuntimeError):
-    """Requested numeric cutoff exceeds the oracle's cap."""
 
 
 class SweepPointError(RuntimeError):
@@ -44,7 +40,7 @@ class SweepConfig:
 
     def __post_init__(self):
         for name in ("r_min", "r_max", "omega_ratio"):
-            object.__setattr__(self, name, cf._real(getattr(self, name), name))
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not all(math.isfinite(v) for v in (self.r_min, self.r_max, self.omega_ratio)):
             raise ValueError(
                 f"r_min, r_max and omega_ratio must be finite, got "
@@ -54,7 +50,7 @@ class SweepConfig:
             raise ValueError(f"need r_min < r_max, got [{self.r_min}, {self.r_max}]")
         if self.r_min < 0:
             raise ValueError("r_min must be non-negative")
-        object.__setattr__(self, "steps", cf._integer(self.steps, "steps"))
+        object.__setattr__(self, "steps", _integer(self.steps, "steps"))
         if not 2 <= self.steps <= MAX_SWEEP_STEPS:
             raise ValueError(f"steps must be in 2..{MAX_SWEEP_STEPS}, got {self.steps}")
         if self.omega_ratio <= 0:
@@ -111,7 +107,8 @@ def run_point(
     methods=("closed", "numeric"),
 ) -> EntanglementReport:
     """Evaluate one parameter point, given either r values or a ModeSpec. A numeric
-    method past NUMERIC_CAP raises NumericCapError before any series work."""
+    method past NUMERIC_CAP raises the oracle's NumericCapError, before any
+    series work (_reports)."""
     if mode is not None:
         if r_a is not None or r_b is not None:
             raise ValueError("give either r values or a ModeSpec, not both")
@@ -122,21 +119,16 @@ def run_point(
             raise ValueError("omega_prime (--omega-prime) applies to a mass and omega, not to r values")
         if r_a is None:
             raise ValueError("r_a (or a ModeSpec) is required")
-        sq_a = make_squeeze(cf._real(r_a, "r_a"))
-        sq_b = make_squeeze(cf._real(r_b, "r_b")) if r_b is not None else sq_a
+        sq_a = make_squeeze(_real(r_a, "r_a"))
+        sq_b = make_squeeze(_real(r_b, "r_b")) if r_b is not None else sq_a
     _check_methods(methods)
 
     n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
-    if _past_cap(methods, n_max):
-        raise NumericCapError(
-            f"numeric method needs cutoff {n_max}, above the oracle cap of "
-            f"{NUMERIC_CAP} (its time grows as N_max^4)"
-        )
     return _reports([_point(sq_a, sq_b, n_max, cutoff, methods)])[0]
 
 
 def _past_cap(methods, n_max: int) -> bool:
-    """Whether the numeric method is asked for past NUMERIC_CAP, where the oracle does not run."""
+    """Whether the numeric method is asked for past NUMERIC_CAP, where run_sweep drops it."""
     return "numeric" in methods and n_max > NUMERIC_CAP
 
 
@@ -149,24 +141,23 @@ def _point(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> dict:
     so that side's marginal takes it as resolved; the other resolves its own."""
     point = {"sq_a": sq_a, "sq_b": sq_b, "n_max": n_max, "marginals": (), "numeric": "numeric" in methods}
     if "closed" in methods:
-        x, y = sq_a.tanh_r**2, sq_b.tanh_r**2
-
-        def own(sq, larger):
-            return n_max if larger else cutoff.n_max or cf.resolve_cutoff(sq, sq, cutoff)
-
-        point["marginals"] = ((sq_a, n_max),) if sq_b == sq_a else ((sq_a, own(sq_a, x >= y)), (sq_b, own(sq_b, y >= x)))
+        point["marginals"] = ((sq_a, n_max),) if sq_b == sq_a else tuple(
+            (sq, n_max if sq.tanh_r**2 >= other.tanh_r**2 else cutoff.n_max or cf.resolve_cutoff(sq, sq, cutoff))
+            for sq, other in ((sq_a, sq_b), (sq_b, sq_a))
+        )
     return point
 
 
 def _reports(points) -> list:
-    """One report per point of _point: the closed forms of all of them summed
-    in one closed_form call, the oracle of those it runs at in one oracle
-    call."""
+    """One report per point of _point: the oracle of those it runs at in one
+    oracle call, which checks their cutoffs first (NumericCapError past
+    NUMERIC_CAP), then the closed forms of all of them summed in one
+    closed_form call."""
+    numeric = oracle([(p["sq_a"], p["sq_b"], p["n_max"]) for p in points if p["numeric"]])
     closed = [p for p in points if p["marginals"]]
     marginals, joints = cf.closed_form(
         [m for p in closed for m in p["marginals"]], [(p["sq_a"], p["sq_b"], p["n_max"]) for p in closed]
     )
-    numeric = oracle([(p["sq_a"], p["sq_b"], p["n_max"]) for p in points if p["numeric"]])
     marginals, joints, numeric = iter(marginals), iter(joints), iter(numeric)
     reports = []
     for p in points:
@@ -212,7 +203,8 @@ def run_sweep(cfg: SweepConfig) -> list:
                     f"Bob's squeezing r_b is infinite at r = {r}: tanh(r)^omega_ratio rounds to 1 "
                     f"for omega_ratio = {cfg.omega_ratio:g}"
                 )
-            sq_a, sq_b = make_squeeze(r), make_squeeze(r_b)
+            sq_a = make_squeeze(r)
+            sq_b = sq_a if r_b == r else make_squeeze(r_b)
             n_max = cf.resolve_cutoff(sq_a, sq_b, cfg.cutoff)
             past_cap = _past_cap(cfg.methods, n_max)
             if past_cap and not warned:
@@ -243,7 +235,7 @@ def _point_error(r: float, r_b: float, exc: Exception) -> SweepPointError:
 
 def check_warn_threshold(warn_threshold: float) -> None:
     """Refuse a comparison threshold that is not a finite number >= 0."""
-    if not (math.isfinite(cf._real(warn_threshold, "warn_threshold")) and warn_threshold >= 0.0):
+    if not (math.isfinite(_real(warn_threshold, "warn_threshold")) and warn_threshold >= 0.0):
         raise ValueError(f"warn_threshold must be finite and >= 0, got {warn_threshold}")
 
 

@@ -1,12 +1,13 @@
 """Tests for the mass/frequency <-> squeezing-parameter conversions."""
 
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from hawkpair.kinematics import R_MAX, ModeSpec, make_squeeze, mass_from_squeezing, squeezing_from_mode
+from hawkpair.kinematics import R_MAX, ModeSpec, SqueezeParam, make_squeeze, mass_from_squeezing, squeezing_from_mode
 
 # high-precision reference values (50-digit evaluation, frozen)
 MW_FOR_HALF = 0.0551589000381628983  # ln(2)/(4 pi): makes exp(-4 pi M w) = 1/2
@@ -78,6 +79,29 @@ def test_mode_spec_rejects_bad_input(mass, omega):
 def test_make_squeeze_rejects_bad_input(r):
     with pytest.raises(ValueError):
         make_squeeze(r)
+
+
+def test_squeeze_param_derives_its_values_from_r():
+    sq = SqueezeParam(1.0)
+    assert sq == make_squeeze(1.0)
+    assert (sq.tanh_r, sq.cosh_r) == (math.tanh(1.0), math.cosh(1.0))
+    # tanh_r and cosh_r are not arguments: they cannot disagree with r
+    with pytest.raises(TypeError):
+        SqueezeParam(1.0, 0.2, 7.0)
+
+
+@pytest.mark.parametrize(
+    "r,message",
+    [
+        (177.5, "r must be at most 177.0 (past it cosh^4 r or its inverse is no normal float), got 177.5"),
+        (math.nan, "r must be non-negative and finite, got nan"),
+        (-0.1, "r must be non-negative and finite, got -0.1"),
+        ("1", "r must be a real number, got '1'"),
+    ],
+)
+def test_squeeze_param_refuses_bad_r(r, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SqueezeParam(r)
 
 
 def test_make_squeeze_largest_r_has_finite_cosh_squared():

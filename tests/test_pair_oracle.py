@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 from brute_force import OUT_PAIR, measures, mode_amplitudes, pair_state, reduce
 
-from hawkpair import density
+import hawkpair
+from hawkpair import density, sweep
 from hawkpair.closed_form import SeriesConfig
 from hawkpair.density import (
+    NUMERIC_CAP,
     PAD_MULTIPLE,
     STACK_BUDGET,
+    NumericCapError,
     PaddingError,
     _block_eigenvalues,
     _block_plan,
@@ -65,7 +68,10 @@ def block_spectra(r_a, r_b, n_max):
     family solves them) and of its partial transpose on B."""
     sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
     diag, off = pair_blocks(sq_a, sq_b, n_max)
-    return _block_eigenvalues(diag, off, mirrored=sq_a == sq_b), _block_eigenvalues(diag[:, ::-1], off[:, ::-1])
+    return (
+        _block_eigenvalues(diag, off, _block_plan(n_max, sq_a == sq_b)),
+        _block_eigenvalues(diag[:, ::-1], off[:, ::-1], _block_plan(n_max, False)),
+    )
 
 
 def assert_matches_per_block(r_a, r_b, n_max):
@@ -115,7 +121,8 @@ def test_block_sizes_cover_the_truncated_space():
 def test_families_partition_the_columns():
     # each family takes a stack of points' D and C, here of one point
     diag, off = (m[None] for m in pair_blocks(make_squeeze(0.9), make_squeeze(0.4), 7))
-    families = (marginal_entropies(diag)[0], negativity(diag, off)[0], joint_entropy(diag, off, symmetric=False)[0])
+    plan = _block_plan(7, False)
+    families = (marginal_entropies(diag)[0], negativity(diag, off, plan)[0], joint_entropy(diag, off, plan)[0])
     names = [name for family in families for name in family]
     assert sorted(names + ["i_num"]) == sorted(COLUMNS)
     got = pair_measures(make_squeeze(0.9), make_squeeze(0.4), 7)
@@ -126,6 +133,32 @@ def test_rejects_cutoff_below_one():
     sq = make_squeeze(0.5)
     with pytest.raises(ValueError):
         pair_measures(sq, sq, 0)
+
+
+def test_oracle_refuses_a_cutoff_past_its_cap_before_building(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("blocks built before the cutoffs were checked")
+
+    monkeypatch.setattr(density, "_stacked_blocks", no_blocks)
+    sq = make_squeeze(0.5)
+    with pytest.raises(NumericCapError, match=f"needs cutoff {NUMERIC_CAP + 1}, above the oracle cap of {NUMERIC_CAP}"):
+        pair_measures(sq, sq, NUMERIC_CAP + 1)
+    # a batch is checked whole: a good point ahead of it builds nothing either
+    with pytest.raises(NumericCapError):
+        oracle([(sq, sq, 5), (sq, make_squeeze(0.2), NUMERIC_CAP + 1)])
+    assert hawkpair.NumericCapError is sweep.NumericCapError is NumericCapError
+
+
+@pytest.mark.parametrize("n_max", [10.5, True, "7", 9.0])
+def test_oracle_refuses_a_non_integer_cutoff(n_max):
+    sq = make_squeeze(0.5)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        pair_measures(sq, sq, n_max)
+
+
+def test_oracle_takes_a_numpy_integer_cutoff():
+    sq_a, sq_b = make_squeeze(0.5), make_squeeze(0.3)
+    assert pair_measures(sq_a, sq_b, np.int64(9)) == pair_measures(sq_a, sq_b, 9)
 
 
 @properties
@@ -152,7 +185,7 @@ def test_structured_oracle_invariants(r_a, r_b, n_max):
 
 def negativity_at(r_a, r_b, n_max):
     diag, off = pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
-    return negativity(diag[None], off[None])[0]
+    return negativity(diag[None], off[None], _block_plan(n_max, False))[0]
 
 
 @properties
@@ -197,8 +230,8 @@ def test_stacked_blocks_match_per_block_solve_at_pad_edges(r_a, r_b, n_max):
 def test_symmetric_point_solves_mirrored_blocks_once(monkeypatch, n_max):
     sq = make_squeeze(1.1)
     diag, off = pair_blocks(sq, sq, n_max)
-    unshared = _block_eigenvalues(diag, off)
-    assert np.array_equal(_block_eigenvalues(diag, off, mirrored=True), unshared)
+    unshared = _block_eigenvalues(diag, off, _block_plan(n_max, False))
+    assert np.array_equal(_block_eigenvalues(diag, off, _block_plan(n_max, True)), unshared)
     shapes = counted_eigvalsh(monkeypatch)
     assert pair_measures(sq, sq, n_max)["s_ab_num"] == _entropy_bits(unshared)
     # rho_AB solves blocks k = 0..N, its partial transpose all 2N + 1
@@ -303,7 +336,8 @@ def test_chunk_spectra_are_contiguous_rows():
     # each point's spectrum is reduced on its own, from a C-contiguous row
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
     diag, off = _stacked_blocks(pairs, 9)
-    for spectra in (_block_eigenvalues(diag, off), _block_eigenvalues(diag[..., ::-1], off[..., ::-1])):
+    plan = _block_plan(9, False)
+    for spectra in (_block_eigenvalues(diag, off, plan), _block_eigenvalues(diag[..., ::-1], off[..., ::-1], plan)):
         assert spectra.shape == (len(pairs), 100) and spectra.flags.c_contiguous
 
 
@@ -356,7 +390,7 @@ def test_block_plans_are_worked_out_once_per_group(monkeypatch):
 def test_padding_that_does_not_sort_last_is_refused():
     # a block eigenvalue of 3 sorts after the padding's
     with pytest.raises(PaddingError, match="padding"):
-        _block_eigenvalues(np.full((3, 3), 3.0), np.zeros((2, 2)))
+        _block_eigenvalues(np.full((3, 3), 3.0), np.zeros((2, 2)), _block_plan(2, False))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 1.65, 6.0])

@@ -12,7 +12,7 @@ import pytest
 from hawkpair import closed_form as cf
 from hawkpair import sweep
 from hawkpair.closed_form import ConvergenceError, SeriesConfig
-from hawkpair.kinematics import ModeSpec, make_squeeze, mass_from_squeezing
+from hawkpair.kinematics import ModeSpec, SqueezeParam, make_squeeze, mass_from_squeezing
 from hawkpair.sweep import (
     CSV_HEADER,
     MAX_SWEEP_STEPS,
@@ -183,6 +183,20 @@ def test_sweep_resolves_each_point_once(monkeypatch):
     rows = run_sweep(SweepConfig(r_min=0.5, r_max=2.0, steps=2))
     assert len(calls) == 2
     assert rows[0].i_num is not None and rows[1].i_num is None and rows[1].i_closed is not None
+
+
+def test_symmetric_sweep_builds_one_squeezing_per_point(monkeypatch):
+    built = []
+    post_init = SqueezeParam.__post_init__
+
+    def counted(self):
+        built.append(self.r)
+        post_init(self)
+
+    monkeypatch.setattr(SqueezeParam, "__post_init__", counted)
+    rows = run_sweep(SweepConfig(r_min=0.2, r_max=1.0, steps=5))
+    assert len(built) == 5
+    assert all(row.r_b == row.r_a and row.i_num is not None for row in rows)
 
 
 def test_sweep_failure_names_the_point():
