@@ -7,8 +7,6 @@ Subcommands: point, sweep, fig2, fig3, compare. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 
 from . import closed_form as cf
@@ -19,6 +17,7 @@ from .sweep import (
     NumericCapError,
     SweepConfig,
     SweepPointError,
+    _write_json,
     check_warn_threshold,
     compare_closed_vs_numeric,
     emit_rows,
@@ -147,10 +146,8 @@ def _cmd_compare(args) -> None:
     check_warn_threshold(args.warn_threshold)
     report = run_point(r_a=args.r, cutoff=_cutoff_from(args), methods=("closed", "numeric"))
     cmp_report = compare_closed_vs_numeric(report, warn_threshold=args.warn_threshold)
-    payload = dataclasses.asdict(cmp_report)
-    payload["warnings"] = list(payload["warnings"])
     with open_output(args.out) as stream:
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(vars(cmp_report), stream)
 
 
 def main(argv=None) -> int:

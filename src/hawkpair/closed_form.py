@@ -172,7 +172,7 @@ def s_a_closed(sq: SqueezeParam, cfg: SeriesConfig) -> float:
 
     1 - (1/2) sum_n p_n log2 p_n - (1/2) sum_n p'_n log2 p'_n with
     p_n = x^n / c^2 and p'_n = (n+1) x^n / c^4, x = tanh^2 r, c = cosh r."""
-    return closed_form([(sq, cfg.n_max or resolve_cutoff(sq, sq, cfg))], [])[0][0]
+    return closed_form([(sq, resolve_cutoff(sq, sq, cfg))], [])[0][0]
 
 
 def s_b_closed(sq: SqueezeParam, cfg: SeriesConfig) -> float:
@@ -184,7 +184,7 @@ def s_ab_closed(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> fl
     """Joint entropy series -sum_{n,q} P_nq log2 P_nq with
     P_nq = (w_nq / 2)(1 + a_nq^2) = x^n y^q z_nq / (2C),
     z_nq = 1 + (n+1)(q+1)/C, C = cosh^2 r_a cosh^2 r_b."""
-    return closed_form([], [(sq_a, sq_b, cfg.n_max or resolve_cutoff(sq_a, sq_b, cfg))])[1][0]
+    return closed_form([], [(sq_a, sq_b, resolve_cutoff(sq_a, sq_b, cfg))])[1][0]
 
 
 def mutual_info_closed(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> float:

@@ -15,10 +15,8 @@ import numpy as np
 def amplitude_rows(squeezings, n_max: int):
     """V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2 for k = 0..n_max, with
     t = tanh r and c = cosh r, one row per squeezing. O(n_max) = 0:
-    |n_max + 1>_out is truncated, so n_max must be at least 1 for the
-    one-particle state to exist."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    |n_max + 1>_out is truncated (the oracle checks n_max >= 1, so the
+    one-particle state exists)."""
     k = np.arange(n_max + 1)
     # c^2 by Python's float power, which numpy's c * c can miss by an ulp
     t, c, c2 = np.array([(sq.tanh_r, sq.cosh_r, sq.cosh_r**2) for sq in squeezings]).T[..., None]

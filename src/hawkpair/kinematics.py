@@ -73,7 +73,7 @@ class SqueezeParam:
 
 
 def make_squeeze(r: float) -> SqueezeParam:
-    """Build a SqueezeParam directly from r (for sweeps over the r axis)."""
+    """SqueezeParam(r), kept as a public name."""
     return SqueezeParam(r)
 
 
@@ -89,7 +89,7 @@ def squeezing_from_mode(mode: ModeSpec) -> SqueezeParam:
             f"M*omega = {mode.mass:g} * {mode.omega:g} is too small: exp(-4 pi M omega) "
             f"rounds to 1, so the squeezing r is infinite"
         )
-    return make_squeeze(math.atanh(boltzmann))
+    return SqueezeParam(math.atanh(boltzmann))
 
 
 def mass_from_squeezing(r: float, omega: float) -> float:
@@ -99,4 +99,7 @@ def mass_from_squeezing(r: float, omega: float) -> float:
         raise ValueError(f"r must be positive and finite, got {r}")
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
-    return -math.log(math.tanh(r)) / (4.0 * math.pi * omega)
+    tanh_r = math.tanh(r)
+    if tanh_r == 1.0:
+        raise ValueError(f"r = {r} is too large: tanh r rounds to 1 (from r ~ 19.07), so the mass would be 0")
+    return -math.log(tanh_r) / (4.0 * math.pi * omega)

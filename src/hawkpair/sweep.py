@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 from . import closed_form as cf
 from .density import NUMERIC_CAP, NumericCapError, oracle  # NumericCapError: re-exported for callers
-from .kinematics import ModeSpec, _integer, _real, make_squeeze, squeezing_from_mode
+from .kinematics import ModeSpec, SqueezeParam, _integer, _real, squeezing_from_mode
 
 DEFAULT_CUTOFF = cf.SeriesConfig(tail_tol=1e-10)
 # most grid points of a sweep: 10^5 closed-form points over r in 0..6 take 190 MB
@@ -83,8 +83,9 @@ class EntanglementReport:
     trace_deficit: float | None = None
 
 
-# the CSV columns, in the order csv_lines writes a report's fields
-CSV_HEADER = ",".join(f.name for f in fields(EntanglementReport))
+# a report's field names, in order: the CSV columns and the keys of a JSON row
+_COLUMNS = tuple(f.name for f in fields(EntanglementReport))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -119,17 +120,12 @@ def run_point(
             raise ValueError("omega_prime (--omega-prime) applies to a mass and omega, not to r values")
         if r_a is None:
             raise ValueError("r_a (or a ModeSpec) is required")
-        sq_a = make_squeeze(_real(r_a, "r_a"))
-        sq_b = make_squeeze(_real(r_b, "r_b")) if r_b is not None else sq_a
+        sq_a = SqueezeParam(_real(r_a, "r_a"))
+        sq_b = SqueezeParam(_real(r_b, "r_b")) if r_b is not None else sq_a
     _check_methods(methods)
 
     n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
     return _reports([_point(sq_a, sq_b, n_max, cutoff, methods)])[0]
-
-
-def _past_cap(methods, n_max: int) -> bool:
-    """Whether the numeric method is asked for past NUMERIC_CAP, where run_sweep drops it."""
-    return "numeric" in methods and n_max > NUMERIC_CAP
 
 
 def _point(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> dict:
@@ -203,10 +199,10 @@ def run_sweep(cfg: SweepConfig) -> list:
                     f"Bob's squeezing r_b is infinite at r = {r}: tanh(r)^omega_ratio rounds to 1 "
                     f"for omega_ratio = {cfg.omega_ratio:g}"
                 )
-            sq_a = make_squeeze(r)
-            sq_b = sq_a if r_b == r else make_squeeze(r_b)
+            sq_a = SqueezeParam(r)
+            sq_b = sq_a if r_b == r else SqueezeParam(r_b)
             n_max = cf.resolve_cutoff(sq_a, sq_b, cfg.cutoff)
-            past_cap = _past_cap(cfg.methods, n_max)
+            past_cap = "numeric" in cfg.methods and n_max > NUMERIC_CAP
             if past_cap and not warned:
                 print(
                     f"note: numeric method disabled where the resolved cutoff "
@@ -278,7 +274,7 @@ def _fmt(value) -> str:
 def csv_lines(rows) -> list:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, f.name)) for f in fields(EntanglementReport)))
+        lines.append(",".join(_fmt(getattr(row, name)) for name in _COLUMNS))
     return lines
 
 
@@ -302,6 +298,11 @@ def emit_rows(rows, fmt: str, stream) -> None:
     if fmt == "csv":
         stream.write("\n".join(csv_lines(rows)) + "\n")
     else:
-        payload = [{f.name: getattr(row, f.name) for f in fields(EntanglementReport)} for row in rows]
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
+        _write_json([{name: getattr(row, name) for name in _COLUMNS} for row in rows], stream)
+
+
+def _write_json(payload, stream) -> None:
+    """Write payload to an open text stream as indented JSON and one newline
+    (a tuple is written as a list): the JSON rows and compare's report."""
+    json.dump(payload, stream, indent=2)
+    stream.write("\n")

@@ -1,5 +1,6 @@
 """End-to-end CLI tests via subprocess: exit codes, output contract."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -16,7 +17,7 @@ from hawkpair import cli
 from hawkpair import closed_form as cf
 from hawkpair import density
 from hawkpair.closed_form import ConvergenceError
-from hawkpair.sweep import CSV_HEADER, MAX_SWEEP_STEPS, NumericCapError, SweepPointError
+from hawkpair.sweep import CSV_HEADER, MAX_SWEEP_STEPS, ComparisonReport, NumericCapError, SweepPointError
 
 
 def run_cli(*args):
@@ -153,6 +154,29 @@ def test_stdout_and_out_file_are_the_same_bytes(tmp_path, args):
     assert to_stdout.returncode == to_file.returncode == 0
     assert to_file.stdout == b""
     assert to_stdout.stdout == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("point", "--r", "0.3", "--nmax", "6", "--format", "json"),
+        ("sweep", "--r-min", "0", "--r-max", "0.4", "--steps", "3", "--nmax", "6", "--format", "json"),
+        ("compare", "--r", "0.9", "--nmax", "14"),
+    ],
+    ids=["point", "sweep", "compare"],
+)
+def test_json_outputs_share_one_writer(argv, capsys):
+    # in process: one final newline, keys in field order, warnings a list
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    payload = json.loads(out)
+    if argv[0] == "compare":
+        assert list(payload) == [field.name for field in dataclasses.fields(ComparisonReport)]
+        assert isinstance(payload["warnings"], list) and len(payload["warnings"]) == 4
+    else:
+        assert len(payload) == (1 if argv[0] == "point" else 3)
+        assert all(list(row) == CSV_HEADER.split(",") for row in payload)
 
 
 # ------------------------------------------------------------------- exit 2

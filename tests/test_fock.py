@@ -63,11 +63,6 @@ def test_one_particle_amplitude_at_unit_squeezing():
     assert o[0] == pytest.approx(SECH2_1, rel=1e-12)
 
 
-def test_one_particle_rejects_zero_cutoff():
-    with pytest.raises(ValueError, match="n_max"):
-        mode_amplitudes(make_squeeze(1.0), 0)
-
-
 def test_one_particle_norm_converges_to_one():
     sq = make_squeeze(1.0)
     norms = [norm_sq(mode_amplitudes(sq, n)[1]) for n in (5, 10, 20, 40, 80)]

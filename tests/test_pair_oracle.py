@@ -129,10 +129,18 @@ def test_families_partition_the_columns():
     assert all(got[name] == value for family in families for name, value in family.items())
 
 
-def test_rejects_cutoff_below_one():
+def test_rejects_cutoff_below_one(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("blocks built before the cutoffs were checked")
+
+    monkeypatch.setattr(density, "_stacked_blocks", no_blocks)
     sq = make_squeeze(0.5)
-    with pytest.raises(ValueError):
-        pair_measures(sq, sq, 0)
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+            pair_measures(sq, sq, n_max)
+    # a batch is checked whole: a good point ahead of the bad one builds nothing either
+    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+        oracle([(sq, sq, 5), (sq, make_squeeze(0.2), 0)])
 
 
 def test_oracle_refuses_a_cutoff_past_its_cap_before_building(monkeypatch):

@@ -1,0 +1,66 @@
+"""Compare the CLI outputs of two checkouts byte for byte.
+
+    python tools/cmp_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are the roots of two hawkpair checkouts. Each call below
+runs as `python -m hawkpair.cli ...` from each checkout's `src/`, with one
+BLAS thread, in an empty working directory; its stdout, stderr and exit code
+must be the same on both sides. Prints one line per call and exits 1 when any
+call differs, 0 otherwise. Uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# the figure presets, the seed-0 calls of the benchmark's oracle-sweep
+# workload, and one call per error exit code (3, 3, 2, 4)
+CALLS = (
+    ("fig2",),
+    ("fig2", "--format", "json"),
+    ("fig3",),
+    *(
+        ("sweep", "--r-min", "0.4", "--r-max", "1.4", "--steps", "6", "--omega-ratio", "2.0", "--nmax", n)
+        for n in ("8", "11", "14")
+    ),
+    ("compare", "--r", "0.9", "--nmax", "14"),
+    ("point", "--mass", "0.025", "--omega", "1.0", "--omega-prime", "2.0", "--nmax", "14", "--format", "json"),
+    ("point", "--r", "20", "--methods", "closed"),
+    ("compare", "--r", "1.0", "--nmax", "201"),
+    ("point", "--r", "-1"),
+    ("point", "--r", "0.3", "--methods", "closed", "--out", "missing/out.csv"),
+)
+
+
+def run(root: Path, argv: tuple) -> tuple:
+    """stdout, stderr and exit code of one CLI call from root's src/."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run(
+            [sys.executable, "-m", "hawkpair.cli", *argv], cwd=cwd, env=env, capture_output=True, timeout=600
+        )
+    return done.stdout, done.stderr, done.returncode
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(arg).resolve() for arg in sys.argv[1:])
+    differ = 0
+    for call in CALLS:
+        before, after = run(parent, call), run(change, call)
+        parts = [name for name, a, b in zip(("stdout", "stderr", "exit code"), before, after) if a != b]
+        differ += bool(parts)
+        status = f"DIFFERS in {', '.join(parts)}" if parts else f"same (exit {after[2]})"
+        print(f"{status}: hawkpair {' '.join(call)}")
+    print(f"{differ} of {len(CALLS)} calls differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
