@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: point, sweep, fig2, fig3, compare. Exit codes: 0 success,
-2 invalid arguments, 3 convergence/cutoff or numerical failure, 4 I/O failure.
+2 invalid arguments, 3 convergence/cutoff failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from . import closed_form as cf
-from .density import PaddingError
 from .kinematics import ModeSpec
 from .sweep import (
     DEFAULT_CUTOFF,
@@ -32,9 +31,8 @@ FIGURES = (
     ("fig2", "preset sweep: entanglement-measure columns, r in [0, 6], 121 steps", ("closed", "numeric")),
     ("fig3", "preset sweep: entropy/mutual-information columns, r in [0, 6], 121 steps", ("closed",)),
 )
-# exit code of each error family, first match wins; a PaddingError is the
-# oracle's eigensolver failing its own check
-EXIT_CODES = ((cf.ConvergenceError, 3), (NumericCapError, 3), (PaddingError, 3), (OSError, 4), (ValueError, 2))
+# exit code of each error family, first match wins
+EXIT_CODES = ((cf.ConvergenceError, 3), (NumericCapError, 3), (OSError, 4), (ValueError, 2))
 
 
 def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:

@@ -260,26 +260,8 @@ def test_saturated_squeezing_exit_3():
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["point", "--r", "0.5", "--nmax", "8"],
-        ["sweep", "--r-min", "0.2", "--r-max", "0.6", "--steps", "3", "--nmax", "8"],
-    ],
-)
-def test_oracle_failure_exit_3(argv, monkeypatch, capsys):
-    # the eigensolver's padding check fails (padding set to sort first): an
-    # error line and exit 3, no traceback
-    monkeypatch.setattr(density, "PAD_EIGENVALUE", -5.0)
-    assert cli.main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "out of place" in err
-    if argv[0] == "sweep":
-        assert "sweep failed at r = 0.2" in err
-
-
 def test_other_arithmetic_errors_keep_their_traceback(monkeypatch):
-    # only the padding check is a numerical failure; a ZeroDivisionError is a bug
+    # no arithmetic error has an exit code: a ZeroDivisionError is a bug
     def broken(eigenvalues):
         raise ZeroDivisionError("stubbed bug")
 

@@ -16,7 +16,7 @@ from brute_force import (
     reduce,
 )
 
-from hawkpair.density import _block_eigenvalues, _block_plan, _entropy_bits, _stacked_blocks, joint_entropy, pair_measures
+from hawkpair.density import _block_eigenvalues, _entropy_bits, _stacked_blocks, joint_entropy, pair_measures
 from hawkpair.kinematics import make_squeeze
 
 
@@ -85,8 +85,8 @@ def test_product_density_is_ppt():
 
 def test_spectrum_trace_check():
     diag, off = _stacked_blocks([(make_squeeze(0.7), make_squeeze(1.2))], 6)
-    trace = 1.0 - joint_entropy(diag, off, _block_plan(6, False))[0]["trace_deficit"]
-    assert trace == pytest.approx(_block_eigenvalues(diag, off, _block_plan(6, False)).sum(), abs=1e-14)
+    trace = 1.0 - joint_entropy(diag, off, False)[0]["trace_deficit"]
+    assert trace == pytest.approx(_block_eigenvalues(diag, off, False).sum(), abs=1e-14)
     assert trace == pytest.approx(np.trace(reduce(pair_state(0.7, 1.2, 6), OUT_PAIR)), abs=1e-14)
 
 

@@ -16,12 +16,9 @@ from hawkpair import density, sweep
 from hawkpair.closed_form import SeriesConfig
 from hawkpair.density import (
     NUMERIC_CAP,
-    PAD_MULTIPLE,
     STACK_BUDGET,
     NumericCapError,
-    PaddingError,
     _block_eigenvalues,
-    _block_plan,
     _entropy_bits,
     _stacked_blocks,
     joint_entropy,
@@ -42,7 +39,7 @@ COLUMNS = ("neg_sum_num", "e_n_num", "s_a_num", "s_b_num", "s_ab_num", "i_num", 
 squeezing = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
 cutoffs = st.integers(min_value=1, max_value=12)
 block_cutoffs = st.integers(min_value=1, max_value=64)
-# cutoffs whose longest block (N + 1) is one below, at and one above a padded length
+# cutoffs whose longest block (N + 1) is one below, at and one above a multiple of 8
 PAD_EDGES = (7, 8, 9, 15, 16, 17, 31, 32, 33)
 properties = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -69,8 +66,8 @@ def block_spectra(r_a, r_b, n_max):
     sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
     diag, off = pair_blocks(sq_a, sq_b, n_max)
     return (
-        _block_eigenvalues(diag, off, _block_plan(n_max, sq_a == sq_b)),
-        _block_eigenvalues(diag[:, ::-1], off[:, ::-1], _block_plan(n_max, False)),
+        _block_eigenvalues(diag, off, sq_a == sq_b),
+        _block_eigenvalues(diag[:, ::-1], off[:, ::-1], False),
     )
 
 
@@ -121,8 +118,7 @@ def test_block_sizes_cover_the_truncated_space():
 def test_families_partition_the_columns():
     # each family takes a stack of points' D and C, here of one point
     diag, off = (m[None] for m in pair_blocks(make_squeeze(0.9), make_squeeze(0.4), 7))
-    plan = _block_plan(7, False)
-    families = (marginal_entropies(diag)[0], negativity(diag, off, plan)[0], joint_entropy(diag, off, plan)[0])
+    families = (marginal_entropies(diag)[0], negativity(diag, off)[0], joint_entropy(diag, off, False)[0])
     names = [name for family in families for name in family]
     assert sorted(names + ["i_num"]) == sorted(COLUMNS)
     got = pair_measures(make_squeeze(0.9), make_squeeze(0.4), 7)
@@ -193,7 +189,7 @@ def test_structured_oracle_invariants(r_a, r_b, n_max):
 
 def negativity_at(r_a, r_b, n_max):
     diag, off = pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
-    return negativity(diag[None], off[None], _block_plan(n_max, False))[0]
+    return negativity(diag[None], off[None])[0]
 
 
 @properties
@@ -238,23 +234,33 @@ def test_stacked_blocks_match_per_block_solve_at_pad_edges(r_a, r_b, n_max):
 def test_symmetric_point_solves_mirrored_blocks_once(monkeypatch, n_max):
     sq = make_squeeze(1.1)
     diag, off = pair_blocks(sq, sq, n_max)
-    unshared = _block_eigenvalues(diag, off, _block_plan(n_max, False))
-    assert np.array_equal(_block_eigenvalues(diag, off, _block_plan(n_max, True)), unshared)
+    unshared = _block_eigenvalues(diag, off, False)
+    assert np.array_equal(_block_eigenvalues(diag, off, True), unshared)
     shapes = counted_eigvalsh(monkeypatch)
     assert pair_measures(sq, sq, n_max)["s_ab_num"] == _entropy_bits(unshared)
     # rho_AB solves blocks k = 0..N, its partial transpose all 2N + 1
-    assert sum(shape[0] for shape in shapes) == (n_max + 1) + (2 * n_max + 1)
+    assert sum(count * blocks for count, blocks, _, _ in shapes) == (n_max + 1) + (2 * n_max + 1)
+
+
+def assert_one_call_per_length(shapes, points, n_max, symmetric=False):
+    """One eigvalsh call per block length and family, each stacking the
+    blocks -k and k (k alone at k = 0 or where mirrored) of every point."""
+    want = [(points, 2 if k else 1, n_max + 1 - k, n_max + 1 - k) for k in range(n_max, -1, -1)]
+    mirrored = [(points, 1) + shape[2:] for shape in want]
+    assert shapes == want + (mirrored if symmetric else want)
 
 
 def test_eigensolves_are_stacked(monkeypatch):
     shapes = counted_eigvalsh(monkeypatch)
     pair_measures(make_squeeze(0.9), make_squeeze(0.6), 14)
-    assert len(shapes) <= 4
-    assert all(shape[1] % PAD_MULTIPLE == 0 for shape in shapes)
+    assert_one_call_per_length(shapes, 1, 14)
+    shapes.clear()
+    pair_measures(make_squeeze(0.9), make_squeeze(0.9), 14)
+    assert_one_call_per_length(shapes, 1, 14, symmetric=True)
 
 
 def test_batch_values_equal_each_point_alone():
-    # one oracle call over cutoffs either side of a padded length and at
+    # one oracle call over cutoffs either side of a multiple of 8 and at
     # fig2's largest, symmetric and asymmetric points and r = 0; points that
     # share a cutoff and symmetry are solved in one stack
     pairs = [(0.7, 0.3), (1.5, 0.2), (1.2, 1.2), (0.4, 0.4), (0.0, 0.0), (0.0, 0.9)]
@@ -264,33 +270,29 @@ def test_batch_values_equal_each_point_alone():
         assert got == pair_measures(*point), (point[0].r, point[1].r, point[2])
 
 
-def blocks_of_padded_length(n_max, p):
-    """How many of one point's partial-transpose blocks are padded to length p."""
-    return sum(-(-(n_max + 1 - abs(k)) // PAD_MULTIPLE) * PAD_MULTIPLE == p for k in range(-n_max, n_max + 1))
-
-
-def test_sweep_solves_each_padded_length_once(monkeypatch):
-    # 6 asymmetric points at N = 14 are one chunk: blocks padded to 8 and to
-    # 16, for rho_AB and for its partial transpose, not 4 calls a point
+def test_sweep_solves_each_length_once(monkeypatch):
+    # 6 asymmetric points at N = 14 are one chunk: one call per block length
+    # 1..15, for the partial transpose and for rho_AB, not 30 calls a point
     shapes = counted_eigvalsh(monkeypatch)
     rows = run_sweep(SweepConfig(r_min=0.4, r_max=1.4, steps=6, omega_ratio=2.0, cutoff=SeriesConfig(n_max=14)))
     assert all(row.e_n_num is not None for row in rows)
-    assert sorted(shape[1] for shape in shapes) == [8, 8, 16, 16]
-    assert sum(shape[0] for shape in shapes) == 6 * 2 * (2 * 14 + 1)
+    assert len(shapes) == 30
+    assert_one_call_per_length(shapes, 6, 14)
 
 
 def test_stacks_stay_within_the_budget(monkeypatch):
-    # 40 points at N = 14 take three chunks; a stack over STACK_BUDGET holds
-    # the blocks of one point alone, as at N = 191, where one point's 15
-    # partial-transpose blocks padded to 192 take 4.4 MB
+    # a chunk takes as many points as fit STACK_BUDGET at 2N + 1 blocks of
+    # (N + 1)^2 entries a point: 40 points at N = 14 take two chunks of 20,
+    # and from N = 32 on, as at N = 191, a point is solved alone
+    assert 8 * 20 * 29 * 15**2 <= STACK_BUDGET < 8 * 21 * 29 * 15**2
+    assert 8 * 2 * 63 * 32**2 <= STACK_BUDGET < 8 * 2 * 65 * 33**2
     shapes = counted_eigvalsh(monkeypatch)
     points = [(make_squeeze(0.02 * i), make_squeeze(0.55), 14) for i in range(40)]
     points += [(make_squeeze(1.6), make_squeeze(r), 191) for r in (0.8, 0.9)]
     oracle(points)
-    assert sum(shape[0] for shape in shapes) == 2 * (40 * 29 + 2 * 383)
-    for count, p, _ in shapes:
-        assert 8 * count * p * p <= STACK_BUDGET or count <= blocks_of_padded_length(191, p), (count, p)
-    assert any(8 * count * p * p > STACK_BUDGET for count, p, _ in shapes)
+    assert sum(count * blocks for count, blocks, _, _ in shapes) == 2 * (40 * 29 + 2 * 383)
+    assert sorted({count for count, *_ in shapes}) == [1, 20]
+    assert len(shapes) == 2 * 2 * 15 + 2 * 2 * 192
 
 
 def blocks_point_by_point(sq_a, sq_b, n_max):
@@ -344,8 +346,7 @@ def test_chunk_spectra_are_contiguous_rows():
     # each point's spectrum is reduced on its own, from a C-contiguous row
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
     diag, off = _stacked_blocks(pairs, 9)
-    plan = _block_plan(9, False)
-    for spectra in (_block_eigenvalues(diag, off, plan), _block_eigenvalues(diag[..., ::-1], off[..., ::-1], plan)):
+    for spectra in (_block_eigenvalues(diag, off, False), _block_eigenvalues(diag[..., ::-1], off[..., ::-1], False)):
         assert spectra.shape == (len(pairs), 100) and spectra.flags.c_contiguous
 
 
@@ -375,30 +376,6 @@ def test_oracle_equals_its_point_by_point_set_up(monkeypatch):
     monkeypatch.setattr(density, "_entropy_bits", entropy_bits_masked)
     monkeypatch.setattr(density, "marginal_entropies", marginals_point_by_point)
     assert repr(oracle(points)) == repr(got)
-
-
-def test_block_plans_are_worked_out_once_per_group(monkeypatch):
-    # 40 asymmetric points at N = 14 take three chunks and one plan, which the
-    # partial transpose and rho_AB share; a symmetric group adds its mirrored
-    # plan; a second call keeps nothing of the first
-    plans = []
-
-    def counted(n, mirrored):
-        plans.append((n, mirrored))
-        return _block_plan(n, mirrored)
-
-    monkeypatch.setattr(density, "_block_plan", counted)
-    points = [(make_squeeze(0.02 * i), make_squeeze(0.55), 14) for i in range(40)]
-    points.append((make_squeeze(0.9), make_squeeze(0.9), 14))
-    want = oracle(points)
-    assert plans == [(14, False), (14, False), (14, True)]
-    assert oracle(points) == want and len(plans) == 6
-
-
-def test_padding_that_does_not_sort_last_is_refused():
-    # a block eigenvalue of 3 sorts after the padding's
-    with pytest.raises(PaddingError, match="padding"):
-        _block_eigenvalues(np.full((3, 3), 3.0), np.zeros((2, 2)), _block_plan(2, False))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 1.65, 6.0])
