@@ -9,7 +9,8 @@ density-engine oracle, and the sweep layer reports the gap between the two.
 
 Entropies are in bits (log base 2). closed_form sums the series of a whole
 batch of points, each at its own cutoff; s_a_closed, s_b_closed and
-s_ab_closed are that call with one point. Each point's scalar arithmetic (the
+s_ab_closed are that call with one point, and closed_columns builds a report's
+closed columns from one such call. Each point's scalar arithmetic (the
 geometric moments and the linear parts) is its own, in Python floats; the
 sums over nodes run in stacked numpy calls over the batch.
 
@@ -188,8 +189,41 @@ def s_ab_closed(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> fl
 
 
 def mutual_info_closed(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig) -> float:
-    """Mutual information assembled as S_A + S_B - S_AB."""
-    return s_a_closed(sq_a, cfg) + s_b_closed(sq_b, cfg) - s_ab_closed(sq_a, sq_b, cfg)
+    """Mutual information assembled as S_A + S_B - S_AB (closed_columns)."""
+    return closed_columns([(sq_a, sq_b, resolve_cutoff(sq_a, sq_b, cfg))], cfg)[0]["i_closed"]
+
+
+def closed_columns(points, cfg: SeriesConfig) -> list:
+    """Per (sq_a, sq_b, n_max) point of a list, n_max its pair cutoff, a dict of
+    the closed columns, every series summed in one closed_form call; trace_deficit
+    1 - (1 - X)(1 - Y) is taken as X + Y - XY, X and Y each side's _tail. A
+    symmetric point sums one marginal. Elsewhere the side with the larger tanh^2 r
+    sets the pair cutoff and takes it; the other takes resolve_cutoff(sq, sq, cfg),
+    no larger, which cannot fail once the pair's has."""
+    sides = [
+        ((sq_a, n_max),) if sq_b == sq_a else tuple(
+            (sq, n_max if sq.tanh_r**2 >= other.tanh_r**2 else resolve_cutoff(sq, sq, cfg))
+            for sq, other in ((sq_a, sq_b), (sq_b, sq_a))
+        )
+        for sq_a, sq_b, n_max in points
+    ]
+    marginals, joints = closed_form([side for pair in sides for side in pair], points)
+    marginals = iter(marginals)
+    columns = []
+    for (sq_a, sq_b, n_max), s_ab in zip(points, joints):
+        s_a = next(marginals)
+        s_b = s_a if sq_b == sq_a else next(marginals)
+        x, y = _tail(sq_a, n_max), _tail(sq_b, n_max)
+        columns.append(dict(
+            e_n_block00=e_n_paper(sq_a, sq_b), s_a_closed=s_a, s_b_closed=s_b, s_ab_closed=s_ab,
+            i_closed=s_a + s_b - s_ab, trace_deficit=x + y - x * y,
+        ))
+    return columns
+
+
+def _tail(sq: SqueezeParam, n_max: int) -> float:
+    """tanh^2(r)^(N+1) by ln tanh r = -log1p(2 / expm1(2r)), not by a power of the rounded tanh^2 r; 0 at r = 0."""
+    return math.exp(-2.0 * (n_max + 1) * math.log1p(2.0 / math.expm1(2.0 * sq.r))) if sq.r else 0.0
 
 
 def _logs(x: float) -> tuple:

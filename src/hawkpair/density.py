@@ -53,7 +53,7 @@ from .kinematics import SqueezeParam, _integer
 
 # largest cutoff the oracle runs at: a point has 4N+2 tridiagonal blocks of
 # size up to N+1 (3N+2 at a symmetric point), and from N = 32 on it is solved
-# alone, so its time grows as N^4 (about 0.31 s at 200 on one Xeon core, 0.32 s
+# alone, so its time grows as N^4 (about 0.33 s at 200 on one Xeon core, 0.34 s
 # at a symmetric point; fig2's numeric columns reach r = 1.65); memory stays
 # O(N^2)
 NUMERIC_CAP = 200

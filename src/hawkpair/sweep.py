@@ -1,4 +1,5 @@
-"""Parameter-point and sweep evaluation with deterministic CSV/JSON emission."""
+"""Parameter points and sweeps, one cutoff resolution a point, each row merged
+from density.oracle and closed_form.closed_columns; deterministic CSV/JSON emission."""
 
 from __future__ import annotations
 
@@ -125,56 +126,31 @@ def run_point(
     _check_methods(methods)
 
     n_max = cf.resolve_cutoff(sq_a, sq_b, cutoff)
-    return _reports([_point(sq_a, sq_b, n_max, cutoff, methods)])[0]
+    return _reports([_Point(sq_a, sq_b, n_max, "closed" in methods, "numeric" in methods)], cutoff)[0]
 
 
-def _point(sq_a, sq_b, n_max: int, cutoff: cf.SeriesConfig, methods) -> dict:
-    """A point whose pair cutoff n_max is resolved: its squeezings and cutoff,
-    whether the oracle runs at it (the numeric method), and the marginal
-    series it needs when the closed method runs, as (squeezing, cutoff)
-    pairs. Equal squeezing on both sides (every symmetric point) is one
-    series. The pair's cutoff is that of its side with the larger tanh^2 r,
-    so that side's marginal takes it as resolved; the other resolves its own."""
-    point = {"sq_a": sq_a, "sq_b": sq_b, "n_max": n_max, "marginals": (), "numeric": "numeric" in methods}
-    if "closed" in methods:
-        point["marginals"] = ((sq_a, n_max),) if sq_b == sq_a else tuple(
-            (sq, n_max if sq.tanh_r**2 >= other.tanh_r**2 else cutoff.n_max or cf.resolve_cutoff(sq, sq, cutoff))
-            for sq, other in ((sq_a, sq_b), (sq_b, sq_a))
-        )
-    return point
+@dataclass(frozen=True)
+class _Point:
+    """A point whose pair cutoff n_max is resolved, and which methods run at it."""
+
+    sq_a: SqueezeParam
+    sq_b: SqueezeParam
+    n_max: int
+    closed: bool
+    numeric: bool
 
 
-def _reports(points) -> list:
-    """One report per point of _point: the oracle of those it runs at in one
-    oracle call, which checks their cutoffs first (NumericCapError past
-    NUMERIC_CAP), then the closed forms of all of them summed in one
-    closed_form call."""
-    numeric = oracle([(p["sq_a"], p["sq_b"], p["n_max"]) for p in points if p["numeric"]])
-    closed = [p for p in points if p["marginals"]]
-    marginals, joints = cf.closed_form(
-        [m for p in closed for m in p["marginals"]], [(p["sq_a"], p["sq_b"], p["n_max"]) for p in closed]
-    )
-    marginals, joints, numeric = iter(marginals), iter(joints), iter(numeric)
+def _reports(points, cutoff: cf.SeriesConfig) -> list:
+    """One report per _Point: the oracle of those it runs at in one oracle
+    call, which checks their cutoffs first (NumericCapError past
+    NUMERIC_CAP), then the closed columns of those the closed method runs at
+    in one closed_columns call. On a row with both, the oracle's trace_deficit wins."""
+    numeric = iter(oracle([(p.sq_a, p.sq_b, p.n_max) for p in points if p.numeric]))
+    closed = iter(cf.closed_columns([(p.sq_a, p.sq_b, p.n_max) for p in points if p.closed], cutoff))
     reports = []
     for p in points:
-        sq_a, sq_b, n_max = p["sq_a"], p["sq_b"], p["n_max"]
-        values: dict = {}
-        if p["marginals"]:
-            s_a = next(marginals)
-            s_b = s_a if sq_b == sq_a else next(marginals)
-            s_ab = next(joints)
-            x, y = sq_a.tanh_r**2, sq_b.tanh_r**2
-            values.update(
-                e_n_block00=cf.e_n_paper(sq_a, sq_b),
-                s_a_closed=s_a,
-                s_b_closed=s_b,
-                s_ab_closed=s_ab,
-                i_closed=s_a + s_b - s_ab,
-                trace_deficit=1.0 - (1.0 - x ** (n_max + 1)) * (1.0 - y ** (n_max + 1)),
-            )
-        if p["numeric"]:
-            values.update(next(numeric))
-        reports.append(EntanglementReport(r_a=sq_a.r, r_b=sq_b.r, n_max=n_max, **values))
+        values = {**(next(closed) if p.closed else {}), **(next(numeric) if p.numeric else {})}
+        reports.append(EntanglementReport(r_a=p.sq_a.r, r_b=p.sq_b.r, n_max=p.n_max, **values))
     return reports
 
 
@@ -182,7 +158,7 @@ def run_sweep(cfg: SweepConfig) -> list:
     """One report per grid point, ascending r, each resolving its cutoff once. A point
     past NUMERIC_CAP drops the numeric method (noted once on stderr), so its
     numeric fields are None; a numeric-only point keeps just r_a, r_b and n_max.
-    Once every point is resolved, the closed forms and the oracle run on all
+    Once every point is resolved, the oracle and the closed columns run on all
     of them together (_reports). A point that fails is named, with its error
     as the cause: when the batch fails, its points are run one at a time to
     find the first that does (if none does, the batch's error is raised)."""
@@ -202,26 +178,25 @@ def run_sweep(cfg: SweepConfig) -> list:
             sq_a = SqueezeParam(r)
             sq_b = sq_a if r_b == r else SqueezeParam(r_b)
             n_max = cf.resolve_cutoff(sq_a, sq_b, cfg.cutoff)
-            past_cap = "numeric" in cfg.methods and n_max > NUMERIC_CAP
-            if past_cap and not warned:
+            numeric = "numeric" in cfg.methods and n_max <= NUMERIC_CAP
+            if "numeric" in cfg.methods and not numeric and not warned:
                 print(
                     f"note: numeric method disabled where the resolved cutoff "
                     f"exceeds the oracle cap of {NUMERIC_CAP}",
                     file=sys.stderr,
                 )
                 warned = True
-            methods = tuple(m for m in cfg.methods if m != "numeric") if past_cap else cfg.methods
-            points.append(_point(sq_a, sq_b, n_max, cfg.cutoff, methods))
+            points.append(_Point(sq_a, sq_b, n_max, "closed" in cfg.methods, numeric))
         except Exception as exc:
             raise _point_error(r, r_b, exc) from exc
     try:
-        return _reports(points)
+        return _reports(points, cfg.cutoff)
     except Exception:
         for p in points:
             try:
-                _reports([p])
+                _reports([p], cfg.cutoff)
             except Exception as exc:
-                raise _point_error(p["sq_a"].r, p["sq_b"].r, exc) from exc
+                raise _point_error(p.sq_a.r, p.sq_b.r, exc) from exc
         raise
 
 

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from hawkpair.closed_form import (
     _s_ab_head,
     _s_ab_remainder,
     _STENCIL,
+    closed_columns,
     e_n_paper,
     mutual_info_closed,
     resolve_cutoff,
@@ -694,6 +696,8 @@ def test_closed_form_values_do_not_depend_on_the_batch():
     s, s_ab = closed_form.closed_form(marginals, joints)
     assert s == [closed_form.closed_form([point], [])[0][0] for point in marginals]
     assert s_ab == [closed_form.closed_form([], [point])[1][0] for point in joints]
+    # the closed columns too, asymmetric points taking their side cutoffs
+    assert closed_columns(joints, cfg) == [closed_columns([point], cfg)[0] for point in joints]
 
 
 def test_s_ab_closed_needs_no_sympy():
@@ -732,6 +736,60 @@ def test_mutual_info_closed_identity_and_value():
 
 def test_mutual_info_closed_zero_squeezing():
     assert mutual_info_closed(make_squeeze(0.0), make_squeeze(0.0), SeriesConfig(tail_tol=1e-10)) == 2.0
+
+
+# symmetric and asymmetric, r = 0, and r >= 3 (Euler-Maclaurin axes)
+COLUMN_PAIRS = [
+    (0.0, 0.0), (0.0, 0.7), (1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (1.65, 0.8),
+    (3.0, 3.0), (3.5, 2.2), (2.2, 6.0), (6.0, 6.0), (4.0, 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", [SeriesConfig(tail_tol=1e-10), SeriesConfig(n_max=40), SeriesConfig(n_max=5000)], ids=str
+)
+def test_closed_columns_match_single_point_functions(cfg):
+    sqs = [(make_squeeze(a), make_squeeze(b)) for a, b in COLUMN_PAIRS]
+    columns = closed_columns([(a, b, resolve_cutoff(a, b, cfg)) for a, b in sqs], cfg)
+    for (a, b), col in zip(sqs, columns):
+        s_a, s_b, s_ab = s_a_closed(a, cfg), s_b_closed(b, cfg), s_ab_closed(a, b, cfg)
+        assert col["e_n_block00"] == e_n_paper(a, b)
+        assert (col["s_a_closed"], col["s_b_closed"], col["s_ab_closed"]) == (s_a, s_b, s_ab)
+        assert col["i_closed"] == mutual_info_closed(a, b, cfg) == s_a + s_b - s_ab
+
+
+def decimal_trace_deficit(r_a, r_b, n_max):
+    """1 - (1 - X)(1 - Y) = X + Y - XY, X = tanh^2(r_a)^(N+1), Y likewise, in 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        tails = []
+        for r in (r_a, r_b):
+            e = (2 * Decimal(r)).exp()
+            tails.append(((n_max + 1) * (((e - 1) / (e + 1)) ** 2).ln()).exp() if r else Decimal(0))
+        x, y = tails
+        return x + y - x * y
+
+
+# fig3's grid points r = 0.05, 1, 1.65, 3 and 6, and two asymmetric points
+@pytest.mark.parametrize("r_a,r_b", [(k * 6.0 / 120, None) for k in (1, 20, 33, 60, 120)] + [(1.0, 0.5), (0.8, 3.0)])
+def test_closed_trace_deficit_is_right_to_its_printed_digits(r_a, r_b):
+    cfg = SeriesConfig(tail_tol=1e-10)
+    a = make_squeeze(r_a)
+    b = a if r_b is None else make_squeeze(r_b)
+    n_max = resolve_cutoff(a, b, cfg)
+    printed = f"{closed_columns([(a, b, n_max)], cfg)[0]['trace_deficit']:.11e}"
+    unit = Decimal(10) ** (int(printed.split("e")[1]) - 11)
+    assert abs(Decimal(printed) - decimal_trace_deficit(a.r, b.r, n_max)) <= unit
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-17, 1e-300])
+def test_closed_trace_deficit_at_tiny_r(r):
+    # 2 / expm1(2r) is inf or huge here; log1p(-1) would raise
+    cfg = SeriesConfig(tail_tol=1e-10)
+    sq = make_squeeze(r)
+    deficits = [col["trace_deficit"] for col in closed_columns([(sq, sq, 1), (make_squeeze(0.0), sq, 1)], cfg)]
+    want = [float(decimal_trace_deficit(r, r, 1)), float(decimal_trace_deficit(0.0, r, 1))]
+    assert deficits == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 # --------------------------------------------------------------------- cutoff

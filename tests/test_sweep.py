@@ -175,7 +175,12 @@ def test_sweep_resolves_each_point_once(monkeypatch):
 
     monkeypatch.setattr(cf, "resolve_cutoff", counted)
     rows = run_sweep(SweepConfig(r_min=0.4, r_max=1.4, steps=6, omega_ratio=2.0, cutoff=SeriesConfig(n_max=8)))
-    assert len(calls) == 6
+    # each asymmetric point resolves its pair cutoff once, then the smaller
+    # side's marginal cutoff once; no argument tuple is resolved twice
+    pairs = [(sq_a.r, sq_b.r) for sq_a, sq_b, _ in calls]
+    assert len(calls) == 12 and len(set(pairs)) == 12
+    assert pairs[:6] == [(row.r_a, row.r_b) for row in rows]
+    assert pairs[6:] == [(row.r_b, row.r_b) for row in rows]  # omega_ratio 2: Bob's tanh^2 r is smaller
     assert all(row.i_num is not None for row in rows)
     # r = 2.0 resolves N = 395, past the oracle cap: that point drops the
     # numeric method without resolving its cutoff again
