@@ -42,13 +42,13 @@ _JOINT_HEAD terms one by one from there on. Past that head the singular
 point of (n+1) ln(n+1), at n = -1, is 33 steps away, as that of z ln z is
 on a joint axis, so the rest is smooth on the lattice.
 
-Each axis is laid out on slots set by its own node count: up to 16 terms
-added one by one take their own count, more the next multiple of 16 (the
-marginal series, whose nodes are cheap, the next power of two, with its
-panels rounded up to a multiple of 4), and unused slots weigh 0. Only points
-of the same layout share a numpy call, and no sum spans two points, so every
-sum a point takes has the same length and order whatever else is in its
-batch: a point's values do not depend on the other points. Points are taken
+An axis of either series is laid out by one rule: its terms added one by
+one take their count of slots rounded up to a multiple of 16, the unused
+ones weighing 0, and with Euler-Maclaurin come its 30 end nodes and 16 nodes
+on each of its own panels. Only points of the same layout share a numpy
+call, and no sum spans two points, so every sum a point takes has the same
+length and order whatever else is in its batch: a point's values do not
+depend on the other points. Points are taken
 in chunks whose temporaries take at most 64 KiB (_CHUNK_CELLS floats), so no
 array grows with the cutoff or with the number of points.
 """
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import SqueezeParam, _integer, _real
+from .kinematics import SqueezeParam, _integer, _real, _trace_deficit
 
 # hard ceiling for automatic cutoff resolution; sized so the default
 # 1e-10 tail tolerance still resolves at r = 6 (N ~ 1.52e6 there)
@@ -89,7 +89,7 @@ _JOINT_HEAD = 32
 _CLIP_BITS = 60
 # floats in one temporary: 64 KiB. The node grid holds two at a time (z and
 # z ln z). Their pages are not all reused: glibc trims the top of its heap
-# when a batch's temporaries are freed, so a fig3 pass takes about 180 minor
+# when a batch's temporaries are freed, so a fig3 pass takes about 90 minor
 # page faults (none with glibc's trim threshold raised to 64 MiB)
 _CHUNK_CELLS = 1 << 13
 
@@ -196,10 +196,10 @@ def mutual_info_closed(sq_a: SqueezeParam, sq_b: SqueezeParam, cfg: SeriesConfig
 def closed_columns(points, cfg: SeriesConfig) -> list:
     """Per (sq_a, sq_b, n_max) point of a list, n_max its pair cutoff, a dict of
     the closed columns, every series summed in one closed_form call; trace_deficit
-    1 - (1 - X)(1 - Y) is taken as X + Y - XY, X and Y each side's _tail. A
-    symmetric point sums one marginal. Elsewhere the side with the larger tanh^2 r
-    sets the pair cutoff and takes it; the other takes resolve_cutoff(sq, sq, cfg),
-    no larger, which cannot fail once the pair's has."""
+    is 1 - sum P_nq over n, q <= N, both families of each mode kept to N + 1
+    terms (_trace_deficit). A symmetric point sums one marginal. Elsewhere the
+    side with the larger tanh^2 r sets the pair cutoff and takes it; the other takes
+    resolve_cutoff(sq, sq, cfg), no larger, which cannot fail once the pair's has."""
     sides = [
         ((sq_a, n_max),) if sq_b == sq_a else tuple(
             (sq, n_max if sq.tanh_r**2 >= other.tanh_r**2 else resolve_cutoff(sq, sq, cfg))
@@ -213,17 +213,11 @@ def closed_columns(points, cfg: SeriesConfig) -> list:
     for (sq_a, sq_b, n_max), s_ab in zip(points, joints):
         s_a = next(marginals)
         s_b = s_a if sq_b == sq_a else next(marginals)
-        x, y = _tail(sq_a, n_max), _tail(sq_b, n_max)
         columns.append(dict(
             e_n_block00=e_n_paper(sq_a, sq_b), s_a_closed=s_a, s_b_closed=s_b, s_ab_closed=s_ab,
-            i_closed=s_a + s_b - s_ab, trace_deficit=x + y - x * y,
+            i_closed=s_a + s_b - s_ab, trace_deficit=_trace_deficit(sq_a, sq_b, n_max + 1, n_max + 1),
         ))
     return columns
-
-
-def _tail(sq: SqueezeParam, n_max: int) -> float:
-    """tanh^2(r)^(N+1) by ln tanh r = -log1p(2 / expm1(2r)), not by a power of the rounded tanh^2 r; 0 at r = 0."""
-    return math.exp(-2.0 * (n_max + 1) * math.log1p(2.0 / math.expm1(2.0 * sq.r))) if sq.r else 0.0
 
 
 def _logs(x: float) -> tuple:
@@ -398,17 +392,11 @@ def _panel_edges(hi: float, scale: float) -> tuple:
     return tuple(edges)
 
 
-def _layout(plan: tuple, coarse: bool = False) -> tuple:
-    """An axis' node layout: its slots for the terms added one by one, and
-    its panel slots. Up to one panel (16) of terms take their own count of
-    slots, more take the next multiple of 16. A coarse layout takes the next
-    power of two instead and rounds the panels up to a multiple of 4: the
-    marginal series' nodes are cheap, and fewer layouts put more of its
-    points in one batch."""
-    terms, panels = plan[3], max(len(plan[4]) - 1, 0)
-    if terms > _PAD:
-        terms = 1 << (terms - 1).bit_length() if coarse else -(-terms // _PAD) * _PAD
-    return terms, -(-panels // 4) * 4 if coarse else panels
+def _layout(plan: tuple) -> tuple:
+    """An axis' node layout: its term slots, the terms added one by one
+    rounded up to a multiple of 16 (one panel), and its panel count. Points of
+    one layout share a numpy call."""
+    return -(-plan[3] // _PAD) * _PAD, max(len(plan[4]) - 1, 0)
 
 
 def _panel_points(edges: np.ndarray) -> tuple:
@@ -421,36 +409,32 @@ def _panel_points(edges: np.ndarray) -> tuple:
     )
 
 
-def _axis_rule(plans, layout: tuple):
+def _axis_rule(plans):
     """Linear functionals that sum f(n) = e^(n lx) g(n) over n = 0..N along
     each axis of a batch (its _axis_plan's), as stacked (nodes, weights),
     standing for weights @ g(nodes); the weights carry the factor e^(n lx).
-    The nodes are laid out on layout's slots, at least any axis' own: its
-    term slots, then, with panels, the 2 _STENCIL end nodes and the panel
-    slots, where an axis' unused slots weigh 0.
+    The axes share one _layout: its term slots, then, with panels, the
+    2 _STENCIL end nodes and the panel slots. Term slots past an axis' own
+    terms weigh 0.
 
     Euler-Maclaurin over n = h..N is the integral on the Gauss-Legendre
     panels plus Gregory's end correction (_END_WEIGHTS) on the lattice nodes
-    h..h+14 and N-14..N. An axis without Euler-Maclaurin has zero end
-    weights. The callers pick the head by the decay length (_s_ab_head).
+    h..h+14 and N-14..N. The callers pick the head by the decay length
+    (_s_ab_head).
     """
     table = np.array([plan[:4] for plan in plans], dtype=float)
     lx, last, start, terms = table.T
-    slots, count = layout
+    slots, count = _layout(plans[0])
     nodes = np.repeat(np.arange(slots, dtype=float)[None], len(plans), axis=0)
     if count:
-        # an axis' panels past its own are empty: its last edge repeated
-        edges = np.array([plan[4] + (plan[4] or (0.0,))[-1:] * (count + 1 - len(plan[4])) for plan in plans])
-        points, scales = _panel_points(edges)
+        points, scales = _panel_points(np.array([plan[4] for plan in plans]))
         steps = np.arange(_STENCIL, dtype=float)
         ends = np.concatenate((start[:, None] + steps, last[:, None] - steps), axis=1)
         nodes = np.concatenate((nodes, ends, points + start[:, None]), axis=1)
     weights = np.exp(nodes * lx[:, None])
-    if min(plan[3] for plan in plans) < slots:
-        weights[:, :slots] *= nodes[:, :slots] < terms[:, None]
+    weights[:, :slots] *= nodes[:, :slots] < terms[:, None]
     if count:
-        em = np.array([bool(plan[4]) for plan in plans])[:, None]
-        weights[:, slots:] *= np.concatenate((np.tile(_END_WEIGHTS, 2) * em, scales), axis=1)
+        weights[:, slots:] *= np.concatenate((np.tile(_END_WEIGHTS, (len(plans), 2)), scales), axis=1)
     return nodes, weights
 
 
@@ -469,10 +453,9 @@ def _log_moment(lx, n_max) -> np.ndarray:
     batched by their layouts.
     """
     plans = [_axis_plan(v, n, _s_ab_head(v) or _JOINT_HEAD) for v, n in zip(lx, n_max)]
-    layouts = [_layout(plan, coarse=True) for plan in plans]
     total = np.empty(len(plans))
-    for idx in _batches(layouts, _width):
-        nodes, weights = _axis_rule([plans[i] for i in idx], layouts[idx[0]])
+    for idx in _batches(map(_layout, plans), _width):
+        nodes, weights = _axis_rule([plans[i] for i in idx])
         z = nodes + 1.0
         total[idx] = _dot(weights, z * np.log(z))
     return total
@@ -529,9 +512,9 @@ def _s_ab_remainder(lx, ly, c_inv, n_max) -> np.ndarray:
     c_inv = np.asarray(c_inv, dtype=float)
     total = np.empty(len(keys))
     for idx in _batches(keys, lambda key: max(_width(key[0]), _width(key[1]))):
-        layout_x, layout_y, sym = keys[idx[0]]
-        s, ws = _axis_rule([x_plans[i] for i in idx], layout_x)
-        t, wt = (s, ws) if sym else _axis_rule([y_plans[i] for i in idx], layout_y)
+        sym = keys[idx[0]][2]
+        s, ws = _axis_rule([x_plans[i] for i in idx])
+        t, wt = (s, ws) if sym else _axis_rule([y_plans[i] for i in idx])
         u = s + 1.0
         total[idx] = _grid(u, ws, u if sym else t + 1.0, wt, c_inv[idx], sym)
     return total

@@ -35,12 +35,14 @@ STACK_BUDGET, and each chunk is set up once: `_stacked_blocks` builds the D
 and C of all its points in one broadcast, and one function per column
 family reads the stack: `marginal_entropies` (s_a_num, s_b_num) the row and
 column sums, `negativity` (neg_sum_num, e_n_num) the partial-transpose
-blocks and `joint_entropy` (s_ab_num, trace_deficit = 1 - tr D) the rho_AB
-blocks. `_block_eigenvalues` solves the blocks of all points of a chunk by
-their exact length: blocks k and -k have length N + 1 - |k|, and each
-length is one `eigvalsh` call. Each point's spectrum is then reduced on its
-own, so its values do not depend on the batch. Entropies are in bits.
-`oracle` refuses a cutoff past NUMERIC_CAP, its cost limit, with
+blocks and `joint_entropy` (s_ab_num) the rho_AB blocks. trace_deficit =
+1 - tr D is not summed from D but taken from the families' tails
+(kinematics._trace_deficit): the vacuum's past n = N, the one particle's past
+k = N - 1, since O(N) = 0. `_block_eigenvalues` solves the blocks of all
+points of a chunk by their exact length: blocks k and -k have length
+N + 1 - |k|, and each length is one `eigvalsh` call. Each point's spectrum is
+then reduced on its own, so its values do not depend on the batch. Entropies
+are in bits. `oracle` refuses a cutoff past NUMERIC_CAP, its cost limit, with
 NumericCapError before it builds anything.
 """
 
@@ -49,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import amplitude_rows
-from .kinematics import SqueezeParam, _integer
+from .kinematics import SqueezeParam, _integer, _trace_deficit
 
 # largest cutoff the oracle runs at: a point has 4N+2 tridiagonal blocks of
 # size up to N+1 (3N+2 at a symmetric point), and from N = 32 on it is solved
@@ -152,22 +154,19 @@ def negativity(diag: np.ndarray, off: np.ndarray) -> list:
 
 
 def joint_entropy(diag: np.ndarray, off: np.ndarray, mirrored: bool) -> list:
-    """Each point's s_ab_num and trace_deficit = 1 - tr D; `mirrored` at
-    symmetric points, which solve each mirrored block pair once."""
-    return [
-        {"s_ab_num": _entropy_bits(ab), "trace_deficit": max(1.0 - float(d.sum()), 0.0)}
-        for d, ab in zip(diag, _block_eigenvalues(diag, off, mirrored))
-    ]
+    """Each point's s_ab_num; `mirrored` at symmetric points, which solve
+    each mirrored block pair once."""
+    return [{"s_ab_num": _entropy_bits(ab)} for ab in _block_eigenvalues(diag, off, mirrored)]
 
 
 def oracle(points) -> list:
     """The oracle's columns at each of a list of (sq_a, sq_b, n_max) points:
-    the three families and i_num = s_a + s_b - s_ab. Before anything is
-    built, each cutoff must be an integer of at least 1 (else ValueError) and
-    at most NUMERIC_CAP (else NumericCapError). Points of one cutoff and
-    symmetry are solved together, in chunks whose partial-transpose blocks
-    (2N + 1 a point, each at most (N + 1)^2 entries) fit STACK_BUDGET, or one
-    point alone; a point's values do not depend on the others."""
+    the three families, i_num = s_a + s_b - s_ab and trace_deficit. Before
+    anything is built, each cutoff must be an integer of at least 1 (else
+    ValueError) and at most NUMERIC_CAP (else NumericCapError). Points of one
+    cutoff and symmetry are solved together, in chunks whose partial-transpose
+    blocks (2N + 1 a point, each at most (N + 1)^2 entries) fit STACK_BUDGET,
+    or one point alone; a point's values do not depend on the others."""
     groups: dict = {}
     for i, (sq_a, sq_b, n_max) in enumerate(points):
         n_max = _integer(n_max, "n_max")
@@ -188,6 +187,7 @@ def oracle(points) -> list:
             families = zip(negativity(diag, off), marginal_entropies(diag), joint_entropy(diag, off, symmetric))
             for i, (neg, marg, joint) in zip(chunk, families):
                 out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}
+                out[i]["trace_deficit"] = _trace_deficit(*points[i][:2], n_max + 1, n_max)
     return out
 
 

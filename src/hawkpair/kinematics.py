@@ -1,4 +1,5 @@
-"""Conversion between black-hole/mode parameters and the squeezing parameter.
+"""Conversion between black-hole/mode parameters and the squeezing parameter,
+and the weight a mode's truncated Fock families leave out.
 
 Geometric units (G = c = hbar = k_B = 1) throughout, so the product
 mass * omega is the only physical degree of freedom.
@@ -33,6 +34,14 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _positive(value, name: str) -> float:
+    """value as a Python float (_real) that is finite and above 0, else ValueError."""
+    value = _real(value, name)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModeSpec:
     """Black-hole mass and field-mode frequency in geometric units."""
@@ -41,12 +50,8 @@ class ModeSpec:
     omega: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", _real(self.mass, "mass"))
-        object.__setattr__(self, "omega", _real(self.omega, "omega"))
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        object.__setattr__(self, "mass", _positive(self.mass, "mass"))
+        object.__setattr__(self, "omega", _positive(self.omega, "omega"))
 
 
 @dataclass(frozen=True)
@@ -94,12 +99,22 @@ def squeezing_from_mode(mode: ModeSpec) -> SqueezeParam:
 
 def mass_from_squeezing(r: float, omega: float) -> float:
     """Invert the mass <-> squeezing relation: M = -ln(tanh r)/(4*pi*omega)."""
-    r, omega = _real(r, "r"), _real(omega, "omega")
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"r must be positive and finite, got {r}")
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
+    r, omega = _positive(r, "r"), _positive(omega, "omega")
     tanh_r = math.tanh(r)
     if tanh_r == 1.0:
         raise ValueError(f"r = {r} is too large: tanh r rounds to 1 (from r ~ 19.07), so the mass would be 0")
     return -math.log(tanh_r) / (4.0 * math.pi * omega)
+
+
+def _tail(sq: SqueezeParam, m: int) -> float:
+    """tanh^(2m) r for m >= 1 as exp(-2m log1p(2 / expm1(2r))), not a power of the rounded tanh r; 0 at r = 0."""
+    return math.exp(-2.0 * m * math.log1p(2.0 / math.expm1(2.0 * sq.r))) if sq.r else 0.0
+
+
+def _trace_deficit(sq_a: SqueezeParam, sq_b: SqueezeParam, vacuum: int, one: int) -> float:
+    """1 - tr of the pair's weights with each mode's vacuum family cut to its
+    first `vacuum` terms and its one-particle family to its first `one`, taken
+    without cancellation as (X + Y - XY)/2 + (A + B - AB)/2: the families' tails
+    X = tanh^(2 vacuum) r and A = tanh^(2 one) r (1 + one / cosh^2 r) at r_a, Y and B at r_b."""
+    (x, a), (y, b) = ((_tail(sq, vacuum), _tail(sq, one) * (1.0 + one / sq.cosh_r**2)) for sq in (sq_a, sq_b))
+    return 0.5 * (x + y - x * y) + 0.5 * (a + b - a * b)

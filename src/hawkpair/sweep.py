@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 from . import closed_form as cf
 from .density import NUMERIC_CAP, NumericCapError, oracle  # NumericCapError: re-exported for callers
-from .kinematics import ModeSpec, SqueezeParam, _integer, _real, squeezing_from_mode
+from .kinematics import ModeSpec, SqueezeParam, _integer, _positive, _real, squeezing_from_mode
 
 DEFAULT_CUTOFF = cf.SeriesConfig(tail_tol=1e-10)
 # most grid points of a sweep: 10^5 closed-form points over r in 0..6 take 190 MB
@@ -40,9 +40,10 @@ class SweepConfig:
     methods: tuple = ("closed", "numeric")
 
     def __post_init__(self):
-        for name in ("r_min", "r_max", "omega_ratio"):
+        for name in ("r_min", "r_max"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not all(math.isfinite(v) for v in (self.r_min, self.r_max, self.omega_ratio)):
+        object.__setattr__(self, "omega_ratio", _positive(self.omega_ratio, "omega_ratio"))
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
             raise ValueError(
                 f"r_min, r_max and omega_ratio must be finite, got "
                 f"{self.r_min}, {self.r_max}, {self.omega_ratio}"
@@ -54,8 +55,6 @@ class SweepConfig:
         object.__setattr__(self, "steps", _integer(self.steps, "steps"))
         if not 2 <= self.steps <= MAX_SWEEP_STEPS:
             raise ValueError(f"steps must be in 2..{MAX_SWEEP_STEPS}, got {self.steps}")
-        if self.omega_ratio <= 0:
-            raise ValueError("omega_ratio must be positive")
         _check_methods(self.methods)
 
 

@@ -7,6 +7,8 @@ no diagonal reads, no padding. A pair state's axes are
 [A_in, A_out, B_in, B_out].
 """
 
+from decimal import Decimal
+
 import numpy as np
 
 from hawkpair.fock import amplitude_rows
@@ -69,3 +71,15 @@ def measures(psi):
         "trace_deficit": max(1.0 - float(np.trace(rho_ab)), 0.0),
     }
     return columns, ab, pt
+
+
+def decimal_tanh2(r):
+    """tanh^2 r of the float r, in the current decimal context."""
+    e = (2 * Decimal(r)).exp()
+    return ((e - 1) / (e + 1)) ** 2
+
+
+def within_last_digit(value, exact) -> bool:
+    """Whether value printed as %.11e is within one unit of its last digit of exact."""
+    printed = f"{value:.11e}"
+    return abs(Decimal(printed) - exact) <= Decimal(10) ** (int(printed.split("e")[1]) - 11)

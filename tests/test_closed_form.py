@@ -15,7 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from brute_force import OUT_PAIR, mode_amplitudes, pair_state, partial_transpose, reduce
+from brute_force import (
+    OUT_PAIR,
+    decimal_tanh2,
+    mode_amplitudes,
+    pair_state,
+    partial_transpose,
+    reduce,
+    within_last_digit,
+)
 
 from hawkpair import closed_form
 from hawkpair.closed_form import (
@@ -49,8 +57,8 @@ from hawkpair.closed_form import (
 from hawkpair.kinematics import make_squeeze
 
 # joint-series axes of decay lengths 4 (term by term), 20 (head path) and 100
-# (Euler-Maclaurin from the first term), at cutoffs 300, 600 and 3000: the
-# helpers below are fed batches that mix all three paths
+# (Euler-Maclaurin from the first term), at cutoffs 300, 600 and 3000: a
+# remainder call over them batches all three paths
 MIXED_LX = (-0.25, -0.05, -0.01)
 MIXED_N = (300, 600, 3000)
 
@@ -127,10 +135,21 @@ def series_s_ab_grid(r_a, r_b, n_max):
 
 
 def joint_rule(lx, n_max):
-    """_axis_rule of a batch of joint-series axes, with the head each takes,
-    on the slots of the batch's longest layout."""
+    """_axis_rule of a batch of joint-series axes, with the head each takes;
+    the axes share one layout, as in a batch of _s_ab_remainder's."""
     plans = [_axis_plan(v, int(n), _s_ab_head(v)) for v, n in zip(lx, n_max)]
-    return _axis_rule(plans, tuple(map(max, zip(*map(_layout, plans)))))
+    assert len(set(map(_layout, plans))) == 1
+    return _axis_rule(plans)
+
+
+def same_layout_axes(lx, n_max):
+    """The axis (lx, n_max) and those of decay lengths 0.1% and 1% longer at
+    cutoffs n_max and n_max - 1 that share its layout (at least two)."""
+    axes = [(lx, n_max)] + [(lx / f, n) for f in (1.001, 1.01) for n in (n_max, n_max - 1) if n >= 1]
+    layout = _layout(_axis_plan(lx, n_max, _s_ab_head(lx)))
+    axes = [(v, n) for v, n in axes if _layout(_axis_plan(v, n, _s_ab_head(v))) == layout]
+    assert len(axes) >= 3
+    return np.array([v for v, _ in axes]), np.array([n for _, n in axes])
 
 
 # ------------------------------------------------------------------- blocks
@@ -557,13 +576,14 @@ def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
 
 def test_symmetric_grid_evaluates_about_half_its_cells(monkeypatch):
     # r = 4: 126 nodes a side; the triangle, with its diagonal blocks in
-    # full, is 53% of the 126^2 cells, counted at np.log's input. The mixed
-    # axes share the batch, laid out on the same slots
+    # full, is 53% of the 126^2 cells, counted at np.log's input. Axes of
+    # slightly longer decay lengths and the same layout share the batch
     sq = make_squeeze(4.0)
     n_max = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
-    assert joint_rule([math.log(sq.tanh_r**2)], [n_max])[0].shape[1] == 126
-    u, w = joint_rule([math.log(sq.tanh_r**2), *MIXED_LX], [n_max, *MIXED_N])
-    c_inv = np.append(sq.cosh_r**-4, [0.5, 0.01, 1e-4])
+    lx, n = same_layout_axes(math.log(sq.tanh_r**2), n_max)
+    u, w = joint_rule(lx, n)
+    assert u.shape[1] == 126
+    c_inv = sq.cosh_r**-4 * np.geomspace(1.0, 1e4, len(lx))
     full = _grid(u + 1.0, w, u + 1.0, w, c_inv, False)
     cells = []
     log = np.log
@@ -627,7 +647,7 @@ def test_axis_rule_sums_polynomials_exactly(head, n_max):
     for lx, degree in ((0.0, 14), (-0.01, 3)):
         plan = _axis_plan(lx, n_max, head)
         assert bool(plan[4]) == (n_max + 1 - head >= 2 * _STENCIL)
-        nodes, weights = _axis_rule([plan], _layout(plan))
+        nodes, weights = _axis_rule([plan])
         coef = rng.uniform(0.5, 1.5, degree + 1)
 
         def p(n):
@@ -643,8 +663,8 @@ def test_axis_rule_sums_polynomials_exactly(head, n_max):
 def test_axis_rule_sums_geometric_series(decay, n_max):
     # g = 1: each axis' weights sum e^(n lx), the point's (on the head path,
     # or Euler-Maclaurin from its first term unless its cutoff is under
-    # 2 _STENCIL terms) and the mixed axes' in one batch
-    lx, n = np.array([-1.0 / decay, *MIXED_LX]), np.array([n_max, *MIXED_N])
+    # 2 _STENCIL terms) and those of its layout in one batch
+    lx, n = same_layout_axes(-1.0 / decay, n_max)
     assert _axis_plan(lx[0], n_max, _s_ab_head(lx[0]))[4] or n_max < 2 * _STENCIL
     nodes, weights = joint_rule(lx, n)
     exact = -np.expm1((n + 1.0) * lx) / -np.expm1(lx)
@@ -759,15 +779,30 @@ def test_closed_columns_match_single_point_functions(cfg):
 
 
 def decimal_trace_deficit(r_a, r_b, n_max):
-    """1 - (1 - X)(1 - Y) = X + Y - XY, X = tanh^2(r_a)^(N+1), Y likewise, in 60 digits."""
+    """1 - sum_{n,q<=N} P_nq = (X + Y - XY)/2 + (A + B - AB)/2 with X = x^(N+1),
+    A = x^(N+1) (1 + (N+1)(1 - x)), x = tanh^2 r_a, and Y, B likewise, in 60 digits."""
     with localcontext() as ctx:
         ctx.prec = 60
         tails = []
         for r in (r_a, r_b):
-            e = (2 * Decimal(r)).exp()
-            tails.append(((n_max + 1) * (((e - 1) / (e + 1)) ** 2).ln()).exp() if r else Decimal(0))
-        x, y = tails
-        return x + y - x * y
+            x = decimal_tanh2(r)
+            xk = ((n_max + 1) * x.ln()).exp() if r else Decimal(0)
+            tails.append((xk, xk * (1 + (n_max + 1) * (1 - x))))
+        (x, a), (y, b) = tails
+        return (x + y - x * y) / 2 + (a + b - a * b) / 2
+
+
+def decimal_joint_deficit(r_a, r_b, n_max):
+    """1 - sum_{n,q=0..N} P_nq term by term in 60 digits,
+    P_nq = x^n y^q / (2C) (1 + (n+1)(q+1)/C), 1/C = (1 - x)(1 - y)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, y = decimal_tanh2(r_a), decimal_tanh2(r_b)
+        c_inv = (1 - x) * (1 - y)
+        total = sum(
+            x**n * y**q * c_inv / 2 * (1 + (n + 1) * (q + 1) * c_inv) for n in range(n_max + 1) for q in range(n_max + 1)
+        )
+        return 1 - total
 
 
 # fig3's grid points r = 0.05, 1, 1.65, 3 and 6, and two asymmetric points
@@ -777,9 +812,20 @@ def test_closed_trace_deficit_is_right_to_its_printed_digits(r_a, r_b):
     a = make_squeeze(r_a)
     b = a if r_b is None else make_squeeze(r_b)
     n_max = resolve_cutoff(a, b, cfg)
-    printed = f"{closed_columns([(a, b, n_max)], cfg)[0]['trace_deficit']:.11e}"
-    unit = Decimal(10) ** (int(printed.split("e")[1]) - 11)
-    assert abs(Decimal(printed) - decimal_trace_deficit(a.r, b.r, n_max)) <= unit
+    value = closed_columns([(a, b, n_max)], cfg)[0]["trace_deficit"]
+    assert within_last_digit(value, decimal_trace_deficit(a.r, b.r, n_max))
+
+
+@pytest.mark.parametrize("r_a,r_b", [(1.0, 1.0), (1.3, 0.55)])
+def test_closed_trace_deficit_is_what_the_joint_series_leaves_out(r_a, r_b):
+    # the direct sum of P_nq over n, q <= 12; at r = 1 that leaves out
+    # 6.2587e-3, where the vacuum family alone, 1 - (1 - X)(1 - Y), leaves 1.68e-3
+    a, b = make_squeeze(r_a), make_squeeze(r_b)
+    direct = decimal_joint_deficit(r_a, r_b, 12)
+    assert abs(decimal_trace_deficit(r_a, r_b, 12) - direct) < Decimal(10) ** -50
+    assert within_last_digit(closed_columns([(a, b, 12)], SeriesConfig(n_max=12))[0]["trace_deficit"], direct)
+    if r_a == r_b:
+        assert f"{direct:.4e}" == "6.2587e-3"
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-17, 1e-300])

@@ -1,5 +1,6 @@
 """Tests for tools/cmp_outputs.py, which compares the CLI outputs of two
-checkouts: it passes a checkout against itself and catches a changed byte."""
+checkouts: it passes a checkout against itself, catches a changed byte and
+reports a moved JSON value in ulps."""
 
 import importlib.util
 import shutil
@@ -39,3 +40,19 @@ def test_changed_json_indent_is_caught(monkeypatch, capsys, tmp_path):
     assert compare(tool, monkeypatch, ROOT, tmp_path) == 1
     out = capsys.readouterr().out
     assert "DIFFERS in stdout" in out and out.endswith("1 of 1 calls differ\n")
+
+
+def test_moved_json_value_is_reported_in_ulps(monkeypatch, capsys, tmp_path):
+    # the copy's e_n_block00 is one ulp above the checkout's; nothing else moves
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    closed_form = tmp_path / "src" / "hawkpair" / "closed_form.py"
+    source = closed_form.read_text()
+    value = "return 1.0 / (sq_a.cosh_r * sq_b.cosh_r)"
+    assert source.count(value) == 1
+    closed_form.write_text(source.replace(value, f"return math.nextafter({value[7:]}, math.inf)"))
+    tool = load_tool(monkeypatch)
+    assert compare(tool, monkeypatch, ROOT, tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS in stdout" in out
+    assert "\n    e_n_block00: 1 moved, at most 1 ulp (1.2" in out
+    assert out.count("moved") == 1 and out.endswith("1 of 1 calls differ\n")

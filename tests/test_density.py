@@ -16,7 +16,7 @@ from brute_force import (
     reduce,
 )
 
-from hawkpair.density import _block_eigenvalues, _entropy_bits, _stacked_blocks, joint_entropy, pair_measures
+from hawkpair.density import _block_eigenvalues, _entropy_bits, _stacked_blocks, pair_measures
 from hawkpair.kinematics import make_squeeze
 
 
@@ -84,10 +84,19 @@ def test_product_density_is_ppt():
 
 
 def test_spectrum_trace_check():
-    diag, off = _stacked_blocks([(make_squeeze(0.7), make_squeeze(1.2))], 6)
-    trace = 1.0 - joint_entropy(diag, off, False)[0]["trace_deficit"]
+    sq_a, sq_b = make_squeeze(0.7), make_squeeze(1.2)
+    diag, off = _stacked_blocks([(sq_a, sq_b)], 6)
+    trace = 1.0 - pair_measures(sq_a, sq_b, 6)["trace_deficit"]
     assert trace == pytest.approx(_block_eigenvalues(diag, off, False).sum(), abs=1e-14)
     assert trace == pytest.approx(np.trace(reduce(pair_state(0.7, 1.2, 6), OUT_PAIR)), abs=1e-14)
+
+
+@pytest.mark.parametrize("r_a,r_b,n_max", [(0.0, 0.0, 1), (0.0, 0.9, 3), (0.4, 0.4, 14), (1.65, 1.65, 60), (2.5, 0.3, 30)])
+def test_trace_deficit_matches_the_stacked_diagonal(r_a, r_b, n_max):
+    # the deficit is taken from the families' tails, not from D; 1 - tr D cross-checks it
+    sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
+    diag, _ = _stacked_blocks([(sq_a, sq_b)], n_max)
+    assert pair_measures(sq_a, sq_b, n_max)["trace_deficit"] == pytest.approx(1.0 - float(diag.sum()), abs=1e-14)
 
 
 # --------------------------------------------------------- spectrum functionals

@@ -6,14 +6,15 @@ brute-force reference (`brute_force.py`), a one-block-at-a-time eigensolve and
 the physical invariants."""
 
 import math
+from decimal import localcontext
 
 import numpy as np
 import pytest
-from brute_force import OUT_PAIR, measures, mode_amplitudes, pair_state, reduce
+from brute_force import OUT_PAIR, decimal_tanh2, measures, mode_amplitudes, pair_state, reduce, within_last_digit
 
 import hawkpair
 from hawkpair import density, sweep
-from hawkpair.closed_form import SeriesConfig
+from hawkpair.closed_form import SeriesConfig, resolve_cutoff
 from hawkpair.density import (
     NUMERIC_CAP,
     STACK_BUDGET,
@@ -120,9 +121,37 @@ def test_families_partition_the_columns():
     diag, off = (m[None] for m in pair_blocks(make_squeeze(0.9), make_squeeze(0.4), 7))
     families = (marginal_entropies(diag)[0], negativity(diag, off)[0], joint_entropy(diag, off, False)[0])
     names = [name for family in families for name in family]
-    assert sorted(names + ["i_num"]) == sorted(COLUMNS)
+    assert sorted(names + ["i_num", "trace_deficit"]) == sorted(COLUMNS)
     got = pair_measures(make_squeeze(0.9), make_squeeze(0.4), 7)
     assert all(got[name] == value for family in families for name, value in family.items())
+
+
+def decimal_oracle_deficit(r_a, r_b, n_max):
+    """1 - tr D from each mode's family weights summed one by one in 60 digits:
+    the vacuum's x^n (1 - x), n = 0..N, and the one particle's
+    (k+1) x^k (1 - x)^2, k = 0..N-1 (O(N) = 0), x = tanh^2 r."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sums = []
+        for r in (r_a, r_b):
+            x = decimal_tanh2(r)
+            weight, vacuum, one = 1 - x, 0, 0
+            for k in range(n_max + 1):
+                vacuum += weight
+                one += (k + 1) * weight * (1 - x) if k < n_max else 0
+                weight *= x
+            sums.append((vacuum, one))
+        (vac_a, one_a), (vac_b, one_b) = sums
+        return 1 - (vac_a * vac_b + one_a * one_b) / 2
+
+
+# fig2's r = 0.05, 1 and 1.65 at their resolved cutoffs, and an asymmetric
+# point; 1 - tr D summed in floats misses each, by 1.4e-4 relative at 1.65
+@pytest.mark.parametrize("r_a,r_b,n_max", [(0.05, 0.05, 4), (1.0, 1.0, 49), (1.65, 1.65, 191), (1.3, 0.55, 40)])
+def test_trace_deficit_is_right_to_its_printed_digits(r_a, r_b, n_max):
+    a, b = make_squeeze(r_a), make_squeeze(r_b)
+    assert r_a != r_b or n_max == resolve_cutoff(a, b, SeriesConfig(tail_tol=1e-10))
+    assert within_last_digit(pair_measures(a, b, n_max)["trace_deficit"], decimal_oracle_deficit(r_a, r_b, n_max))
 
 
 def test_rejects_cutoff_below_one(monkeypatch):

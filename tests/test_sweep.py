@@ -124,8 +124,10 @@ def test_run_point_trace_deficit_is_state_norm_deficit():
     vac2 = 1.0 - x ** (big_n + 1)
     one2 = 1.0 - (big_n + 1) * x**big_n + big_n * x ** (big_n + 1)
     assert rep.trace_deficit == pytest.approx(1.0 - 0.5 * (vac2**2 + one2**2), abs=1e-13)
+    # the series keep the one-particle family to N + 1 terms, where the oracle's O(N) = 0
     closed_only = run_point(r_a=0.4, cutoff=SeriesConfig(tail_tol=1e-10), methods=("closed",))
-    assert closed_only.trace_deficit == pytest.approx(1.0 - vac2**2, abs=1e-13)
+    one2 = 1.0 - (big_n + 2) * x ** (big_n + 1) + (big_n + 1) * x ** (big_n + 2)
+    assert closed_only.trace_deficit == pytest.approx(1.0 - 0.5 * (vac2**2 + one2**2), abs=1e-13)
 
 
 # ------------------------------------------------------------------ run_sweep

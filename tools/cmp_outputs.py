@@ -6,11 +6,16 @@ PARENT and CHANGE are the roots of two hawkpair checkouts. Each call below
 runs as `python -m hawkpair.cli ...` from each checkout's `src/`, with one
 BLAS thread, in an empty working directory; its stdout, stderr and exit code
 must be the same on both sides. Prints one line per call and exits 1 when any
-call differs, 0 otherwise. Uses only the standard library.
+call differs, 0 otherwise. Where both stdouts are JSON, a differing call is
+followed by one line per key whose values moved: how many did, and the
+largest move in ulps of the parent's value and relative to it. Uses only the
+standard library.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +59,33 @@ def run(root: Path, argv: tuple) -> tuple:
     return done.stdout, done.stderr, done.returncode
 
 
+def moved(before: bytes, after: bytes) -> list:
+    """Per key of two JSON outputs (a row or a list of rows) whose values
+    differ: (key, changed values, largest move in ulps of the parent's value,
+    largest move relative to it), the last two over the numbers only (nan
+    when no number moved). Empty when either side is not JSON rows or their
+    row counts differ."""
+    try:
+        old, new = (rows if isinstance(rows, list) else [rows] for rows in map(json.loads, (before, after)))
+    except ValueError:
+        return []
+    if len(old) != len(new) or not all(isinstance(row, dict) for row in old + new):
+        return []
+    report = []
+    for key in {key: None for row in old + new for key in row}:
+        pairs = [(a, b) for a, b in ((o.get(key), n.get(key)) for o, n in zip(old, new)) if a != b]
+        moves = [(a, abs(b - a)) for a, b in pairs if _number(a) and _number(b)]
+        ulps = max((move / math.ulp(a) for a, move in moves), default=math.nan)
+        rel = max((move / abs(a) if a else math.inf for a, move in moves), default=math.nan)
+        if pairs:
+            report.append((key, len(pairs), ulps, rel))
+    return report
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
@@ -66,6 +98,9 @@ def main() -> int:
         differ += bool(parts)
         status = f"DIFFERS in {', '.join(parts)}" if parts else f"same (exit {after[2]})"
         print(f"{status}: hawkpair {' '.join(call)}")
+        if "stdout" in parts:
+            for key, count, ulps, rel in moved(before[0], after[0]):
+                print(f"    {key}: {count} moved, at most {ulps:.3g} ulp ({rel:.3g} relative)")
     print(f"{differ} of {len(CALLS)} calls differ")
     return 1 if differ else 0
 
