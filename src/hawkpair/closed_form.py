@@ -48,9 +48,9 @@ ones weighing 0, and with Euler-Maclaurin come its 30 end nodes and 16 nodes
 on each of its own panels. Only points of the same layout share a numpy
 call, and no sum spans two points, so every sum a point takes has the same
 length and order whatever else is in its batch: a point's values do not
-depend on the other points. Points are taken
-in chunks whose temporaries take at most 64 KiB (_CHUNK_CELLS floats), so no
-array grows with the cutoff or with the number of points.
+depend on the other points. Points are taken in chunks whose temporaries
+take at most 64 KiB (kinematics._batches, the budget both method modules
+share), so no array grows with the cutoff or with the number of points.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import SqueezeParam, _integer, _real, _trace_deficit
+from . import kinematics
+from .kinematics import SqueezeParam, _batches, _integer, _real, _trace_deficit
 
 # hard ceiling for automatic cutoff resolution; sized so the default
 # 1e-10 tail tolerance still resolves at r = 6 (N ~ 1.52e6 there)
@@ -87,12 +88,6 @@ HEAD_SCALE = 8.0
 _JOINT_HEAD = 32
 # a term-by-term axis stops where its weight falls below 2^-60 of the first
 _CLIP_BITS = 60
-# floats in one temporary: 64 KiB. The node grid holds two at a time (z and
-# z ln z). Their pages are not all reused: glibc trims the top of its heap
-# when a batch's temporaries are freed, so a fig3 pass takes about 90 minor
-# page faults (none with glibc's trim threshold raised to 64 MiB)
-_CHUNK_CELLS = 1 << 13
-
 _LN2 = math.log(2.0)
 
 
@@ -278,15 +273,15 @@ def _moments(x: float, n_max: int) -> tuple:
     Each is its infinite-series value minus the x^(N+1) tail (1 - x is exact
     in floating point for x >= 1/2). Where the tail is most of the infinite
     value the closed forms would cancel, so the terms are added instead, in
-    blocks of _CHUNK_CELLS.
+    blocks of kinematics._CHUNK_CELLS.
     """
     if x == 0.0:
         return 1.0, 0.0, 1.0, 0.0
     k = n_max + 1
     if k * -math.log(x) < 8.0:
         sums = np.zeros(4)
-        for lo in range(0, k, _CHUNK_CELLS):
-            n = np.arange(lo, min(k, lo + _CHUNK_CELLS), dtype=float)
+        for lo in range(0, k, kinematics._CHUNK_CELLS):
+            n = np.arange(lo, min(k, lo + kinematics._CHUNK_CELLS), dtype=float)
             xn = x**n
             sums += (xn.sum(), n @ xn, (n + 1.0) @ xn, (n * (n + 1.0)) @ xn)
         return tuple(float(v) for v in sums)
@@ -341,18 +336,6 @@ def _end_weights() -> np.ndarray:
 _END_WEIGHTS = _end_weights()
 
 
-def _batches(keys, cells):
-    """Index arrays of the points that share a key, in chunks of at most
-    _CHUNK_CELLS // cells(key) points (at least one)."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    for key, members in groups.items():
-        step = max(1, _CHUNK_CELLS // cells(key))
-        for lo in range(0, len(members), step):
-            yield np.array(members[lo : lo + step])
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row dot products of two (points, n) arrays, one BLAS call per row."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -400,8 +383,7 @@ def _layout(plan: tuple) -> tuple:
 
 
 def _panel_points(edges: np.ndarray) -> tuple:
-    """Gauss-Legendre nodes and weights on the panels between each row of
-    edges; a panel of zero width weighs 0."""
+    """Gauss-Legendre nodes and weights on the panels between each row of edges."""
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     return (
         (half[..., None] * _GL_SPANS + edges[:, :-1, None]).reshape(len(edges), -1),
@@ -464,13 +446,13 @@ def _log_moment(lx, n_max) -> np.ndarray:
 def _grid(u: np.ndarray, wu: np.ndarray, v: np.ndarray, wv: np.ndarray, c_inv: np.ndarray, symmetric: bool) -> np.ndarray:
     """Per point p, sum_ik wu_pi wv_pk h(u_pi v_pk), h(w) = z ln z,
     z = 1 + w/C_p, in row blocks, each over as many points as keep its cells
-    within _CHUNK_CELLS. A symmetric grid (u = v, wu = wv) is summed over its
-    upper triangle: each row block's diagonal block once, the columns right
-    of it twice. Its row blocks are one Gauss-Legendre panel (16 rows) tall,
-    so at 126 nodes a side 53% of the cells are evaluated."""
+    within kinematics._CHUNK_CELLS. A symmetric grid (u = v, wu = wv) is
+    summed over its upper triangle: each row block's diagonal block once, the
+    columns right of it twice. Its row blocks are one Gauss-Legendre panel
+    (16 rows) tall, so at 126 nodes a side 53% of the cells are evaluated."""
     points, width = v.shape
     cv = v * c_inv[:, None]
-    rows = _PAD if symmetric else max(1, _CHUNK_CELLS // width)
+    rows = _PAD if symmetric else max(1, kinematics._CHUNK_CELLS // width)
     if symmetric:
         twice = 2.0 * wv
     row_sums = np.empty(u.shape + (1,))
@@ -478,7 +460,7 @@ def _grid(u: np.ndarray, wu: np.ndarray, v: np.ndarray, wv: np.ndarray, c_inv: n
         hi = min(lo + rows, u.shape[1])
         cols = lo if symmetric else 0
         w = (np.concatenate((wv[:, lo:hi], twice[:, hi:]), axis=1) if symmetric else wv)[:, :, None]
-        step = max(1, _CHUNK_CELLS // ((hi - lo) * (width - cols)))
+        step = max(1, kinematics._CHUNK_CELLS // ((hi - lo) * (width - cols)))
         for p in range(0, points, step):
             q = slice(p, p + step)
             z = u[q, lo:hi, None] * cv[q, None, cols:]

@@ -30,19 +30,21 @@ diagonals of D and C. The partial transpose on B moves each coupling to
 diagonals of the column-flipped D and C. rho_A and rho_B are diagonal: the
 row and column sums of D.
 
-Points of one cutoff and symmetry are grouped, in chunks that fit
-STACK_BUDGET, and each chunk is set up once: `_stacked_blocks` builds the D
-and C of all its points in one broadcast, and one function per column
-family reads the stack: `marginal_entropies` (s_a_num, s_b_num) the row and
-column sums, `negativity` (neg_sum_num, e_n_num) the partial-transpose
-blocks and `joint_entropy` (s_ab_num) the rho_AB blocks. trace_deficit =
-1 - tr D is not summed from D but taken from the families' tails
-(kinematics._trace_deficit): the vacuum's past n = N, the one particle's past
-k = N - 1, since O(N) = 0. `_block_eigenvalues` solves the blocks of all
-points of a chunk by their exact length: blocks k and -k have length
-N + 1 - |k|, and each length is one `eigvalsh` call. Each point's spectrum is
-then reduced on its own, so its values do not depend on the batch. Entropies
-are in bits. `oracle` refuses a cutoff past NUMERIC_CAP, its cost limit, with
+Points of one cutoff and symmetry are batched under the budget the series
+share (kinematics._batches), a point counted at its largest array, the
+(2N+1)(N+1) block diagonals `_block_eigenvalues` gathers. Each chunk is set
+up once: `_stacked_blocks` builds the D and C of all its points in one
+broadcast, and one function per column family reads the stack:
+`marginal_entropies` (s_a_num, s_b_num) the row and column sums, `negativity`
+(neg_sum_num, e_n_num) the partial-transpose blocks and `joint_entropy`
+(s_ab_num) the rho_AB blocks. trace_deficit = 1 - tr D is not summed from D
+but taken from the families' tails (kinematics._trace_deficit): the
+vacuum's past n = N, the one particle's past k = N - 1, since O(N) = 0.
+`_block_eigenvalues` solves the blocks of all points of a chunk by their
+exact length: blocks k and -k have length N + 1 - |k|, and each length is
+one `eigvalsh` call. Each point's spectrum is then reduced on its own, so
+its values do not depend on the batch. Entropies are in bits. `oracle`
+refuses a cutoff past NUMERIC_CAP, its cost limit, with
 NumericCapError before it builds anything.
 """
 
@@ -51,19 +53,15 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import amplitude_rows
-from .kinematics import SqueezeParam, _integer, _trace_deficit
+from .kinematics import SqueezeParam, _batches, _integer, _trace_deficit
 
 # largest cutoff the oracle runs at: a point has 4N+2 tridiagonal blocks of
-# size up to N+1 (3N+2 at a symmetric point), and from N = 32 on it is solved
+# size up to N+1 (3N+2 at a symmetric point), and from N = 45 on it is solved
 # alone, so its time grows as N^4 (about 0.33 s at 200 on one Xeon core, 0.34 s
 # at a symmetric point; fig2's numeric columns reach r = 1.65); memory stays
 # O(N^2)
 NUMERIC_CAP = 200
 EIGENVALUE_CLAMP = 1e-10
-# bytes a chunk's partial-transpose blocks may take, each counted at
-# (N+1)^2 entries: a chunk of points of one cutoff is cut to fit (20 points
-# at N = 14; from N = 32 on, one point)
-STACK_BUDGET = 1 << 20
 
 
 class NumericCapError(RuntimeError):
@@ -164,11 +162,11 @@ def oracle(points) -> list:
     the three families, i_num = s_a + s_b - s_ab and trace_deficit. Before
     anything is built, each cutoff must be an integer of at least 1 (else
     ValueError) and at most NUMERIC_CAP (else NumericCapError). Points of one
-    cutoff and symmetry are solved together, in chunks whose partial-transpose
-    blocks (2N + 1 a point, each at most (N + 1)^2 entries) fit STACK_BUDGET,
-    or one point alone; a point's values do not depend on the others."""
-    groups: dict = {}
-    for i, (sq_a, sq_b, n_max) in enumerate(points):
+    cutoff and symmetry are solved together, in kinematics._batches chunks of
+    (2N + 1)(N + 1) floats a point (18 points at N = 14, one from N = 45 on);
+    a point's values do not depend on the others."""
+    keys = []
+    for sq_a, sq_b, n_max in points:
         n_max = _integer(n_max, "n_max")
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -177,17 +175,15 @@ def oracle(points) -> list:
                 f"numeric method needs cutoff {n_max}, above the oracle cap of "
                 f"{NUMERIC_CAP} (its time grows as N_max^4)"
             )
-        groups.setdefault((n_max, sq_a == sq_b), []).append(i)
+        keys.append((n_max, sq_a == sq_b))
     out: list = [None] * len(points)
-    for (n_max, symmetric), members in groups.items():
-        step = max(1, STACK_BUDGET // (8 * (2 * n_max + 1) * (n_max + 1) ** 2))
-        for lo in range(0, len(members), step):
-            chunk = members[lo : lo + step]
-            diag, off = _stacked_blocks([points[i][:2] for i in chunk], n_max)
-            families = zip(negativity(diag, off), marginal_entropies(diag), joint_entropy(diag, off, symmetric))
-            for i, (neg, marg, joint) in zip(chunk, families):
-                out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}
-                out[i]["trace_deficit"] = _trace_deficit(*points[i][:2], n_max + 1, n_max)
+    for chunk in _batches(keys, lambda key: (2 * key[0] + 1) * (key[0] + 1)):
+        n_max, symmetric = keys[chunk[0]]
+        diag, off = _stacked_blocks([points[i][:2] for i in chunk], n_max)
+        families = zip(negativity(diag, off), marginal_entropies(diag), joint_entropy(diag, off, symmetric))
+        for i, (neg, marg, joint) in zip(chunk, families):
+            out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}
+            out[i]["trace_deficit"] = _trace_deficit(*points[i][:2], n_max + 1, n_max)
     return out
 
 

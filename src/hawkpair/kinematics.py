@@ -1,5 +1,6 @@
 """Conversion between black-hole/mode parameters and the squeezing parameter,
-and the weight a mode's truncated Fock families leave out.
+the weight a mode's truncated Fock families leave out, and the batching both
+method modules share: `_batches`, under the one budget _CHUNK_CELLS.
 
 Geometric units (G = c = hbar = k_B = 1) throughout, so the product
 mass * omega is the only physical degree of freedom.
@@ -17,6 +18,11 @@ import numpy as np
 # overflows a float above r = 178.1, and the oracle's weight 1/(2 cosh^4 r)
 # is subnormal from r = 177.6 (tanh r rounds to 1 from r ~ 19.1)
 R_MAX = 177.0
+# floats in one temporary of either method module, 64 KiB: the series' node
+# grid holds two (z and z ln z), the oracle its (2N+1)(N+1) block diagonals.
+# glibc trims its heap as a batch's temporaries are freed, so a fig3 pass
+# takes about 90 minor page faults (none with a 64 MiB trim threshold)
+_CHUNK_CELLS = 1 << 13
 
 
 def _integer(value, name: str) -> int:
@@ -118,3 +124,15 @@ def _trace_deficit(sq_a: SqueezeParam, sq_b: SqueezeParam, vacuum: int, one: int
     X = tanh^(2 vacuum) r and A = tanh^(2 one) r (1 + one / cosh^2 r) at r_a, Y and B at r_b."""
     (x, a), (y, b) = ((_tail(sq, vacuum), _tail(sq, one) * (1.0 + one / sq.cosh_r**2)) for sq in (sq_a, sq_b))
     return 0.5 * (x + y - x * y) + 0.5 * (a + b - a * b)
+
+
+def _batches(keys, cells):
+    """Index arrays of the points that share a key, in chunks of at most
+    _CHUNK_CELLS // cells(key) points (at least one)."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for key, members in groups.items():
+        step = max(1, _CHUNK_CELLS // cells(key))
+        for lo in range(0, len(members), step):
+            yield np.array(members[lo : lo + step])

@@ -44,10 +44,7 @@ class SweepConfig:
             object.__setattr__(self, name, _real(getattr(self, name), name))
         object.__setattr__(self, "omega_ratio", _positive(self.omega_ratio, "omega_ratio"))
         if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
-            raise ValueError(
-                f"r_min, r_max and omega_ratio must be finite, got "
-                f"{self.r_min}, {self.r_max}, {self.omega_ratio}"
-            )
+            raise ValueError(f"r_min and r_max must be finite, got {self.r_min}, {self.r_max}")
         if not self.r_min < self.r_max:
             raise ValueError(f"need r_min < r_max, got [{self.r_min}, {self.r_max}]")
         if self.r_min < 0:
@@ -114,7 +111,8 @@ def run_point(
         if r_a is not None or r_b is not None:
             raise ValueError("give either r values or a ModeSpec, not both")
         sq_a = squeezing_from_mode(mode)
-        sq_b = squeezing_from_mode(ModeSpec(mode.mass, omega_prime)) if omega_prime is not None else sq_a
+        omega_b = None if omega_prime is None else _positive(omega_prime, "omega_prime")
+        sq_b = squeezing_from_mode(ModeSpec(mode.mass, omega_b)) if omega_b is not None else sq_a
     else:
         if omega_prime is not None:
             raise ValueError("omega_prime (--omega-prime) applies to a mass and omega, not to r values")

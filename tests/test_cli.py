@@ -217,6 +217,13 @@ def test_invalid_arguments_exit_2(args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("value,shown", [("nan", "nan"), ("0", "0.0"), ("-1", "-1.0")])
+def test_bad_omega_prime_exit_2_names_omega_prime(value, shown):
+    res = run_cli("point", "--mass", "1", "--omega", "1", "--omega-prime", value)
+    assert res.returncode == 2
+    assert res.stderr == f"error: omega_prime must be positive and finite, got {shown}\n"
+
+
 def test_tiny_omega_ratio_exit_2_names_the_point():
     res = run_cli("sweep", "--r-min", "0", "--r-max", "1", "--steps", "3", "--omega-ratio", "1e-300")
     assert res.returncode == 2

@@ -25,7 +25,7 @@ from brute_force import (
     within_last_digit,
 )
 
-from hawkpair import closed_form
+from hawkpair import closed_form, kinematics
 from hawkpair.closed_form import (
     HARD_SERIES_CAP,
     HEAD_SCALE,
@@ -557,11 +557,12 @@ def test_symmetric_grid_triangle(r, n_max, block_cells, monkeypatch):
     # lx == ly sums the upper triangle of the grid; one ulp off, the full
     # grid, for the point and the mixed axes in one batch. r = 2.4 is on the
     # head path, r = 3.5 (94 nodes at N = 2000) Euler-Maclaurin from its
-    # first term, where 4096-cell chunks take one
-    # point per call; a symmetric grid's row blocks are 16 rows, so each grid
-    # has row-block boundaries inside the triangle
+    # first term, where chunks of half the budget (kinematics._CHUNK_CELLS =
+    # 4096) take one point per call and the full grid 43-row blocks; a
+    # symmetric grid's row blocks are 16 rows, so each grid has row-block
+    # boundaries inside the triangle
     if block_cells is not None:
-        monkeypatch.setattr(closed_form, "_CHUNK_CELLS", block_cells)
+        monkeypatch.setattr(kinematics, "_CHUNK_CELLS", block_cells)
     sq = make_squeeze(r)
     n_max = n_max or resolve_cutoff(sq, sq, SeriesConfig(tail_tol=1e-10))
     lx = [math.log(sq.tanh_r**2), *MIXED_LX]
@@ -674,9 +675,10 @@ def test_axis_rule_sums_geometric_series(decay, n_max):
 @pytest.mark.parametrize("hi,scale", [(1.0, 275.0), (7000.0, 275.0), (1_515_955.0, 33.6), (5000.0 - 64.0, 64.0)])
 def test_panel_points_match_per_panel_loop(hi, scale):
     # the broadcast over panels gives the per-panel loop's nodes and weights
-    # bit for bit, each axis of a batch of all four cases on its own panels
-    # (_panel_edges) and the slots past them, empty panels, weighing 0
-    cases = [(1.0, 275.0), (7000.0, 275.0), (1_515_955.0, 33.6), (5000.0 - 64.0, 64.0)]
+    # bit for bit, each axis of a batch on its own panels (_panel_edges); the
+    # batch shares one panel count, as _axis_rule's do: the case, the case
+    # stretched by 0.1%, and its range alone stretched by 0.1%
+    cases = [(hi, scale), (1.001 * hi, 1.001 * scale), (1.001 * hi, scale)]
 
     def loop(hi, scale):
         edges = [0.0]
@@ -694,13 +696,12 @@ def test_panel_points_match_per_panel_loop(hi, scale):
         return np.concatenate(pts), np.concatenate(wts)
 
     edges = [_panel_edges(h, w) for h, w in cases]
-    count = max(map(len, edges))
-    nodes, weights = _panel_points(np.array([e + e[-1:] * (count - len(e)) for e in edges]))
-    row = cases.index((hi, scale))
-    want_nodes, want_weights = loop(hi, scale)
-    assert np.array_equal(nodes[row, : want_nodes.size], want_nodes)
-    assert np.array_equal(weights[row, : want_weights.size], want_weights)
-    assert not weights[row, want_weights.size :].any()
+    assert len({len(e) for e in edges}) == 1
+    nodes, weights = _panel_points(np.array(edges))
+    for row, case in enumerate(cases):
+        want_nodes, want_weights = loop(*case)
+        assert np.array_equal(nodes[row], want_nodes), case
+        assert np.array_equal(weights[row], want_weights), case
 
 
 def test_closed_form_values_do_not_depend_on_the_batch():

@@ -17,7 +17,6 @@ from hawkpair import density, sweep
 from hawkpair.closed_form import SeriesConfig, resolve_cutoff
 from hawkpair.density import (
     NUMERIC_CAP,
-    STACK_BUDGET,
     NumericCapError,
     _block_eigenvalues,
     _entropy_bits,
@@ -28,7 +27,7 @@ from hawkpair.density import (
     oracle,
     pair_measures,
 )
-from hawkpair.kinematics import make_squeeze
+from hawkpair.kinematics import _CHUNK_CELLS, make_squeeze
 from hawkpair.sweep import SweepConfig, run_sweep
 
 pytest.importorskip("hypothesis")
@@ -291,12 +290,17 @@ def test_eigensolves_are_stacked(monkeypatch):
 def test_batch_values_equal_each_point_alone():
     # one oracle call over cutoffs either side of a multiple of 8 and at
     # fig2's largest, symmetric and asymmetric points and r = 0; points that
-    # share a cutoff and symmetry are solved in one stack
+    # share a cutoff and symmetry are solved in one stack, and the 40
+    # symmetric and 40 asymmetric points at N = 14 in chunks of 18, 18 and 4
     pairs = [(0.7, 0.3), (1.5, 0.2), (1.2, 1.2), (0.4, 0.4), (0.0, 0.0), (0.0, 0.9)]
     points = [(make_squeeze(r_a), make_squeeze(r_b), n) for n in (1, 7, 8, 9, 15, 16, 17) for r_a, r_b in pairs]
     points += [(make_squeeze(1.6), make_squeeze(1.6), 191), (make_squeeze(1.6), make_squeeze(0.8), 191)]
+    points += [(make_squeeze(0.04 * i), make_squeeze(r_b or 0.04 * i), 14) for i in range(40) for r_b in (None, 0.55)]
     for point, got in zip(points, oracle(points), strict=True):
-        assert got == pair_measures(*point), (point[0].r, point[1].r, point[2])
+        want = pair_measures(*point)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}, (
+            point[0].r, point[1].r, point[2]
+        )
 
 
 def test_sweep_solves_each_length_once(monkeypatch):
@@ -310,18 +314,20 @@ def test_sweep_solves_each_length_once(monkeypatch):
 
 
 def test_stacks_stay_within_the_budget(monkeypatch):
-    # a chunk takes as many points as fit STACK_BUDGET at 2N + 1 blocks of
-    # (N + 1)^2 entries a point: 40 points at N = 14 take two chunks of 20,
-    # and from N = 32 on, as at N = 191, a point is solved alone
-    assert 8 * 20 * 29 * 15**2 <= STACK_BUDGET < 8 * 21 * 29 * 15**2
-    assert 8 * 2 * 63 * 32**2 <= STACK_BUDGET < 8 * 2 * 65 * 33**2
+    # a chunk takes as many points of one cutoff and symmetry as fit
+    # kinematics._CHUNK_CELLS, the budget of the series too, at the
+    # (2N + 1)(N + 1) block diagonals a point's _block_eigenvalues gathers:
+    # 40 points at N = 14 take chunks of 18, 18 and 4, N = 44 takes 2 points
+    # a chunk, and from N = 45 on a point is solved alone
+    assert 18 * 29 * 15 <= _CHUNK_CELLS < 19 * 29 * 15
+    assert 2 * 89 * 45 <= _CHUNK_CELLS < 2 * 91 * 46
     shapes = counted_eigvalsh(monkeypatch)
-    points = [(make_squeeze(0.02 * i), make_squeeze(0.55), 14) for i in range(40)]
-    points += [(make_squeeze(1.6), make_squeeze(r), 191) for r in (0.8, 0.9)]
-    oracle(points)
-    assert sum(count * blocks for count, blocks, _, _ in shapes) == 2 * (40 * 29 + 2 * 383)
-    assert sorted({count for count, *_ in shapes}) == [1, 20]
-    assert len(shapes) == 2 * 2 * 15 + 2 * 2 * 192
+    oracle([(make_squeeze(0.02 * i), make_squeeze(0.55), 14) for i in range(40)])
+    assert [count for count, *_ in shapes] == [18] * 30 + [18] * 30 + [4] * 30  # 90 calls
+    assert sum(count * blocks for count, blocks, _, _ in shapes) == 2 * 40 * 29
+    shapes.clear()
+    oracle([(make_squeeze(0.3 + 0.1 * i), make_squeeze(0.55), n) for n in (44, 45) for i in range(3)])
+    assert [count for count, *_ in shapes] == [2] * 90 + [1] * 90 + [1] * 3 * 92
 
 
 def blocks_point_by_point(sq_a, sq_b, n_max):

@@ -113,7 +113,7 @@ def test_run_point_argument_validation():
         run_point(r_a=0.5, methods=())
     with pytest.raises(ValueError, match="omega_prime"):
         run_point(r_a=0.3, omega_prime=5.0)  # omega' has no meaning on the r path
-    with pytest.raises(ValueError, match="omega"):
+    with pytest.raises(ValueError, match="omega_prime must be positive and finite, got 0.0"):
         run_point(mode=ModeSpec(mass=MW_FOR_HALF, omega=1.0), omega_prime=0.0)  # 0 is not "absent"
 
 
@@ -287,9 +287,14 @@ def test_sweep_config_validation():
         SweepConfig(r_min=0.0, r_max=1.0, steps=3, omega_ratio=0.0)
     with pytest.raises(ValueError):
         SweepConfig(r_min=0.0, r_max=1.0, steps=3, methods=("bogus",))
-    for bounds in (dict(r_min=0.0, r_max=math.inf), dict(r_min=0.0, r_max=1.0, omega_ratio=math.nan),
-                   dict(r_min=0.0, r_max=1.0, omega_ratio=math.inf)):
-        with pytest.raises(ValueError, match="finite"):
+    # omega_ratio is checked before the bounds, so the bounds' message names only them
+    for bounds, message in (
+        (dict(r_min=math.inf, r_max=1.0), r"^r_min and r_max must be finite, got inf, 1\.0$"),
+        (dict(r_min=0.0, r_max=math.inf), r"^r_min and r_max must be finite, got 0\.0, inf$"),
+        (dict(r_min=0.0, r_max=1.0, omega_ratio=math.nan), "^omega_ratio must be positive and finite, got nan$"),
+        (dict(r_min=0.0, r_max=1.0, omega_ratio=math.inf), "^omega_ratio must be positive and finite, got inf$"),
+    ):
+        with pytest.raises(ValueError, match=message):
             SweepConfig(steps=3, **bounds)
 
 

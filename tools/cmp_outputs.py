@@ -26,15 +26,19 @@ from pathlib import Path
 # at full precision (N from 8 to 190, and the cap note on stderr), a
 # closed-only asymmetric sweep whose JSON gives the series at full precision
 # out to r = 6 (60 asymmetric rows, Bob's N up to 2,186,951, where each side's
-# marginal takes its own cutoff and the Euler-Maclaurin paths run), the seed-0
-# calls of the benchmark's oracle-sweep workload, and one call per error exit
-# code (3, 3, 2, 4)
+# marginal takes its own cutoff and the Euler-Maclaurin paths run), 40
+# asymmetric points at one cutoff as JSON (the oracle's chunks of 18, 18 and 4
+# and the series' batches at full precision), the seed-0 calls of the
+# benchmark's oracle-sweep workload, and one call per error exit code
+# (3, 3, 2, 4)
 CALLS = (
     ("fig2",),
     ("fig2", "--format", "json"),
     ("fig3",),
     ("sweep", "--r-min", "0.05", "--r-max", "1.6", "--steps", "32", "--omega-ratio", "0.5", "--format", "json"),
     ("sweep", "--r-min", "0", "--r-max", "6", "--steps", "61", "--omega-ratio", "0.7", "--methods", "closed",
+     "--format", "json"),
+    ("sweep", "--r-min", "0.3", "--r-max", "1.3", "--steps", "40", "--omega-ratio", "1.5", "--nmax", "14",
      "--format", "json"),
     *(
         ("sweep", "--r-min", "0.4", "--r-max", "1.4", "--steps", "6", "--omega-ratio", "2.0", "--nmax", n)
