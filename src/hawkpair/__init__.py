@@ -23,7 +23,6 @@ from .sweep import (
     NumericCapError,
     SweepConfig,
     compare_closed_vs_numeric,
-    emit_rows,
     run_point,
     run_sweep,
 )

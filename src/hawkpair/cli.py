@@ -7,6 +7,7 @@ Subcommands: point, sweep, fig2, fig3, compare. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import closed_form as cf
@@ -16,11 +17,9 @@ from .sweep import (
     NumericCapError,
     SweepConfig,
     SweepPointError,
-    _write_json,
     check_warn_threshold,
     compare_closed_vs_numeric,
-    emit_rows,
-    open_output,
+    csv_lines,
     run_point,
     run_sweep,
 )
@@ -108,9 +107,28 @@ def _methods_from(args) -> tuple:
     return tuple(m for m in args.methods.split(",") if m)
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write text to stdout when path is None, else to the file at path with
+    LF line ends; an OSError names the path."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", newline="\n") as stream:
+            stream.write(text)
+    except OSError as exc:
+        raise OSError(f"failed to write {path}: {exc}") from exc
+
+
+def _json(payload) -> str:
+    # the JSON rows and compare's report: indented, one newline, a tuple as a list
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _write_rows(rows, args) -> None:
-    with open_output(args.out) as stream:
-        emit_rows(rows, args.format, stream)
+    """Write reports as CSV (csv_lines) or as a JSON list of their fields."""
+    text = _json([vars(row) for row in rows]) if args.format == "json" else "\n".join(csv_lines(rows)) + "\n"
+    _write(text, args.out)
 
 
 def _cmd_point(args) -> None:
@@ -144,8 +162,7 @@ def _cmd_compare(args) -> None:
     check_warn_threshold(args.warn_threshold)
     report = run_point(r_a=args.r, cutoff=_cutoff_from(args), methods=("closed", "numeric"))
     cmp_report = compare_closed_vs_numeric(report, warn_threshold=args.warn_threshold)
-    with open_output(args.out) as stream:
-        _write_json(vars(cmp_report), stream)
+    _write(_json(vars(cmp_report)), args.out)
 
 
 def main(argv=None) -> int:

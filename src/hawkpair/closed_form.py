@@ -245,7 +245,7 @@ def _joint_series(points, moments) -> list:
     """Per point, the linear part of the joint series from the geometric
     moments of both axes (`moments`, _moments' table; log2 P = n l2x + q l2y
     - 1 - l2c + log2 z weights P by n, q and 1), less 0.5 C^-1 / ln 2 times
-    the remainder of all points (_s_ab_remainder); 0 at r_a = r_b = 0."""
+    the remainder of all points (_s_ab_remainder)."""
     linear, lx, ly, c_inv, n_max = [], [], [], [], []
     for sq_a, sq_b, n in points:
         x, y = sq_a.tanh_r**2, sq_b.tanh_r**2
@@ -258,13 +258,13 @@ def _joint_series(points, moments) -> list:
             (1.0 + l2c) * (a0x * a0y + c * b1x * b1y)
             - l2x * (a1x * a0y + c * b2x * b1y)
             - l2y * (a0x * a1y + c * b1x * b2y)
-        ) if sq_a.r or sq_b.r else None)
+        ))
         lx.append(ln_x)
         ly.append(ln_y)
         c_inv.append(c)
         n_max.append(n)
     remainder = _s_ab_remainder(lx, ly, c_inv, n_max).tolist()
-    return [0.0 if lin is None else lin - 0.5 * c / _LN2 * rem for lin, c, rem in zip(linear, c_inv, remainder)]
+    return [lin - 0.5 * c / _LN2 * rem for lin, c, rem in zip(linear, c_inv, remainder)]
 
 
 def _moments(x: float, n_max: int) -> tuple:

@@ -1,12 +1,10 @@
 """Parameter points and sweeps, one cutoff resolution a point, each row merged
-from density.oracle and closed_form.closed_columns; deterministic CSV/JSON emission."""
+from density.oracle and closed_form.closed_columns; the reports' CSV lines."""
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from . import closed_form as cf
@@ -80,7 +78,7 @@ class EntanglementReport:
     trace_deficit: float | None = None
 
 
-# a report's field names, in order: the CSV columns and the keys of a JSON row
+# a report's field names, in order: the CSV columns
 _COLUMNS = tuple(f.name for f in fields(EntanglementReport))
 CSV_HEADER = ",".join(_COLUMNS)
 
@@ -249,32 +247,3 @@ def csv_lines(rows) -> list:
         lines.append(",".join(_fmt(getattr(row, name)) for name in _COLUMNS))
     return lines
 
-
-@contextmanager
-def open_output(path: str | None):
-    """The text stream output goes to: stdout when path is None, else the
-    file at path with LF line ends. An OSError names the path."""
-    if path is None:
-        yield sys.stdout
-        return
-    try:
-        with open(path, "w", newline="\n") as fh:
-            yield fh
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
-
-
-def emit_rows(rows, fmt: str, stream) -> None:
-    """Write reports to an open text stream as CSV (csv_lines) or as a JSON
-    list of objects (fmt "json")."""
-    if fmt == "csv":
-        stream.write("\n".join(csv_lines(rows)) + "\n")
-    else:
-        _write_json([{name: getattr(row, name) for name in _COLUMNS} for row in rows], stream)
-
-
-def _write_json(payload, stream) -> None:
-    """Write payload to an open text stream as indented JSON and one newline
-    (a tuple is written as a list): the JSON rows and compare's report."""
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")

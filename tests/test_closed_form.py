@@ -839,6 +839,62 @@ def test_closed_trace_deficit_at_tiny_r(r):
     assert deficits == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+def decimal_closed_columns(r_a, r_b, n_max):
+    """e_n_block00, s_a, s_b, s_ab and i of the paper's series summed term by term
+    over n, q = 0..N in 40 digits: p_n = x^n / c^2 and p'_n = (n+1) x^n / c^4 with
+    1/c^2 = 1 - x, x = tanh^2 r, and P_nq = x^n y^q / (2C) (1 + (n+1)(q+1)/C)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln2 = Decimal(2).ln()
+
+        def plogp(p):
+            return p * p.ln() / ln2 if p else Decimal(0)
+
+        def cosh(r):
+            e = Decimal(r).exp()
+            return (e + 1 / e) / 2
+
+        def marginal(x):
+            return 1 - sum(plogp(x**n * (1 - x)) + plogp((n + 1) * x**n * (1 - x) ** 2) for n in range(n_max + 1)) / 2
+
+        x, y = decimal_tanh2(r_a), decimal_tanh2(r_b)
+        c_inv = (1 - x) * (1 - y)
+        s_a, s_b = marginal(x), marginal(y)
+        s_ab = -sum(
+            plogp(x**n * y**q * c_inv / 2 * (1 + (n + 1) * (q + 1) * c_inv))
+            for n in range(n_max + 1)
+            for q in range(n_max + 1)
+        )
+        return dict(
+            e_n_block00=1 / (cosh(r_a) * cosh(r_b)), s_a_closed=s_a, s_b_closed=s_b, s_ab_closed=s_ab,
+            i_closed=s_a + s_b - s_ab,
+        )
+
+
+# symmetric fig3 points r = 0.05 and 1 at their resolved cutoffs; r = 1.65, 3
+# and 6 at explicit cutoffs (the joint series' Euler-Maclaurin path runs at 3
+# and 6); and r_a = 1 with tanh r_b = tanh^2 1
+@pytest.mark.parametrize(
+    "r_a,r_b,n_max,explicit",
+    [
+        (0.05, 0.05, 4, False),
+        (1.0, 1.0, 49, False),
+        (1.65, 1.65, 40, True),
+        (3.0, 3.0, 40, True),
+        (6.0, 6.0, 30, True),
+        (1.0, math.atanh(math.tanh(1.0) ** 2), 30, True),
+    ],
+)
+def test_closed_columns_are_right_to_their_printed_digits(r_a, r_b, n_max, explicit):
+    cfg = SeriesConfig(n_max=n_max) if explicit else SeriesConfig(tail_tol=1e-10)
+    a, b = make_squeeze(r_a), make_squeeze(r_b)
+    assert resolve_cutoff(a, b, cfg) == resolve_cutoff(b, b, cfg) == n_max
+    columns = closed_columns([(a, b, n_max)], cfg)[0]
+    exact = decimal_closed_columns(a.r, b.r, n_max)
+    for name, want in exact.items():
+        assert within_last_digit(columns[name], want), (name, columns[name], want)
+
+
 # --------------------------------------------------------------------- cutoff
 
 

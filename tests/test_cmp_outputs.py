@@ -32,10 +32,10 @@ def test_same_checkout_compares_equal(monkeypatch, capsys):
 
 def test_changed_json_indent_is_caught(monkeypatch, capsys, tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    sweep = tmp_path / "src" / "hawkpair" / "sweep.py"
-    source = sweep.read_text()
+    cli = tmp_path / "src" / "hawkpair" / "cli.py"
+    source = cli.read_text()
     assert source.count("indent=2") == 1
-    sweep.write_text(source.replace("indent=2", "indent=3"))
+    cli.write_text(source.replace("indent=2", "indent=3"))
     tool = load_tool(monkeypatch)
     assert compare(tool, monkeypatch, ROOT, tmp_path) == 1
     out = capsys.readouterr().out

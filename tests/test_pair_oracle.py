@@ -39,8 +39,9 @@ COLUMNS = ("neg_sum_num", "e_n_num", "s_a_num", "s_b_num", "s_ab_num", "i_num", 
 squeezing = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
 cutoffs = st.integers(min_value=1, max_value=12)
 block_cutoffs = st.integers(min_value=1, max_value=64)
-# cutoffs whose longest block (N + 1) is one below, at and one above a multiple of 8
-PAD_EDGES = (7, 8, 9, 15, 16, 17, 31, 32, 33)
+# cutoffs one below, at and one above a multiple of 8, so the longest block
+# (N + 1) is at, one past and two past it
+NEAR_MULTIPLES_OF_8 = (7, 8, 9, 15, 16, 17, 31, 32, 33)
 properties = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -252,13 +253,13 @@ def test_stacked_blocks_match_per_block_solve(r_a, r_b, symmetric, n_max):
     assert_matches_per_block(r_a, r_a if symmetric else r_b, n_max)
 
 
-@pytest.mark.parametrize("n_max", PAD_EDGES)
+@pytest.mark.parametrize("n_max", NEAR_MULTIPLES_OF_8)
 @pytest.mark.parametrize("r_a,r_b", [(0.8, 0.8), (1.3, 0.4), (0.2, 2.5)])
 def test_stacked_blocks_match_per_block_solve_at_pad_edges(r_a, r_b, n_max):
     assert_matches_per_block(r_a, r_b, n_max)
 
 
-@pytest.mark.parametrize("n_max", (1,) + PAD_EDGES + (64,))
+@pytest.mark.parametrize("n_max", (1,) + NEAR_MULTIPLES_OF_8 + (64,))
 def test_symmetric_point_solves_mirrored_blocks_once(monkeypatch, n_max):
     sq = make_squeeze(1.1)
     diag, off = pair_blocks(sq, sq, n_max)
@@ -365,7 +366,7 @@ def marginals_point_by_point(diag):
 CHUNK_PAIRS = [(0.0, 0.0), (0.0, 0.9), (1.3, 0.0), (0.7, 0.3), (1.2, 1.2), (0.4, 1.65), (2.5, 2.5), (1.5225, 0.6)]
 
 
-@pytest.mark.parametrize("n_max", (1, 2) + PAD_EDGES + (191,))
+@pytest.mark.parametrize("n_max", (1, 2) + NEAR_MULTIPLES_OF_8 + (191,))
 def test_chunk_blocks_equal_the_point_by_point_ones(n_max):
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
     diag, off = _stacked_blocks(pairs, n_max)

@@ -1,6 +1,5 @@
 """Tests for point/sweep evaluation and the CSV/JSON emission contract."""
 
-import io
 import json
 import math
 import re
@@ -9,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from hawkpair import cli
 from hawkpair import closed_form as cf
 from hawkpair import sweep
 from hawkpair.closed_form import ConvergenceError, SeriesConfig
@@ -24,8 +24,6 @@ from hawkpair.sweep import (
     check_warn_threshold,
     compare_closed_vs_numeric,
     csv_lines,
-    emit_rows,
-    open_output,
     run_point,
     run_sweep,
 )
@@ -495,16 +493,16 @@ def test_csv_field_format():
 
 
 @pytest.mark.parametrize("methods", [("closed",), ("closed", "numeric")])
-def test_integer_inputs_keep_the_csv_and_json_contract(methods):
+def test_integer_inputs_keep_the_csv_and_json_contract(methods, monkeypatch, capsys):
     # an int r writes as the float it is, a numpy integer cutoff as a bare integer
     row = run_point(r_a=1, r_b=np.int64(1), cutoff=SeriesConfig(n_max=np.int64(5)), methods=methods)
     want = run_point(r_a=1.0, cutoff=SeriesConfig(n_max=5), methods=methods)
     assert csv_lines([row]) == csv_lines([want])
     cells = csv_lines([row])[1].split(",")
     assert FLOAT_RE.match(cells[0]) and FLOAT_RE.match(cells[1]) and cells[2] == "5"
-    stream = io.StringIO()
-    emit_rows([row], "json", stream)
-    assert json.loads(stream.getvalue())[0]["n_max"] == 5
+    monkeypatch.setattr(cli, "run_point", lambda **kwargs: row)
+    assert cli.main(["point", "--r", "1", "--format", "json"]) == 0
+    assert '"n_max": 5,' in capsys.readouterr().out
 
 
 def test_csv_empty_fields_for_absent_numeric():
@@ -523,32 +521,32 @@ def test_csv_no_negative_zero():
 
 
 def test_emit_csv_byte_deterministic(tmp_path):
-    cfg = SweepConfig(r_min=0.0, r_max=0.4, steps=4)
+    # through the CLI: LF line ends, the same bytes on every run
+    argv = ["sweep", "--r-min", "0", "--r-max", "0.4", "--steps", "4"]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (p1, p2):
-        with open_output(str(path)) as fh:
-            emit_rows(run_sweep(cfg), "csv", fh)
+        assert cli.main([*argv, "--out", str(path)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_bytes().startswith(CSV_HEADER.encode())
+    assert p1.read_bytes().startswith(CSV_HEADER.encode() + b"\n")
+    assert b"\r" not in p1.read_bytes() and p1.read_bytes().count(b"\n") == 5
 
 
-def test_emit_csv_unwritable_path(tmp_path):
-    with pytest.raises(OSError, match="no/such/dir"):
-        with open_output(str(tmp_path / "no" / "such" / "dir" / "x.csv")) as fh:
-            emit_rows([], "csv", fh)
+def test_emit_csv_unwritable_path(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "dir" / "x.csv"
+    assert cli.main(["point", "--r", "0.3", "--methods", "closed", "--out", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert f"failed to write {path}" in err and "no/such/dir" in err
 
 
 def test_emit_json_round_trip(tmp_path):
-    rows = run_sweep(SweepConfig(r_min=0.0, r_max=0.4, steps=3))
     path = tmp_path / "rows.json"
-    with open_output(str(path)) as fh:
-        emit_rows(rows, "json", fh)
+    argv = ["sweep", "--r-min", "0", "--r-max", "0.4", "--steps", "3", "--format", "json"]
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    rows = run_sweep(SweepConfig(r_min=0.0, r_max=0.4, steps=3))
     payload = json.loads(path.read_text())
     assert len(payload) == 3
     for obj, row in zip(payload, rows):
-        assert obj["n_max"] == row.n_max
-        assert obj["r_a"] == row.r_a
-        assert obj["i_closed"] == row.i_closed
+        assert obj == vars(row)
 
 
 def test_report_fields_match_csv_header():
