@@ -17,8 +17,8 @@ MAX_SWEEP_STEPS = 100_000
 
 
 class SweepPointError(RuntimeError):
-    """A sweep point failed; the message names the point, and the original
-    error is its __cause__."""
+    """A sweep point's r_b, squeezing or cutoff failed; the message names the
+    point, and the original error is its __cause__."""
 
 
 def _check_methods(methods) -> None:
@@ -153,10 +153,10 @@ def run_sweep(cfg: SweepConfig) -> list:
     """One report per grid point, ascending r, each resolving its cutoff once. A point
     past NUMERIC_CAP drops the numeric method (noted once on stderr), so its
     numeric fields are None; a numeric-only point keeps just r_a, r_b and n_max.
-    Once every point is resolved, the oracle and the closed columns run on all
-    of them together (_reports). A point that fails is named, with its error
-    as the cause: when the batch fails, its points are run one at a time to
-    find the first that does (if none does, the batch's error is raised)."""
+    A point whose r_b is infinite or whose cutoff does not resolve fails the
+    sweep, named, with its error as the cause. Once every point is resolved,
+    the oracle and the closed columns run on all of them together (_reports),
+    which no resolved point fails; an error there propagates as itself."""
     points = []
     warned = False
     for k in range(cfg.steps):
@@ -183,20 +183,8 @@ def run_sweep(cfg: SweepConfig) -> list:
                 warned = True
             points.append(_Point(sq_a, sq_b, n_max, "closed" in cfg.methods, numeric))
         except Exception as exc:
-            raise _point_error(r, r_b, exc) from exc
-    try:
-        return _reports(points, cfg.cutoff)
-    except Exception:
-        for p in points:
-            try:
-                _reports([p], cfg.cutoff)
-            except Exception as exc:
-                raise _point_error(p.sq_a.r, p.sq_b.r, exc) from exc
-        raise
-
-
-def _point_error(r: float, r_b: float, exc: Exception) -> SweepPointError:
-    return SweepPointError(f"sweep failed at r = {r} (r_b = {r_b}): {exc}")
+            raise SweepPointError(f"sweep failed at r = {r} (r_b = {r_b}): {exc}") from exc
+    return _reports(points, cfg.cutoff)
 
 
 def check_warn_threshold(warn_threshold: float) -> None:

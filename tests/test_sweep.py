@@ -241,37 +241,21 @@ def test_sweep_failure_keeps_cause_with_other_constructor(monkeypatch):
     assert info.value.__cause__ is original
 
 
-def test_sweep_names_the_point_the_oracle_fails_at(monkeypatch):
-    # the oracle runs on every point of a sweep at once; when that batch
-    # fails, the points are re-run one at a time and the first failing one named
-    original = ArithmeticError("stubbed oracle failure")
-    oracle = sweep.oracle
+def test_sweep_batch_failure_propagates_as_itself_from_one_call(monkeypatch):
+    # every point of a sweep is checked before the batch runs, so a failure in
+    # the batch is a bug: it is not re-run point by point, nor wrapped
+    original = RuntimeError("stubbed batch failure")
+    calls = []
 
     def failing_oracle(points):
-        if any(abs(sq_a.r - 0.75) < 1e-12 for sq_a, _, _ in points):
-            raise original
-        return oracle(points)
-
-    monkeypatch.setattr(sweep, "oracle", failing_oracle)
-    cfg = SweepConfig(r_min=0.5, r_max=1.0, steps=5, cutoff=SeriesConfig(n_max=8))
-    with pytest.raises(SweepPointError, match=r"sweep failed at r = 0\.75 \(r_b = 0\.75\): stubbed") as info:
-        run_sweep(cfg)
-    assert info.value.__cause__ is original
-
-
-def test_sweep_reraises_a_batch_failure_no_single_point_has(monkeypatch):
-    original = RuntimeError("fails only in a batch")
-    oracle = sweep.oracle
-
-    def failing_oracle(points):
-        if len(points) > 1:
-            raise original
-        return oracle(points)
+        calls.append(len(points))
+        raise original
 
     monkeypatch.setattr(sweep, "oracle", failing_oracle)
     with pytest.raises(RuntimeError) as info:
         run_sweep(SweepConfig(r_min=0.5, r_max=1.0, steps=3, cutoff=SeriesConfig(n_max=8)))
     assert info.value is original
+    assert calls == [3]
 
 
 def test_sweep_config_validation():
