@@ -27,15 +27,16 @@ O_b(q) / 2 between (n, q) and (n+1, q+1), and nothing else: it is a direct
 sum of symmetric tridiagonal blocks of constant a - b, running along the
 diagonals of D and C. The partial transpose on B moves each coupling to
 (n, q+1)-(n+1, q), so its blocks have constant a + b and run along the
-diagonals of the column-flipped D and C. rho_A and rho_B are diagonal: the
-row and column sums of D.
+diagonals of the column-flipped D and C. rho_A is diagonal, D's rows summed:
+p_A(a) = (V_a(a)^2 sum_b V_b(b)^2 + O_a(a-1)^2 sum_b O_b(b-1)^2) / 2, and
+rho_B is the same rule with the sides swapped.
 
 Points of one cutoff and symmetry are batched under the budget the series
 share (kinematics._batches), a point counted at its largest array, the
 (2N+1)(N+1) block diagonals `_block_eigenvalues` gathers. Each chunk is set
-up once: `_stacked_blocks` builds the D and C of all its points in one
-broadcast, and one function per column family reads the stack:
-`marginal_entropies` (s_a_num, s_b_num) the row and column sums, `negativity`
+up once: `_stacked_blocks` builds the amplitude rows, D and C of all its
+points in one broadcast, and one function per column family reads the stack:
+`marginal_entropies` (s_a_num, s_b_num) the amplitude rows, `negativity`
 (neg_sum_num, e_n_num) the partial-transpose blocks and `joint_entropy`
 (s_ab_num) the rho_AB blocks. trace_deficit = 1 - tr D is not summed from D
 but taken from the families' tails (kinematics._trace_deficit): the
@@ -122,9 +123,9 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool) -> np.
 
 
 def _stacked_blocks(pairs, n_max: int):
-    """The matrices D (diagonal of rho_AB) and C (its coupling) of the module
-    docstring for each of a list of (sq_a, sq_b) pairs, stacked on a leading
-    point axis and built in one broadcast."""
+    """Each (sq_a, sq_b) pair's squared amplitude rows V(k)^2 and O(k-1)^2
+    (sides Alice, Bob) and matrices D (diagonal of rho_AB) and C (its coupling)
+    of the module docstring, stacked on a leading point axis in one broadcast."""
     v, o = (x.reshape(-1, 2, n_max + 1) for x in amplitude_rows([sq for pair in pairs for sq in pair], n_max))
     v2 = v**2
     o_prev2 = np.zeros(o.shape)
@@ -132,15 +133,14 @@ def _stacked_blocks(pairs, n_max: int):
     vo = (v * o)[..., :-1]
     diag = 0.5 * (v2[:, 0, :, None] * v2[:, 1, None, :] + o_prev2[:, 0, :, None] * o_prev2[:, 1, None, :])
     off = 0.5 * (vo[:, 0, :, None] * vo[:, 1, None, :])
-    return diag, off
+    return v2, o_prev2, diag, off
 
 
-def marginal_entropies(diag: np.ndarray) -> list:
-    """Each point's s_a_num and s_b_num: the row and column sums of its D are rho_A and rho_B."""
-    return [
-        {"s_a_num": _entropy_bits(a), "s_b_num": _entropy_bits(b)}
-        for a, b in zip(diag.sum(axis=-1), diag.sum(axis=-2))
-    ]
+def marginal_entropies(v2: np.ndarray, o_prev2: np.ndarray) -> list:
+    """Each point's s_a_num and s_b_num, both sides by rho_A's rule (O(N)) with the other side's sums:
+    swapping Alice and Bob swaps the two values bit for bit."""
+    rho = 0.5 * (v2 * v2.sum(axis=-1)[:, ::-1, None] + o_prev2 * o_prev2.sum(axis=-1)[:, ::-1, None])
+    return [{"s_a_num": _entropy_bits(a), "s_b_num": _entropy_bits(b)} for a, b in rho]
 
 
 def negativity(diag: np.ndarray, off: np.ndarray) -> list:
@@ -179,8 +179,8 @@ def oracle(points) -> list:
     out: list = [None] * len(points)
     for chunk in _batches(keys, lambda key: (2 * key[0] + 1) * (key[0] + 1)):
         n_max, symmetric = keys[chunk[0]]
-        diag, off = _stacked_blocks([points[i][:2] for i in chunk], n_max)
-        families = zip(negativity(diag, off), marginal_entropies(diag), joint_entropy(diag, off, symmetric))
+        v2, o_prev2, diag, off = _stacked_blocks([points[i][:2] for i in chunk], n_max)
+        families = zip(negativity(diag, off), marginal_entropies(v2, o_prev2), joint_entropy(diag, off, symmetric))
         for i, (neg, marg, joint) in zip(chunk, families):
             out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}
             out[i]["trace_deficit"] = _trace_deficit(*points[i][:2], n_max + 1, n_max)

@@ -85,7 +85,7 @@ def test_product_density_is_ppt():
 
 def test_spectrum_trace_check():
     sq_a, sq_b = make_squeeze(0.7), make_squeeze(1.2)
-    diag, off = _stacked_blocks([(sq_a, sq_b)], 6)
+    *_, diag, off = _stacked_blocks([(sq_a, sq_b)], 6)
     trace = 1.0 - pair_measures(sq_a, sq_b, 6)["trace_deficit"]
     assert trace == pytest.approx(_block_eigenvalues(diag, off, False).sum(), abs=1e-14)
     assert trace == pytest.approx(np.trace(reduce(pair_state(0.7, 1.2, 6), OUT_PAIR)), abs=1e-14)
@@ -95,7 +95,7 @@ def test_spectrum_trace_check():
 def test_trace_deficit_matches_the_stacked_diagonal(r_a, r_b, n_max):
     # the deficit is taken from the families' tails, not from D; 1 - tr D cross-checks it
     sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
-    diag, _ = _stacked_blocks([(sq_a, sq_b)], n_max)
+    *_, diag, _ = _stacked_blocks([(sq_a, sq_b)], n_max)
     assert pair_measures(sq_a, sq_b, n_max)["trace_deficit"] == pytest.approx(1.0 - float(diag.sum()), abs=1e-14)
 
 

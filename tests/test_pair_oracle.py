@@ -28,7 +28,7 @@ from hawkpair.density import (
     pair_measures,
 )
 from hawkpair.kinematics import _CHUNK_CELLS, make_squeeze
-from hawkpair.sweep import SweepConfig, run_sweep
+from hawkpair.sweep import SweepConfig, compare_closed_vs_numeric, run_point, run_sweep
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -47,18 +47,21 @@ properties = settings(max_examples=60, deadline=None, derandomize=True, database
 
 def pair_blocks(sq_a, sq_b, n_max):
     """D and C of one point: `_stacked_blocks` of that pair alone."""
-    diag, off = _stacked_blocks([(sq_a, sq_b)], n_max)
+    *_, diag, off = _stacked_blocks([(sq_a, sq_b)], n_max)
     return diag[0], off[0]
+
+
+def block_diagonals(diag, off):
+    """Each block's diagonal and off-diagonal, k = -N..N."""
+    n = diag.shape[0] - 1
+    return [(np.diagonal(diag, k), np.diagonal(off, k)) for k in range(-n, n + 1)]
 
 
 def per_block(diag, off):
     """Block spectra one eigvalsh call per block, k = -N..N, each ascending."""
-    n = diag.shape[0] - 1
-    spectra = []
-    for k in range(-n, n + 1):
-        d, e = np.diagonal(diag, k), np.diagonal(off, k)
-        spectra.append(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
-    return np.concatenate(spectra)
+    return np.concatenate(
+        [np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) for d, e in block_diagonals(diag, off)]
+    )
 
 
 def block_spectra(r_a, r_b, n_max):
@@ -117,9 +120,9 @@ def test_block_sizes_cover_the_truncated_space():
 
 
 def test_families_partition_the_columns():
-    # each family takes a stack of points' D and C, here of one point
-    diag, off = (m[None] for m in pair_blocks(make_squeeze(0.9), make_squeeze(0.4), 7))
-    families = (marginal_entropies(diag)[0], negativity(diag, off)[0], joint_entropy(diag, off, False)[0])
+    # each family takes a stack of points' amplitude rows or D and C, here of one point
+    v2, o_prev2, diag, off = _stacked_blocks([(make_squeeze(0.9), make_squeeze(0.4))], 7)
+    families = (marginal_entropies(v2, o_prev2)[0], negativity(diag, off)[0], joint_entropy(diag, off, False)[0])
     names = [name for family in families for name in family]
     assert sorted(names + ["i_num", "trace_deficit"]) == sorted(COLUMNS)
     got = pair_measures(make_squeeze(0.9), make_squeeze(0.4), 7)
@@ -343,7 +346,62 @@ def test_negativity_falls_along_rays(ratio):
 def test_symmetric_pair_has_equal_marginals(r, n_max):
     sq = make_squeeze(r)
     got = pair_measures(sq, sq, n_max)
-    assert abs(got["s_a_num"] - got["s_b_num"]) <= 1e-14
+    assert got["s_a_num"] == got["s_b_num"]
+
+
+# fig2's last oracle row at its cutoff, with Bob less squeezed
+@properties
+@example(r_a=1.65, r_b=0.8, n_max=191)
+@given(r_a=squeezing, r_b=squeezing, n_max=block_cutoffs)
+def test_swapping_alice_and_bob_swaps_the_marginals(r_a, r_b, n_max):
+    a, b = make_squeeze(r_a), make_squeeze(r_b)
+    got, swapped = pair_measures(a, b, n_max), pair_measures(b, a, n_max)
+    assert (got["s_a_num"].hex(), got["s_b_num"].hex()) == (swapped["s_b_num"].hex(), swapped["s_a_num"].hex())
+
+
+# with rho_B taken as D's column sums, r = 0.3 at N = 14 gave diff_s_b =
+# 0.21321592975807513 beside diff_s_a = 0.21321592975807535
+@properties
+@example(r=0.3, n_max=14)
+@given(r=squeezing, n_max=cutoffs)
+def test_symmetric_compare_has_equal_marginal_gaps(r, n_max):
+    report = compare_closed_vs_numeric(run_point(r, cutoff=SeriesConfig(n_max=n_max)))
+    assert report.diff_s_b == report.diff_s_a
+
+
+def gershgorin_clears(d, e):
+    """Whether the row test d_j - |e_(j-1)| - |e_j| >= 0 holds on every row of
+    the tridiagonal block with diagonal d and off-diagonal e, so that every
+    Gershgorin disc, and hence every eigenvalue, lies in [0, inf)."""
+    e = np.abs(np.concatenate(([0.0], e, [0.0])))
+    return bool(np.all(d - e[:-1] - e[1:] >= 0.0))
+
+
+def gershgorin_cleared_minima(r_a, r_b, n_max):
+    """The smallest eigenvalue, in the oracle's own partial-transpose spectra,
+    of each block the row test clears."""
+    diag, off = pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
+    _, pt = block_spectra(r_a, r_b, n_max)
+    blocks = block_diagonals(diag[:, ::-1], off[:, ::-1])
+    spectra = np.split(pt, np.cumsum([len(d) for d, _ in blocks])[:-1])
+    return [lam.min() for (d, e), lam in zip(blocks, spectra, strict=True) if gershgorin_clears(d, e)]
+
+
+# a block the row test clears may be left out of the negativity sums: no
+# cleared block has a negative eigenvalue, so leaving it out changes no value
+@properties
+@given(r_a=squeezing, r_b=squeezing, n_max=st.integers(min_value=1, max_value=60))
+def test_gershgorin_cleared_blocks_have_no_negative_eigenvalue(r_a, r_b, n_max):
+    assert min(gershgorin_cleared_minima(r_a, r_b, n_max), default=0.0) >= 0.0
+
+
+# r = 1.6 at fig2's largest oracle cutoff, symmetric and with Bob less
+# squeezed; about half of the 383 blocks are cleared
+@pytest.mark.parametrize("r_b,cleared", [(1.6, 198), (0.8, 193)])
+def test_gershgorin_cleared_blocks_at_fig2_cutoff(r_b, cleared):
+    minima = gershgorin_cleared_minima(1.6, r_b, 191)
+    assert len(minima) == cleared
+    assert min(minima) >= 0.0
 
 
 @properties
@@ -431,7 +489,8 @@ def test_stacks_stay_within_the_budget(monkeypatch):
 
 
 def blocks_point_by_point(sq_a, sq_b, n_max):
-    """D and C of one point from its amplitudes term by term and np.outer."""
+    """The squared amplitude rows, D and C of one point from its amplitudes
+    term by term and np.outer."""
     k = np.arange(n_max + 1)
     (va, oa), (vb, ob) = (
         (sq.tanh_r**k / sq.cosh_r, np.append(np.sqrt(k[:-1] + 1.0) * sq.tanh_r ** k[:-1] / sq.cosh_r**2, 0.0))
@@ -439,7 +498,8 @@ def blocks_point_by_point(sq_a, sq_b, n_max):
     )
     oa_prev, ob_prev = np.append(0.0, oa[:-1]), np.append(0.0, ob[:-1])
     diag = 0.5 * (np.outer(va**2, vb**2) + np.outer(oa_prev**2, ob_prev**2))
-    return diag, 0.5 * np.outer((va * oa)[:-1], (vb * ob)[:-1])
+    rows = np.array([va**2, vb**2]), np.array([oa_prev**2, ob_prev**2])
+    return (*rows, diag, 0.5 * np.outer((va * oa)[:-1], (vb * ob)[:-1]))
 
 
 def entropy_bits_masked(eigenvalues):
@@ -456,8 +516,15 @@ def entropy_bits_masked(eigenvalues):
     return s if s > 0.0 else 0.0
 
 
-def marginals_point_by_point(diag):
-    return [{"s_a_num": _entropy_bits(d.sum(axis=1)), "s_b_num": _entropy_bits(d.sum(axis=0))} for d in diag]
+def marginals_point_by_point(v2, o_prev2):
+    """Each point's marginals one side at a time: rho_A(a) = (V_a(a)^2
+    sum V_b^2 + O_a(a-1)^2 sum O_b(b-1)^2) / 2, and rho_B the same with the
+    sides swapped."""
+    out = []
+    for (va, vb), (oa, ob) in zip(v2, o_prev2):
+        rho_a, rho_b = (0.5 * (v * np.sum(w) + o * np.sum(p)) for v, o, w, p in ((va, oa, vb, ob), (vb, ob, va, oa)))
+        out.append({"s_a_num": _entropy_bits(rho_a), "s_b_num": _entropy_bits(rho_b)})
+    return out
 
 
 # symmetric and asymmetric pairs, r = 0 on either side; at r = 1.5225,
@@ -468,19 +535,20 @@ CHUNK_PAIRS = [(0.0, 0.0), (0.0, 0.9), (1.3, 0.0), (0.7, 0.3), (1.2, 1.2), (0.4,
 @pytest.mark.parametrize("n_max", (1, 2) + NEAR_MULTIPLES_OF_8 + (191,))
 def test_chunk_blocks_equal_the_point_by_point_ones(n_max):
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
-    diag, off = _stacked_blocks(pairs, n_max)
+    v2, o_prev2, diag, off = _stacked_blocks(pairs, n_max)
+    assert v2.shape == o_prev2.shape == (len(pairs), 2, n_max + 1)
     assert diag.shape == (len(pairs), n_max + 1, n_max + 1) and off.shape == (len(pairs), n_max, n_max)
-    for pair, d, c in zip(pairs, diag, off):
-        want_d, want_c = blocks_point_by_point(*pair, n_max)
-        assert np.array_equal(d, want_d) and np.array_equal(c, want_c), (pair[0].r, pair[1].r)
+    for pair, *got in zip(pairs, v2, o_prev2, diag, off):
+        want = blocks_point_by_point(*pair, n_max)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True)), (pair[0].r, pair[1].r)
         one_d, one_c = pair_blocks(*pair, n_max)
-        assert np.array_equal(one_d, want_d) and np.array_equal(one_c, want_c)
+        assert np.array_equal(one_d, want[2]) and np.array_equal(one_c, want[3])
 
 
 def test_chunk_spectra_are_contiguous_rows():
     # each point's spectrum is reduced on its own, from a C-contiguous row
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
-    diag, off = _stacked_blocks(pairs, 9)
+    *_, diag, off = _stacked_blocks(pairs, 9)
     for spectra in (_block_eigenvalues(diag, off, False), _block_eigenvalues(diag[..., ::-1], off[..., ::-1], False)):
         assert spectra.shape == (len(pairs), 100) and spectra.flags.c_contiguous
 
@@ -493,13 +561,24 @@ def test_entropy_and_marginals_equal_the_plain_reductions():
         assert repr(_entropy_bits(lam)) == repr(entropy_bits_masked(lam))
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
     for n_max in (1, 9, 40):
-        diag, _ = _stacked_blocks(pairs, n_max)
-        assert marginal_entropies(diag) == marginals_point_by_point(diag)
+        v2, o_prev2, _, _ = _stacked_blocks(pairs, n_max)
+        assert marginal_entropies(v2, o_prev2) == marginals_point_by_point(v2, o_prev2)
+
+
+@pytest.mark.parametrize("n_max", (1, 2) + NEAR_MULTIPLES_OF_8 + (191,))
+def test_marginals_are_the_entropies_of_the_row_and_column_sums_of_d(n_max):
+    # the per-side rule is rho_A and rho_B summed in another order, so the
+    # entropies agree to rounding
+    pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
+    v2, o_prev2, diag, _ = _stacked_blocks(pairs, n_max)
+    for got, d in zip(marginal_entropies(v2, o_prev2), diag, strict=True):
+        assert got["s_a_num"] == pytest.approx(_entropy_bits(d.sum(axis=1)), rel=1e-14, abs=1e-15)
+        assert got["s_b_num"] == pytest.approx(_entropy_bits(d.sum(axis=0)), rel=1e-14, abs=1e-15)
 
 
 def test_oracle_equals_its_point_by_point_set_up(monkeypatch):
-    # every value, at full precision, equals the oracle fed point-by-point D
-    # and C, plain entropies and per-point row and column sums
+    # every value, at full precision, equals the oracle fed point-by-point
+    # amplitude rows, D and C, plain entropies and per-point, per-side marginals
     points = [(make_squeeze(r_a), make_squeeze(r_b), n) for n in (1, 8, 9, 14, 33) for r_a, r_b in CHUNK_PAIRS]
     points += [(make_squeeze(1.6), make_squeeze(r_b), 191) for r_b in (1.6, 0.8)]
     got = oracle(points)

@@ -1,4 +1,5 @@
-"""Property tests of the closed-form series against their term-by-term sums."""
+"""Property tests of the closed-form series: against their term-by-term sums,
+the cutoff rule, and the swap of Alice and Bob."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hawkpair import closed_form
 from hawkpair.closed_form import HARD_SERIES_CAP, SeriesConfig, resolve_cutoff, s_ab_closed
 from hawkpair.kinematics import make_squeeze
+from hawkpair.sweep import run_point
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -54,3 +56,12 @@ def test_resolve_cutoff_is_the_smallest_cutoff_that_passes(r, log10_tol):
         got = resolve_cutoff(sq, sq, SeriesConfig(tail_tol=tol))
         assert passes(x, tol, got), (r, tol, got)
         assert got == 1 or not passes(x, tol, got - 1), (r, tol, got)
+
+
+# out to r = 6, where each side's marginal takes its own cutoff and the
+# Euler-Maclaurin paths run
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(r_a=st.floats(min_value=0.0, max_value=6.0), r_b=st.floats(min_value=0.0, max_value=6.0))
+def test_swapping_alice_and_bob_swaps_the_closed_marginals(r_a, r_b):
+    got, swapped = (run_point(r, other, methods=("closed",)) for r, other in ((r_a, r_b), (r_b, r_a)))
+    assert (got.s_a_closed.hex(), got.s_b_closed.hex()) == (swapped.s_b_closed.hex(), swapped.s_a_closed.hex())
