@@ -25,27 +25,27 @@ So rho_AB has the diagonal D[a, b] = (V_a(a)^2 V_b(b)^2 +
 O_a(a-1)^2 O_b(b-1)^2) / 2, the coupling C[n, q] = V_a(n) O_a(n) V_b(q)
 O_b(q) / 2 between (n, q) and (n+1, q+1), and nothing else: it is a direct
 sum of symmetric tridiagonal blocks of constant a - b, running along the
-diagonals of D and C. The partial transpose on B moves each coupling to
-(n, q+1)-(n+1, q), so its blocks have constant a + b and run along the
-diagonals of the column-flipped D and C. rho_A is diagonal, D's rows summed:
+diagonals of D and C, the outer products of each side's rows V(k)^2,
+O(k-1)^2 and V(k) O(k). The partial transpose on B moves each coupling to
+(n, q+1)-(n+1, q): its blocks, of constant a + b, are rho_AB's with Bob's
+sites q reversed to N - q. rho_A is diagonal, D's rows summed:
 p_A(a) = (V_a(a)^2 sum_b V_b(b)^2 + O_a(a-1)^2 sum_b O_b(b-1)^2) / 2, and
 rho_B is the same rule with the sides swapped.
 
 Points of one cutoff and symmetry are batched under the budget the series
 share (kinematics._batches), a point counted at its largest array, the
-(2N+1)(N+1) block diagonals `_block_eigenvalues` gathers. Each chunk is set
-up once: `_stacked_blocks` builds the amplitude rows, D and C of all its
-points in one broadcast, and one function per column family reads the stack:
-`marginal_entropies` (s_a_num, s_b_num) the amplitude rows, `negativity`
-(neg_sum_num, e_n_num) the partial-transpose blocks and `joint_entropy`
-(s_ab_num) the rho_AB blocks. trace_deficit = 1 - tr D is not summed from D
-but taken from the families' tails (kinematics._trace_deficit): the
-vacuum's past n = N, the one particle's past k = N - 1, since O(N) = 0.
-`_block_eigenvalues` solves the blocks of all points of a chunk by their
-exact length: blocks k and -k have length N + 1 - |k|, and each length is
-one `eigvalsh` call. Each point's spectrum is then reduced on its own, so
-its values do not depend on the batch. Entropies are in bits. `oracle`
-refuses a cutoff past NUMERIC_CAP, its cost limit, with
+(2N+1)(N+1) block diagonals `_block_eigenvalues` gathers. A chunk's
+`_side_rows` are Alice's `a` and Bob's `b` (`b = a` at a symmetric chunk),
+and each column family reads both: `marginal_entropies` (s_a_num, s_b_num)
+rho_A's rule on (a, b) and on (b, a), `negativity` (neg_sum_num, e_n_num)
+the blocks with Bob's rows reversed and `joint_entropy` (s_ab_num) the
+rho_AB blocks. Only `_block_eigenvalues` forms D and C; it solves a chunk's
+blocks by their exact length N + 1 - |k|, one `eigvalsh` call per length,
+and each point's spectrum is reduced on its own, so its values do not
+depend on the batch. trace_deficit = 1 - tr D is taken from the families'
+tails (kinematics._trace_deficit), not summed from D: the vacuum's past
+n = N, the one particle's past k = N - 1, since O(N) = 0. Entropies are in
+bits. `oracle` refuses a cutoff past NUMERIC_CAP, its cost limit, with
 NumericCapError before it builds anything.
 """
 
@@ -89,18 +89,28 @@ def _entropy_bits(eigenvalues) -> float:
     return s if s > 0.0 else 0.0  # also maps -0.0 to 0.0
 
 
-def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool) -> np.ndarray:
-    """Eigenvalues of every symmetric tridiagonal block whose diagonal runs
-    along a diagonal k = -N..N of `diag` and whose off-diagonal runs along the
-    same diagonal of `off` (one row and column smaller), block after block,
-    each block's ascending: entry j of block k is read at
-    (j + max(-k, 0), j + max(k, 0)). `diag` and `off` may carry leading point
-    axes; each point's spectrum is a C-contiguous row of the result.
+def _side_rows(squeezings, n_max: int) -> tuple:
+    """One side's rows, one per squeezing: V(k)^2, O(k-1)^2 (O(-1) = 0) and
+    V(k) O(k) for k < N, with V and O of `fock.amplitude_rows`."""
+    v, o = amplitude_rows(squeezings, n_max)
+    o_prev2 = np.zeros(o.shape)
+    o_prev2[:, 1:] = o[:, :-1] ** 2
+    return v**2, o_prev2, (v * o)[:, :-1]
+
+
+def _block_eigenvalues(a: tuple, b: tuple) -> np.ndarray:
+    """Eigenvalues of every block of the pairs with Alice's rows `a` and Bob's
+    rows `b` (`_side_rows` of the same points), each point's a C-contiguous
+    row of the result, block after block, each block's ascending. D and C are
+    formed here, as outer products of the sides, and block k = -N..N runs
+    along their diagonal k: its entry j is read at (j + max(-k, 0), j + max(k, 0)).
 
     Blocks are solved by their exact length N + 1 - |k|, one `eigvalsh` call
-    per length for blocks -k and k of all points. When `mirrored` (for `diag`
-    and `off` symmetric, so blocks k and -k are equal) only k >= 0 is solved.
-    """
+    per length for blocks -k and k of all points. When `b is a`, D and C are
+    symmetric, so blocks k and -k are equal and only k >= 0 is solved."""
+    (v2_a, o2_a, vo_a), (v2_b, o2_b, vo_b) = a, b
+    diag = 0.5 * (v2_a[:, :, None] * v2_b[:, None, :] + o2_a[:, :, None] * o2_b[:, None, :])
+    off = 0.5 * (vo_a[:, :, None] * vo_b[:, None, :])
     n = diag.shape[-1] - 1
     # row k + n of d and c holds block k, its indices clipped past its end
     ks = np.arange(-n, n + 1)[:, None]
@@ -110,7 +120,7 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool) -> np.
     solved = []
     for size in range(1, n + 2):
         k = n + 1 - size
-        at = slice(n + k, n + k + 1) if mirrored or not k else slice(n - k, n + k + 1, 2 * k)
+        at = slice(n + k, n + k + 1) if b is a or not k else slice(n - k, n + k + 1, 2 * k)
         blocks = d[..., at, :size]
         stack = np.zeros(blocks.shape + (size,))
         # eigvalsh reads the lower triangle only
@@ -122,39 +132,28 @@ def _block_eigenvalues(diag: np.ndarray, off: np.ndarray, mirrored: bool) -> np.
     return np.concatenate([lam[..., 0, :] for lam in solved] + [lam[..., -1, :] for lam in solved[-2::-1]], axis=-1)
 
 
-def _stacked_blocks(pairs, n_max: int):
-    """Each (sq_a, sq_b) pair's squared amplitude rows V(k)^2 and O(k-1)^2
-    (sides Alice, Bob) and matrices D (diagonal of rho_AB) and C (its coupling)
-    of the module docstring, stacked on a leading point axis in one broadcast."""
-    v, o = (x.reshape(-1, 2, n_max + 1) for x in amplitude_rows([sq for pair in pairs for sq in pair], n_max))
-    v2 = v**2
-    o_prev2 = np.zeros(o.shape)
-    o_prev2[..., 1:] = o[..., :-1] ** 2
-    vo = (v * o)[..., :-1]
-    diag = 0.5 * (v2[:, 0, :, None] * v2[:, 1, None, :] + o_prev2[:, 0, :, None] * o_prev2[:, 1, None, :])
-    off = 0.5 * (vo[:, 0, :, None] * vo[:, 1, None, :])
-    return v2, o_prev2, diag, off
+def marginal_entropies(a: tuple, b: tuple) -> list:
+    """Each point's s_a_num and s_b_num by rho_A's rule (O(N)) on (a, b) and on
+    (b, a): swapping Alice and Bob swaps the two values bit for bit."""
+    rho_a, rho_b = (
+        0.5 * (v2 * w2.sum(axis=-1)[:, None] + o2 * p2.sum(axis=-1)[:, None])
+        for (v2, o2, _), (w2, p2, _) in ((a, b), (b, a))
+    )
+    return [{"s_a_num": _entropy_bits(x), "s_b_num": _entropy_bits(y)} for x, y in zip(rho_a, rho_b)]
 
 
-def marginal_entropies(v2: np.ndarray, o_prev2: np.ndarray) -> list:
-    """Each point's s_a_num and s_b_num, both sides by rho_A's rule (O(N)) with the other side's sums:
-    swapping Alice and Bob swaps the two values bit for bit."""
-    rho = 0.5 * (v2 * v2.sum(axis=-1)[:, ::-1, None] + o_prev2 * o_prev2.sum(axis=-1)[:, ::-1, None])
-    return [{"s_a_num": _entropy_bits(a), "s_b_num": _entropy_bits(b)} for a, b in rho]
-
-
-def negativity(diag: np.ndarray, off: np.ndarray) -> list:
-    """Each point's neg_sum_num = -(sum of the partial transpose's negative eigenvalues) and e_n_num = 2|lambda_min|."""
+def negativity(a: tuple, b: tuple) -> list:
+    """Each point's neg_sum_num = -(sum of the partial transpose's negative
+    eigenvalues) and e_n_num = 2|lambda_min|: the blocks with Bob's sites reversed."""
     return [
         {"neg_sum_num": max(0.0, float(-pt[pt < 0.0].sum())), "e_n_num": max(0.0, -2.0 * float(pt.min()))}
-        for pt in _block_eigenvalues(diag[..., ::-1], off[..., ::-1], False)
+        for pt in _block_eigenvalues(a, tuple(x[:, ::-1] for x in b))
     ]
 
 
-def joint_entropy(diag: np.ndarray, off: np.ndarray, mirrored: bool) -> list:
-    """Each point's s_ab_num; `mirrored` at symmetric points, which solve
-    each mirrored block pair once."""
-    return [{"s_ab_num": _entropy_bits(ab)} for ab in _block_eigenvalues(diag, off, mirrored)]
+def joint_entropy(a: tuple, b: tuple) -> list:
+    """Each point's s_ab_num; with `b is a`, each mirrored block pair is solved once."""
+    return [{"s_ab_num": _entropy_bits(ab)} for ab in _block_eigenvalues(a, b)]
 
 
 def oracle(points) -> list:
@@ -179,8 +178,9 @@ def oracle(points) -> list:
     out: list = [None] * len(points)
     for chunk in _batches(keys, lambda key: (2 * key[0] + 1) * (key[0] + 1)):
         n_max, symmetric = keys[chunk[0]]
-        v2, o_prev2, diag, off = _stacked_blocks([points[i][:2] for i in chunk], n_max)
-        families = zip(negativity(diag, off), marginal_entropies(v2, o_prev2), joint_entropy(diag, off, symmetric))
+        a = _side_rows([points[i][0] for i in chunk], n_max)
+        b = a if symmetric else _side_rows([points[i][1] for i in chunk], n_max)
+        families = zip(negativity(a, b), marginal_entropies(a, b), joint_entropy(a, b))
         for i, (neg, marg, joint) in zip(chunk, families):
             out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}
             out[i]["trace_deficit"] = _trace_deficit(*points[i][:2], n_max + 1, n_max)

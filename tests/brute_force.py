@@ -2,9 +2,12 @@
 reduced and partially transposed as dense matrices, solved by
 `np.linalg.eigvalsh`.
 
-It shares nothing with the block structure of `hawkpair.density`: no D or C,
-no diagonal reads, no padding. A pair state's axes are
-[A_in, A_out, B_in, B_out].
+The dense pair state shares nothing with the block structure of
+`hawkpair.density`: no D or C, no diagonal reads, no padding. A pair state's
+axes are [A_in, A_out, B_in, B_out]. For the block tests, `pair_blocks`
+gives one point's D and C of `hawkpair.density`'s docstring by np.outer of
+each side's rows taken term by term (`rows_term_by_term`), not by the
+library's row builder.
 """
 
 from decimal import Decimal
@@ -33,6 +36,22 @@ def pair_state(r_a, r_b, n_max):
     """(vac_A vac_B + one_A one_B) / sqrt(2)."""
     (vac_a, one_a), (vac_b, one_b) = kruskal_states(r_a, n_max), kruskal_states(r_b, n_max)
     return (np.einsum("ab,cd->abcd", vac_a, vac_b) + np.einsum("ab,cd->abcd", one_a, one_b)) / np.sqrt(2.0)
+
+
+def rows_term_by_term(sq, n_max):
+    """One side's rows V(k)^2, O(k-1)^2 (O(-1) = 0) and V(k) O(k) (k < N), with
+    V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2 (O(N) = 0) term by term."""
+    k = np.arange(n_max + 1)
+    v = sq.tanh_r**k / sq.cosh_r
+    o = np.append(np.sqrt(k[:-1] + 1.0) * sq.tanh_r ** k[:-1] / sq.cosh_r**2, 0.0)
+    return v**2, np.append(0.0, o[:-1]) ** 2, (v * o)[:-1]
+
+
+def pair_blocks(sq_a, sq_b, n_max):
+    """D (the diagonal of rho_AB) and C (its coupling) of one point, by np.outer
+    of the two sides' `rows_term_by_term`."""
+    (va2, oa2, voa), (vb2, ob2, vob) = rows_term_by_term(sq_a, n_max), rows_term_by_term(sq_b, n_max)
+    return 0.5 * (np.outer(va2, vb2) + np.outer(oa2, ob2)), 0.5 * np.outer(voa, vob)
 
 
 def reduce(psi, keep):

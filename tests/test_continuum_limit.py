@@ -9,13 +9,22 @@ and P_nq to e^(-u-v) (1 + uv) / (2C), so at a symmetric point
 
 each approached as 1 / cosh^2 r. Nothing here shares code with the
 Euler-Maclaurin rules that sum fig3's large-r points.
+
+The exact marginal (the oracle's per-side rule, which needs no eigensolve) is
+the mixture (1 + u) e^-u / 2 of the two families, not the two taken as
+orthogonal, so the closed s_a overstates it by a gap that tends to
+(gamma + G) / (2 ln 2), G = e E_1(1) the Gompertz constant.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from hawkpair.closed_form import SeriesConfig, resolve_cutoff, s_a_closed
+from hawkpair.density import _side_rows, marginal_entropies
+from hawkpair.kinematics import make_squeeze
 from hawkpair.sweep import run_point
 
 EULER_GAMMA = 0.5772156649015329
@@ -57,3 +66,41 @@ def test_fig3_tail_approaches_the_continuum_limit(r):
     # measured -0.7276 up to -0.7214
     s_a_limit = 1.0 + math.log2(cosh2) + (2.0 + EULER_GAMMA) / (2.0 * LN2)
     assert abs((row.s_a_closed - s_a_limit) * cosh2 + 1.0 / (2.0 * LN2)) <= 0.007
+
+
+def marginal_gap_limit():
+    """(gamma + G) / (2 ln 2) in 40 digits, G = e E_1(1) with
+    E_1(1) = -gamma - sum_(k >= 1) (-1)^k / (k k!)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        gamma = Decimal("0.5772156649015328606065120900824024310422")
+        term, tail = Decimal(1), Decimal(0)
+        for k in range(1, 40):
+            term /= -k  # (-1)^k / k!
+            tail += term / k
+        return (gamma + Decimal(1).exp() * (-gamma - tail)) / (2 * Decimal(2).ln())
+
+
+MARGINAL_GAP_LIMIT = marginal_gap_limit()
+
+
+def test_marginal_gap_limit():
+    assert abs(MARGINAL_GAP_LIMIT - Decimal("0.84654677977")) < Decimal("5e-12")
+
+
+# symmetric points at their resolved cutoffs, each gap to the digits printed in
+# the roadmap's table; r = 6 is fig3's last point, one row of 1.5e6 floats a side
+@pytest.mark.parametrize(
+    "r,n_max,gap",
+    [(1.0, 49, "0.6912"), (2.5, 1114, "0.84051"), (3.0, 3134, "0.84438"), (3.5, 8802, "0.84576")]
+    + [(6.0, 1515955, "0.846541")],
+)
+def test_closed_marginal_overstates_the_exact_one(r, n_max, gap):
+    sq, cfg = make_squeeze(r), SeriesConfig(tail_tol=1e-10)
+    assert resolve_cutoff(sq, sq, cfg) == n_max
+    rows = _side_rows([sq], n_max)
+    got = s_a_closed(sq, cfg) - marginal_entropies(rows, rows)[0]["s_a_num"]
+    assert f"{got:.{len(gap) - 2}f}" == gap
+    if r >= 2.5:
+        # approached as 1 / cosh^2 r: measured 0.2269, 0.2200, 0.2171 and 0.2151
+        assert 0.21 <= (float(MARGINAL_GAP_LIMIT) - got) * math.cosh(r) ** 2 <= 0.23

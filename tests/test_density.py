@@ -11,12 +11,13 @@ from brute_force import (
     entropy_bits,
     kruskal_states,
     measures,
+    pair_blocks,
     pair_state,
     partial_transpose,
     reduce,
 )
 
-from hawkpair.density import _block_eigenvalues, _entropy_bits, _stacked_blocks, pair_measures
+from hawkpair.density import _block_eigenvalues, _entropy_bits, _side_rows, pair_measures
 from hawkpair.kinematics import make_squeeze
 
 
@@ -85,17 +86,18 @@ def test_product_density_is_ppt():
 
 def test_spectrum_trace_check():
     sq_a, sq_b = make_squeeze(0.7), make_squeeze(1.2)
-    *_, diag, off = _stacked_blocks([(sq_a, sq_b)], 6)
     trace = 1.0 - pair_measures(sq_a, sq_b, 6)["trace_deficit"]
-    assert trace == pytest.approx(_block_eigenvalues(diag, off, False).sum(), abs=1e-14)
+    spectra = _block_eigenvalues(_side_rows([sq_a], 6), _side_rows([sq_b], 6))
+    assert trace == pytest.approx(spectra.sum(), abs=1e-14)
     assert trace == pytest.approx(np.trace(reduce(pair_state(0.7, 1.2, 6), OUT_PAIR)), abs=1e-14)
 
 
 @pytest.mark.parametrize("r_a,r_b,n_max", [(0.0, 0.0, 1), (0.0, 0.9, 3), (0.4, 0.4, 14), (1.65, 1.65, 60), (2.5, 0.3, 30)])
 def test_trace_deficit_matches_the_stacked_diagonal(r_a, r_b, n_max):
-    # the deficit is taken from the families' tails, not from D; 1 - tr D cross-checks it
+    # the deficit is taken from the families' tails, not from D; 1 - tr D, with D
+    # built term by term, cross-checks it
     sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
-    *_, diag, _ = _stacked_blocks([(sq_a, sq_b)], n_max)
+    diag, _ = pair_blocks(sq_a, sq_b, n_max)
     assert pair_measures(sq_a, sq_b, n_max)["trace_deficit"] == pytest.approx(1.0 - float(diag.sum()), abs=1e-14)
 
 

@@ -10,7 +10,17 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from brute_force import OUT_PAIR, decimal_tanh2, measures, mode_amplitudes, pair_state, reduce, within_last_digit
+from brute_force import (
+    OUT_PAIR,
+    decimal_tanh2,
+    measures,
+    mode_amplitudes,
+    pair_blocks,
+    pair_state,
+    reduce,
+    rows_term_by_term,
+    within_last_digit,
+)
 
 import hawkpair
 from hawkpair import density, sweep
@@ -20,7 +30,7 @@ from hawkpair.density import (
     NumericCapError,
     _block_eigenvalues,
     _entropy_bits,
-    _stacked_blocks,
+    _side_rows,
     joint_entropy,
     marginal_entropies,
     negativity,
@@ -45,10 +55,21 @@ NEAR_MULTIPLES_OF_8 = (7, 8, 9, 15, 16, 17, 31, 32, 33)
 properties = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def pair_blocks(sq_a, sq_b, n_max):
-    """D and C of one point: `_stacked_blocks` of that pair alone."""
-    *_, diag, off = _stacked_blocks([(sq_a, sq_b)], n_max)
-    return diag[0], off[0]
+def side_rows(sq_a, sq_b, n_max):
+    """The library's rows of one point, Alice's and Bob's; at a symmetric point
+    Bob's are Alice's own, as `oracle` passes them."""
+    a = _side_rows([sq_a], n_max)
+    return a, a if sq_a == sq_b else _side_rows([sq_b], n_max)
+
+
+def chunk_rows(pairs, n_max):
+    """The library's rows of a chunk of (sq_a, sq_b) pairs, Alice's and Bob's."""
+    return tuple(_side_rows(side, n_max) for side in zip(*pairs))
+
+
+def reversed_sites(b):
+    """Bob's rows with his sites reversed, as `negativity` reads them."""
+    return tuple(x[:, ::-1] for x in b)
 
 
 def block_diagonals(diag, off):
@@ -67,12 +88,8 @@ def per_block(diag, off):
 def block_spectra(r_a, r_b, n_max):
     """The block spectra of rho_AB (mirrored at a symmetric point, as the joint
     family solves them) and of its partial transpose on B."""
-    sq_a, sq_b = make_squeeze(r_a), make_squeeze(r_b)
-    diag, off = pair_blocks(sq_a, sq_b, n_max)
-    return (
-        _block_eigenvalues(diag, off, sq_a == sq_b),
-        _block_eigenvalues(diag[:, ::-1], off[:, ::-1], False),
-    )
+    a, b = side_rows(make_squeeze(r_a), make_squeeze(r_b), n_max)
+    return _block_eigenvalues(a, b)[0], _block_eigenvalues(a, reversed_sites(b))[0]
 
 
 def assert_matches_per_block(r_a, r_b, n_max):
@@ -120,9 +137,9 @@ def test_block_sizes_cover_the_truncated_space():
 
 
 def test_families_partition_the_columns():
-    # each family takes a stack of points' amplitude rows or D and C, here of one point
-    v2, o_prev2, diag, off = _stacked_blocks([(make_squeeze(0.9), make_squeeze(0.4))], 7)
-    families = (marginal_entropies(v2, o_prev2)[0], negativity(diag, off)[0], joint_entropy(diag, off, False)[0])
+    # each family takes a stack of points' rows, Alice's and Bob's, here of one point
+    a, b = side_rows(make_squeeze(0.9), make_squeeze(0.4), 7)
+    families = (marginal_entropies(a, b)[0], negativity(a, b)[0], joint_entropy(a, b)[0])
     names = [name for family in families for name in family]
     assert sorted(names + ["i_num", "trace_deficit"]) == sorted(COLUMNS)
     got = pair_measures(make_squeeze(0.9), make_squeeze(0.4), 7)
@@ -253,9 +270,9 @@ def test_oracle_columns_are_right_to_their_printed_digits(r_a, r_b, n_max, joint
 
 def test_rejects_cutoff_below_one(monkeypatch):
     def no_blocks(*args):
-        raise AssertionError("blocks built before the cutoffs were checked")
+        raise AssertionError("rows built before the cutoffs were checked")
 
-    monkeypatch.setattr(density, "_stacked_blocks", no_blocks)
+    monkeypatch.setattr(density, "_side_rows", no_blocks)
     sq = make_squeeze(0.5)
     for n_max in (0, -3):
         with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
@@ -267,9 +284,9 @@ def test_rejects_cutoff_below_one(monkeypatch):
 
 def test_oracle_refuses_a_cutoff_past_its_cap_before_building(monkeypatch):
     def no_blocks(*args):
-        raise AssertionError("blocks built before the cutoffs were checked")
+        raise AssertionError("rows built before the cutoffs were checked")
 
-    monkeypatch.setattr(density, "_stacked_blocks", no_blocks)
+    monkeypatch.setattr(density, "_side_rows", no_blocks)
     sq = make_squeeze(0.5)
     with pytest.raises(NumericCapError, match=f"needs cutoff {NUMERIC_CAP + 1}, above the oracle cap of {NUMERIC_CAP}"):
         pair_measures(sq, sq, NUMERIC_CAP + 1)
@@ -319,8 +336,7 @@ def test_structured_oracle_invariants(r_a, r_b, n_max):
 
 
 def negativity_at(r_a, r_b, n_max):
-    diag, off = pair_blocks(make_squeeze(r_a), make_squeeze(r_b), n_max)
-    return negativity(diag[None], off[None])[0]
+    return negativity(*side_rows(make_squeeze(r_a), make_squeeze(r_b), n_max))[0]
 
 
 @properties
@@ -416,16 +432,27 @@ def test_stacked_blocks_match_per_block_solve_near_multiples_of_8(r_a, r_b, n_ma
     assert_matches_per_block(r_a, r_b, n_max)
 
 
-@pytest.mark.parametrize("n_max", (1,) + NEAR_MULTIPLES_OF_8 + (64,))
+# a symmetric chunk with r = 0 and fig2's last oracle row in it
+SYMMETRIC_CHUNK = (1.1, 0.0, 0.4, 1.65)
+
+
+@pytest.mark.parametrize("n_max", (1,) + NEAR_MULTIPLES_OF_8 + (64, 191))
 def test_symmetric_point_solves_mirrored_blocks_once(monkeypatch, n_max):
-    sq = make_squeeze(1.1)
-    diag, off = pair_blocks(sq, sq, n_max)
-    unshared = _block_eigenvalues(diag, off, False)
-    assert np.array_equal(_block_eigenvalues(diag, off, True), unshared)
+    # Bob's rows passed as Alice's own solve blocks k = 0..N of every point; an
+    # equal copy is solved in full, and gives the same spectra bit for bit
+    squeezings = [make_squeeze(r) for r in SYMMETRIC_CHUNK]
+    a = _side_rows(squeezings, n_max)
+    unshared = _block_eigenvalues(a, tuple(x.copy() for x in a))
     shapes = counted_eigvalsh(monkeypatch)
-    assert pair_measures(sq, sq, n_max)["s_ab_num"] == _entropy_bits(unshared)
-    # rho_AB solves blocks k = 0..N, its partial transpose all 2N + 1
-    assert sum(count * blocks for count, blocks, _, _ in shapes) == (n_max + 1) + (2 * n_max + 1)
+    assert _block_eigenvalues(a, a).tobytes() == unshared.tobytes()
+    assert {count for count, *_ in shapes} == {len(squeezings)}
+    assert sum(blocks for _, blocks, _, _ in shapes) == n_max + 1
+    shapes.clear()
+    got = oracle([(sq, sq, n_max) for sq in squeezings])
+    assert [point["s_ab_num"] for point in got] == [_entropy_bits(ab) for ab in unshared]
+    # at each point rho_AB solves blocks k = 0..N, its partial transpose all 2N + 1
+    points = len(squeezings)
+    assert sum(count * blocks for count, blocks, _, _ in shapes) == points * ((n_max + 1) + (2 * n_max + 1))
 
 
 def assert_one_call_per_length(shapes, points, n_max, symmetric=False):
@@ -488,20 +515,6 @@ def test_stacks_stay_within_the_budget(monkeypatch):
     assert [count for count, *_ in shapes] == [2] * 90 + [1] * 90 + [1] * 3 * 92
 
 
-def blocks_point_by_point(sq_a, sq_b, n_max):
-    """The squared amplitude rows, D and C of one point from its amplitudes
-    term by term and np.outer."""
-    k = np.arange(n_max + 1)
-    (va, oa), (vb, ob) = (
-        (sq.tanh_r**k / sq.cosh_r, np.append(np.sqrt(k[:-1] + 1.0) * sq.tanh_r ** k[:-1] / sq.cosh_r**2, 0.0))
-        for sq in (sq_a, sq_b)
-    )
-    oa_prev, ob_prev = np.append(0.0, oa[:-1]), np.append(0.0, ob[:-1])
-    diag = 0.5 * (np.outer(va**2, vb**2) + np.outer(oa_prev**2, ob_prev**2))
-    rows = np.array([va**2, vb**2]), np.array([oa_prev**2, ob_prev**2])
-    return (*rows, diag, 0.5 * np.outer((va * oa)[:-1], (vb * ob)[:-1]))
-
-
 def entropy_bits_masked(eigenvalues):
     """_entropy_bits with an unconditional mask and no in-place steps."""
     lam = np.asarray(eigenvalues, dtype=float)
@@ -516,12 +529,12 @@ def entropy_bits_masked(eigenvalues):
     return s if s > 0.0 else 0.0
 
 
-def marginals_point_by_point(v2, o_prev2):
+def marginals_point_by_point(a, b):
     """Each point's marginals one side at a time: rho_A(a) = (V_a(a)^2
     sum V_b^2 + O_a(a-1)^2 sum O_b(b-1)^2) / 2, and rho_B the same with the
     sides swapped."""
     out = []
-    for (va, vb), (oa, ob) in zip(v2, o_prev2):
+    for va, oa, vb, ob in zip(a[0], a[1], b[0], b[1], strict=True):
         rho_a, rho_b = (0.5 * (v * np.sum(w) + o * np.sum(p)) for v, o, w, p in ((va, oa, vb, ob), (vb, ob, va, oa)))
         out.append({"s_a_num": _entropy_bits(rho_a), "s_b_num": _entropy_bits(rho_b)})
     return out
@@ -532,24 +545,47 @@ def marginals_point_by_point(v2, o_prev2):
 CHUNK_PAIRS = [(0.0, 0.0), (0.0, 0.9), (1.3, 0.0), (0.7, 0.3), (1.2, 1.2), (0.4, 1.65), (2.5, 2.5), (1.5225, 0.6)]
 
 
+def handed_blocks(a, b):
+    """The blocks `_block_eigenvalues(a, b)` hands to eigvalsh, k = -N..N, each
+    a (diagonal, off-diagonal) pair stacked over the points; nothing is solved."""
+    calls = []
+
+    def record(stack):
+        calls.append((np.diagonal(stack, 0, -2, -1).copy(), np.diagonal(stack, -1, -2, -1).copy()))
+        return np.zeros(stack.shape[:-1])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", record)
+        _block_eigenvalues(a, b)
+    # blocks -N..0 are the first of each length's call, blocks 1..N the last
+    return [(d[:, 0], e[:, 0]) for d, e in calls] + [(d[:, -1], e[:, -1]) for d, e in calls[-2::-1]]
+
+
 @pytest.mark.parametrize("n_max", (1, 2) + NEAR_MULTIPLES_OF_8 + (191,))
 def test_chunk_blocks_equal_the_point_by_point_ones(n_max):
+    # a chunk's rows equal each side's term by term, and the blocks it solves,
+    # of rho_AB and of its partial transpose, run along the diagonals of each
+    # point's D and C built term by term and of their column flips
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
-    v2, o_prev2, diag, off = _stacked_blocks(pairs, n_max)
-    assert v2.shape == o_prev2.shape == (len(pairs), 2, n_max + 1)
-    assert diag.shape == (len(pairs), n_max + 1, n_max + 1) and off.shape == (len(pairs), n_max, n_max)
-    for pair, *got in zip(pairs, v2, o_prev2, diag, off):
-        want = blocks_point_by_point(*pair, n_max)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True)), (pair[0].r, pair[1].r)
-        one_d, one_c = pair_blocks(*pair, n_max)
-        assert np.array_equal(one_d, want[2]) and np.array_equal(one_c, want[3])
+    a, b = chunk_rows(pairs, n_max)
+    for rows, side in zip((a, b), zip(*pairs)):
+        assert [x.shape for x in rows] == [(len(pairs), n_max + 1)] * 2 + [(len(pairs), n_max)]
+        for sq, *got in zip(side, *rows):
+            assert all(np.array_equal(g, w) for g, w in zip(got, rows_term_by_term(sq, n_max), strict=True)), sq.r
+    ab, pt = handed_blocks(a, b), handed_blocks(a, reversed_sites(b))
+    for i, pair in enumerate(pairs):
+        diag, off = pair_blocks(*pair, n_max)
+        for got, want in ((ab, block_diagonals(diag, off)), (pt, block_diagonals(diag[:, ::-1], off[:, ::-1]))):
+            assert len(got) == len(want) == 2 * n_max + 1
+            for (d, e), (want_d, want_e) in zip(got, want):
+                assert np.array_equal(d[i], want_d) and np.array_equal(e[i], want_e), (pair[0].r, pair[1].r)
 
 
 def test_chunk_spectra_are_contiguous_rows():
     # each point's spectrum is reduced on its own, from a C-contiguous row
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
-    *_, diag, off = _stacked_blocks(pairs, 9)
-    for spectra in (_block_eigenvalues(diag, off, False), _block_eigenvalues(diag[..., ::-1], off[..., ::-1], False)):
+    a, b = chunk_rows(pairs, 9)
+    for spectra in (_block_eigenvalues(a, b), _block_eigenvalues(a, reversed_sites(b))):
         assert spectra.shape == (len(pairs), 100) and spectra.flags.c_contiguous
 
 
@@ -561,8 +597,8 @@ def test_entropy_and_marginals_equal_the_plain_reductions():
         assert repr(_entropy_bits(lam)) == repr(entropy_bits_masked(lam))
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
     for n_max in (1, 9, 40):
-        v2, o_prev2, _, _ = _stacked_blocks(pairs, n_max)
-        assert marginal_entropies(v2, o_prev2) == marginals_point_by_point(v2, o_prev2)
+        a, b = chunk_rows(pairs, n_max)
+        assert marginal_entropies(a, b) == marginals_point_by_point(a, b)
 
 
 @pytest.mark.parametrize("n_max", (1, 2) + NEAR_MULTIPLES_OF_8 + (191,))
@@ -570,22 +606,22 @@ def test_marginals_are_the_entropies_of_the_row_and_column_sums_of_d(n_max):
     # the per-side rule is rho_A and rho_B summed in another order, so the
     # entropies agree to rounding
     pairs = [(make_squeeze(r_a), make_squeeze(r_b)) for r_a, r_b in CHUNK_PAIRS]
-    v2, o_prev2, diag, _ = _stacked_blocks(pairs, n_max)
-    for got, d in zip(marginal_entropies(v2, o_prev2), diag, strict=True):
+    for got, pair in zip(marginal_entropies(*chunk_rows(pairs, n_max)), pairs, strict=True):
+        d, _ = pair_blocks(*pair, n_max)
         assert got["s_a_num"] == pytest.approx(_entropy_bits(d.sum(axis=1)), rel=1e-14, abs=1e-15)
         assert got["s_b_num"] == pytest.approx(_entropy_bits(d.sum(axis=0)), rel=1e-14, abs=1e-15)
 
 
 def test_oracle_equals_its_point_by_point_set_up(monkeypatch):
-    # every value, at full precision, equals the oracle fed point-by-point
-    # amplitude rows, D and C, plain entropies and per-point, per-side marginals
+    # every value, at full precision, equals the oracle fed each side's rows
+    # term by term, plain entropies and per-point, per-side marginals
     points = [(make_squeeze(r_a), make_squeeze(r_b), n) for n in (1, 8, 9, 14, 33) for r_a, r_b in CHUNK_PAIRS]
     points += [(make_squeeze(1.6), make_squeeze(r_b), 191) for r_b in (1.6, 0.8)]
     got = oracle(points)
     monkeypatch.setattr(
         density,
-        "_stacked_blocks",
-        lambda pairs, n_max: tuple(np.stack(m) for m in zip(*(blocks_point_by_point(*p, n_max) for p in pairs))),
+        "_side_rows",
+        lambda squeezings, n_max: tuple(np.stack(m) for m in zip(*(rows_term_by_term(sq, n_max) for sq in squeezings))),
     )
     monkeypatch.setattr(density, "_entropy_bits", entropy_bits_masked)
     monkeypatch.setattr(density, "marginal_entropies", marginals_point_by_point)

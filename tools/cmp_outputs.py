@@ -2,14 +2,14 @@
 
     python tools/cmp_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two hawkpair checkouts. Each call below
-runs as `python -m hawkpair.cli ...` from each checkout's `src/`, with one
-BLAS thread, in an empty working directory; its stdout, stderr and exit code
-must be the same on both sides. Prints one line per call and exits 1 when any
-call differs, 0 otherwise. Where both stdouts are JSON, a differing call is
-followed by one line per key whose values moved: how many did, and the
-largest move in ulps of the parent's value and relative to it. Uses only the
-standard library.
+PARENT and CHANGE are the roots of two hawkpair checkouts. Each of the 16
+calls below runs as `python -m hawkpair.cli ...` from each checkout's
+`src/`, with one BLAS thread, in an empty working directory; its stdout,
+stderr and exit code must be the same on both sides. Prints one line per
+call and exits 1 when any call differs, 0 otherwise. Where both stdouts are
+JSON, a differing call is followed by one line per key whose values moved:
+how many did, and the largest move in ulps of the parent's value and
+relative to it. Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from pathlib import Path
 # closed-only asymmetric sweep whose JSON gives the series at full precision
 # out to r = 6 (60 asymmetric rows, Bob's N up to 2,186,951, where each side's
 # marginal takes its own cutoff and the Euler-Maclaurin paths run), 40
-# asymmetric points at one cutoff as JSON (the oracle's chunks of 18, 18 and 4
-# and the series' batches at full precision), the seed-0 calls of the
-# benchmark's oracle-sweep workload, and one call per error exit code
-# (3, 3, 2, 4)
+# asymmetric and 40 symmetric points at one cutoff as JSON (the oracle's
+# chunks of 18, 18 and 4, plain and mirrored, and the series' batches at full
+# precision), the seed-0 calls of the benchmark's oracle-sweep workload, and
+# one call per error exit code (3, 3, 2, 4)
 CALLS = (
     ("fig2",),
     ("fig2", "--format", "json"),
@@ -40,6 +40,7 @@ CALLS = (
      "--format", "json"),
     ("sweep", "--r-min", "0.3", "--r-max", "1.3", "--steps", "40", "--omega-ratio", "1.5", "--nmax", "14",
      "--format", "json"),
+    ("sweep", "--r-min", "0.3", "--r-max", "1.3", "--steps", "40", "--nmax", "14", "--format", "json"),
     *(
         ("sweep", "--r-min", "0.4", "--r-max", "1.4", "--steps", "6", "--omega-ratio", "2.0", "--nmax", n)
         for n in ("8", "11", "14")
