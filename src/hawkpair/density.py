@@ -4,7 +4,7 @@
 its own cutoff N, from the block structure of rho_AB; nothing of size
 (N+1)^4 is built. `pair_measures` is its call on one point.
 
-The blocks. With V(k), O(k) the amplitudes of `fock.amplitude_rows`,
+The blocks. With V(k), O(k) the amplitudes of `fock.side_rows`,
 O(k) = sqrt(k+1) V(k) / cosh r, so a mode's one-particle state is its
 vacuum with a^dag applied to the out mode, over cosh r; a^dag is truncated
 at N (a^dag |N> = 0, hence O(N) = 0). The pair state is then
@@ -35,7 +35,7 @@ rho_B is the same rule with the sides swapped.
 Points of one cutoff and symmetry are batched under the budget the series
 share (kinematics._batches), a point counted at its largest array, the
 (2N+1)(N+1) block diagonals `_block_eigenvalues` gathers. A chunk's
-`_side_rows` are Alice's `a` and Bob's `b` (`b = a` at a symmetric chunk),
+`fock.side_rows` are Alice's `a` and Bob's `b` (`b = a` at a symmetric chunk),
 and each column family reads both: `marginal_entropies` (s_a_num, s_b_num)
 rho_A's rule on (a, b) and on (b, a), `negativity` (neg_sum_num, e_n_num)
 the blocks with Bob's rows reversed and `joint_entropy` (s_ab_num) the
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import amplitude_rows
+from .fock import side_rows
 from .kinematics import SqueezeParam, _batches, _integer, _trace_deficit
 
 # largest cutoff the oracle runs at: a point has 4N+2 tridiagonal blocks of
@@ -89,18 +89,9 @@ def _entropy_bits(eigenvalues) -> float:
     return s if s > 0.0 else 0.0  # also maps -0.0 to 0.0
 
 
-def _side_rows(squeezings, n_max: int) -> tuple:
-    """One side's rows, one per squeezing: V(k)^2, O(k-1)^2 (O(-1) = 0) and
-    V(k) O(k) for k < N, with V and O of `fock.amplitude_rows`."""
-    v, o = amplitude_rows(squeezings, n_max)
-    o_prev2 = np.zeros(o.shape)
-    o_prev2[:, 1:] = o[:, :-1] ** 2
-    return v**2, o_prev2, (v * o)[:, :-1]
-
-
 def _block_eigenvalues(a: tuple, b: tuple) -> np.ndarray:
     """Eigenvalues of every block of the pairs with Alice's rows `a` and Bob's
-    rows `b` (`_side_rows` of the same points), each point's a C-contiguous
+    rows `b` (`fock.side_rows` of the same points), each point's a C-contiguous
     row of the result, block after block, each block's ascending. D and C are
     formed here, as outer products of the sides, and block k = -N..N runs
     along their diagonal k: its entry j is read at (j + max(-k, 0), j + max(k, 0)).
@@ -178,8 +169,8 @@ def oracle(points) -> list:
     out: list = [None] * len(points)
     for chunk in _batches(keys, lambda key: (2 * key[0] + 1) * (key[0] + 1)):
         n_max, symmetric = keys[chunk[0]]
-        a = _side_rows([points[i][0] for i in chunk], n_max)
-        b = a if symmetric else _side_rows([points[i][1] for i in chunk], n_max)
+        a = side_rows([points[i][0] for i in chunk], n_max)
+        b = a if symmetric else side_rows([points[i][1] for i in chunk], n_max)
         families = zip(negativity(a, b), marginal_entropies(a, b), joint_entropy(a, b))
         for i, (neg, marg, joint) in zip(chunk, families):
             out[i] = {**neg, **marg, **joint, "i_num": marg["s_a_num"] + marg["s_b_num"] - joint["s_ab_num"]}

@@ -12,15 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def amplitude_rows(squeezings, n_max: int):
-    """V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2 for k = 0..n_max, with
-    t = tanh r and c = cosh r, one row per squeezing. O(n_max) = 0:
-    |n_max + 1>_out is truncated (the oracle checks n_max >= 1, so the
-    one-particle state exists)."""
+def side_rows(squeezings, n_max: int) -> tuple:
+    """One side's rows, one per squeezing: V(k)^2, O(k-1)^2 and V(k) O(k) for
+    k < N, with V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2, t = tanh r and
+    c = cosh r. O(-1) = 0, and O(N) = 0: |N + 1>_out is truncated (the oracle
+    checks N >= 1, so the one-particle state exists)."""
     k = np.arange(n_max + 1)
     # c^2 by Python's float power, which numpy's c * c can miss by an ulp
     t, c, c2 = np.array([(sq.tanh_r, sq.cosh_r, sq.cosh_r**2) for sq in squeezings]).T[..., None]
     tk = t**k
-    o = np.zeros(tk.shape)
-    o[:, :-1] = np.sqrt(k[:-1] + 1.0) * tk[:, :-1] / c2
-    return tk / c, o
+    v, o = tk / c, np.sqrt(k[:-1] + 1.0) * tk[:, :-1] / c2
+    o_prev2 = np.zeros(tk.shape)
+    o_prev2[:, 1:] = o**2
+    return v**2, o_prev2, v[:, :-1] * o

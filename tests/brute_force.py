@@ -2,28 +2,29 @@
 reduced and partially transposed as dense matrices, solved by
 `np.linalg.eigvalsh`.
 
-The dense pair state shares nothing with the block structure of
-`hawkpair.density`: no D or C, no diagonal reads, no padding. A pair state's
-axes are [A_in, A_out, B_in, B_out]. For the block tests, `pair_blocks`
-gives one point's D and C of `hawkpair.density`'s docstring by np.outer of
-each side's rows taken term by term (`rows_term_by_term`), not by the
-library's row builder.
+The dense pair state shares nothing with the library: its amplitudes V and O
+are taken from their formula (`mode_amplitudes`), not from `hawkpair.fock`,
+and it has no D or C, no diagonal reads, no padding. A pair state's axes are
+[A_in, A_out, B_in, B_out]. For the block tests, `pair_blocks` gives one
+point's D and C of `hawkpair.density`'s docstring by np.outer of each side's
+rows taken term by term (`rows_term_by_term`), not by `fock.side_rows`.
 """
 
 from decimal import Decimal
 
 import numpy as np
 
-from hawkpair.fock import amplitude_rows
 from hawkpair.kinematics import make_squeeze
 
 IN_PAIR, OUT_PAIR = (0, 2), (1, 3)
 
 
 def mode_amplitudes(sq, n_max):
-    """V and O of `hawkpair.fock.amplitude_rows` for one squeezing."""
-    v, o = amplitude_rows([sq], n_max)
-    return v[0], o[0]
+    """V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2 for k = 0..N, t = tanh r
+    and c = cosh r, term by term; O(N) = 0, as |N + 1>_out is truncated."""
+    k = np.arange(n_max + 1)
+    v = sq.tanh_r**k / sq.cosh_r
+    return v, np.append(np.sqrt(k[:-1] + 1.0) * sq.tanh_r ** k[:-1] / sq.cosh_r**2, 0.0)
 
 
 def kruskal_states(r, n_max):
@@ -39,11 +40,9 @@ def pair_state(r_a, r_b, n_max):
 
 
 def rows_term_by_term(sq, n_max):
-    """One side's rows V(k)^2, O(k-1)^2 (O(-1) = 0) and V(k) O(k) (k < N), with
-    V(k) = t^k / c and O(k) = sqrt(k+1) t^k / c^2 (O(N) = 0) term by term."""
-    k = np.arange(n_max + 1)
-    v = sq.tanh_r**k / sq.cosh_r
-    o = np.append(np.sqrt(k[:-1] + 1.0) * sq.tanh_r ** k[:-1] / sq.cosh_r**2, 0.0)
+    """One side's rows V(k)^2, O(k-1)^2 (O(-1) = 0) and V(k) O(k) (k < N), from
+    `mode_amplitudes`."""
+    v, o = mode_amplitudes(sq, n_max)
     return v**2, np.append(0.0, o[:-1]) ** 2, (v * o)[:-1]
 
 

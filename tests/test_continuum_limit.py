@@ -14,6 +14,16 @@ The exact marginal (the oracle's per-side rule, which needs no eigensolve) is
 the mixture (1 + u) e^-u / 2 of the two families, not the two taken as
 orthogonal, so the closed s_a overstates it by a gap that tends to
 (gamma + G) / (2 ln 2), G = e E_1(1) the Gompertz constant.
+
+The exact mutual information (the oracle's i_num) tends instead to
+
+    I_inf = 2H - ln 2 - 3 + J1 + J2 nats
+    H  = ln 2 + 3/2 - (1/2) int_0^inf (1+u) ln(1+u) e^-u du
+    J1 = (1/2) int int e^(-u-v) (1+uv) ln max(1, uv) du dv
+    J2 = int int e^(-u-v) min(1, uv) du dv,
+
+about 0.304 bits: the entanglement vanishes as r grows, but a correlation
+remains.
 """
 
 import math
@@ -23,7 +33,8 @@ import numpy as np
 import pytest
 
 from hawkpair.closed_form import SeriesConfig, resolve_cutoff, s_a_closed
-from hawkpair.density import _side_rows, marginal_entropies
+from hawkpair.density import marginal_entropies
+from hawkpair.fock import side_rows
 from hawkpair.kinematics import make_squeeze
 from hawkpair.sweep import run_point
 
@@ -98,9 +109,80 @@ def test_marginal_gap_limit():
 def test_closed_marginal_overstates_the_exact_one(r, n_max, gap):
     sq, cfg = make_squeeze(r), SeriesConfig(tail_tol=1e-10)
     assert resolve_cutoff(sq, sq, cfg) == n_max
-    rows = _side_rows([sq], n_max)
+    rows = side_rows([sq], n_max)
     got = s_a_closed(sq, cfg) - marginal_entropies(rows, rows)[0]["s_a_num"]
     assert f"{got:.{len(gap) - 2}f}" == gap
     if r >= 2.5:
         # approached as 1 / cosh^2 r: measured 0.2269, 0.2200, 0.2171 and 0.2151
         assert 0.21 <= (float(MARGINAL_GAP_LIMIT) - got) * math.cosh(r) ** 2 <= 0.23
+
+
+def trapezoid_on_the_line(f, step):
+    """int f(s) ds over the real line by the trapezoid rule on s in [-40, 40];
+    every integrand below decays at least as e^(-|s|) at both ends."""
+    s = np.arange(-40.0, 40.0 + step / 2, step)
+    return step * float(np.sum(f(s)))
+
+
+def k0_kernel(w, step=0.25):
+    """2 K_0(2 sqrt w), the density of w = uv for independent u, v ~ Exp(1),
+    by the trapezoid rule in t of K_0(x) = int_0^inf e^(-x cosh t) dt, over
+    t in [0, 40]: the integrand is even and analytic in |Im t| < pi/2, so the
+    rule converges geometrically in 1/step."""
+    t = np.arange(0.0, 40.0 + step / 2, step)
+    weights = np.full(t.size, step)
+    weights[0] = step / 2
+    return 2.0 * np.exp(-np.outer(2.0 * np.sqrt(w), np.cosh(t))) @ weights
+
+
+def exact_joint_limit(step):
+    """I_inf in bits, with H by u = e^s, and J1 and J2 as one integral over
+    w = uv against `k0_kernel`, split at the kink w = 1 and mapped by
+    w = 1 / (1 + e^s) below it and w = 1 + e^s above it, so that each side's
+    end at w = 1 recedes to s = -inf and the trapezoid rule converges
+    geometrically. Returns H too."""
+
+    def marginal(s):
+        u = np.exp(s)
+        return u * (1.0 + u) * np.log1p(u) * np.exp(-u)
+
+    def below(s):
+        w = 1.0 / (1.0 + np.exp(s))
+        return k0_kernel(w) * w * w * (1.0 - w)  # min(1, w) = w, ln max(1, w) = 0
+
+    def above(s):
+        w = 1.0 + np.exp(s)
+        return k0_kernel(w) * np.exp(s) * (1.0 + 0.5 * (1.0 + w) * np.log(w))  # J2's min(1, w) = 1, and J1
+
+    h = LN2 + 1.5 - 0.5 * trapezoid_on_the_line(marginal, step)
+    nats = 2.0 * h - LN2 - 3.0 + trapezoid_on_the_line(below, step) + trapezoid_on_the_line(above, step)
+    return nats / LN2, h
+
+
+I_INF_EXACT, H_INF = exact_joint_limit(0.1)
+
+
+def test_exact_joint_limit():
+    assert abs(k0_kernel(np.array([0.25]))[0] - 2.0 * 0.42102443824070834) < 1e-15  # 2 K_0(1)
+    assert abs(exact_joint_limit(0.2)[0] - I_INF_EXACT) < 1e-12  # the rule has converged
+    # H = ln 2 + 1 - G/2, since int_0^inf (1+u) ln(1+u) e^-u du = 1 + G
+    gompertz = float(2 * Decimal(2).ln() * MARGINAL_GAP_LIMIT) - EULER_GAMMA
+    assert abs(H_INF - (LN2 + 1.0 - gompertz / 2.0)) < 1e-13
+    # scipy's dblquad gave 0.3039667431 bits
+    assert abs(I_INF_EXACT - 0.3039667431) < 1e-9
+
+
+def test_entanglement_vanishes_but_a_correlation_remains():
+    # symmetric points at their resolved cutoffs N = 16, 49, 92 and 191: the
+    # exact measures fall towards 0, the exact mutual information falls but
+    # stays above its limit I_inf (about 0.304 bits), and the paper's series
+    # stays above its own limit of 1.7204 bits
+    rows = [run_point(r_a=r) for r in (0.5, 1.0, 1.3, 1.65)]
+    assert [row.n_max for row in rows] == [16, 49, 92, 191]
+    for name, first, last in (("e_n_num", 0.354, 3.30e-4), ("neg_sum_num", 0.212, 1.67e-3)):
+        values = [getattr(row, name) for row in rows]
+        assert all(a > b for a, b in zip(values, values[1:])), name
+        assert f"{values[0]:.3g}" == f"{first:.3g}" and f"{values[-1]:.3g}" == f"{last:.3g}", (name, values)
+    assert [f"{row.i_num:.5f}" for row in rows] == ["1.19090", "0.61015", "0.46024", "0.37611"]
+    assert min(row.i_num for row in rows) > I_INF_EXACT
+    assert min(row.i_closed for row in rows) > I_INF  # 1.72040860090 bits

@@ -17,7 +17,8 @@ from brute_force import (
     reduce,
 )
 
-from hawkpair.density import _block_eigenvalues, _entropy_bits, _side_rows, pair_measures
+from hawkpair.density import _block_eigenvalues, _entropy_bits, pair_measures
+from hawkpair.fock import side_rows
 from hawkpair.kinematics import make_squeeze
 
 
@@ -87,7 +88,7 @@ def test_product_density_is_ppt():
 def test_spectrum_trace_check():
     sq_a, sq_b = make_squeeze(0.7), make_squeeze(1.2)
     trace = 1.0 - pair_measures(sq_a, sq_b, 6)["trace_deficit"]
-    spectra = _block_eigenvalues(_side_rows([sq_a], 6), _side_rows([sq_b], 6))
+    spectra = _block_eigenvalues(side_rows([sq_a], 6), side_rows([sq_b], 6))
     assert trace == pytest.approx(spectra.sum(), abs=1e-14)
     assert trace == pytest.approx(np.trace(reduce(pair_state(0.7, 1.2, 6), OUT_PAIR)), abs=1e-14)
 

@@ -1,9 +1,12 @@
-"""Tests for the Kruskal-mode amplitudes and the pair state built from them."""
+"""Tests for the Kruskal-mode amplitudes: the reference's V and O and the
+pair state built from them against fixed values and norm identities, and the
+rows of `hawkpair.fock.side_rows` against the reference's byte for byte."""
 
 import numpy as np
 import pytest
-from brute_force import kruskal_states, mode_amplitudes, pair_state
+from brute_force import kruskal_states, mode_amplitudes, pair_state, rows_term_by_term
 
+from hawkpair.fock import side_rows
 from hawkpair.kinematics import make_squeeze
 
 SECH_1 = 0.6480542736638854  # 1/cosh(1)
@@ -25,6 +28,18 @@ def one_norm_sq(x, n_max):
 
 def norm_sq(amplitudes):
     return float(np.sum(amplitudes**2))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 8, 14, 49, 191, 200])
+def test_side_rows_equal_the_rows_term_by_term(n_max):
+    # a batch of squeezings in one call, r = 1e-300 with t^k underflowing and
+    # r = 19.5 with tanh r rounded to 1
+    squeezings = [make_squeeze(r) for r in (0.0, 1e-300, 0.3, 0.9, 1.65, 3.0, 6.0, 19.5)]
+    rows = side_rows(squeezings, n_max)
+    assert [x.shape for x in rows] == [(len(squeezings), n_max + 1)] * 2 + [(len(squeezings), n_max)]
+    for i, sq in enumerate(squeezings):
+        for got, want in zip((x[i] for x in rows), rows_term_by_term(sq, n_max), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (sq.r, n_max)
 
 
 def test_vacuum_unsqueezed_is_fock_vacuum():

@@ -30,13 +30,13 @@ from hawkpair.density import (
     NumericCapError,
     _block_eigenvalues,
     _entropy_bits,
-    _side_rows,
     joint_entropy,
     marginal_entropies,
     negativity,
     oracle,
     pair_measures,
 )
+from hawkpair.fock import side_rows
 from hawkpair.kinematics import _CHUNK_CELLS, make_squeeze
 from hawkpair.sweep import SweepConfig, compare_closed_vs_numeric, run_point, run_sweep
 
@@ -55,16 +55,16 @@ NEAR_MULTIPLES_OF_8 = (7, 8, 9, 15, 16, 17, 31, 32, 33)
 properties = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def side_rows(sq_a, sq_b, n_max):
+def point_rows(sq_a, sq_b, n_max):
     """The library's rows of one point, Alice's and Bob's; at a symmetric point
     Bob's are Alice's own, as `oracle` passes them."""
-    a = _side_rows([sq_a], n_max)
-    return a, a if sq_a == sq_b else _side_rows([sq_b], n_max)
+    a = side_rows([sq_a], n_max)
+    return a, a if sq_a == sq_b else side_rows([sq_b], n_max)
 
 
 def chunk_rows(pairs, n_max):
     """The library's rows of a chunk of (sq_a, sq_b) pairs, Alice's and Bob's."""
-    return tuple(_side_rows(side, n_max) for side in zip(*pairs))
+    return tuple(side_rows(side, n_max) for side in zip(*pairs))
 
 
 def reversed_sites(b):
@@ -88,7 +88,7 @@ def per_block(diag, off):
 def block_spectra(r_a, r_b, n_max):
     """The block spectra of rho_AB (mirrored at a symmetric point, as the joint
     family solves them) and of its partial transpose on B."""
-    a, b = side_rows(make_squeeze(r_a), make_squeeze(r_b), n_max)
+    a, b = point_rows(make_squeeze(r_a), make_squeeze(r_b), n_max)
     return _block_eigenvalues(a, b)[0], _block_eigenvalues(a, reversed_sites(b))[0]
 
 
@@ -138,7 +138,7 @@ def test_block_sizes_cover_the_truncated_space():
 
 def test_families_partition_the_columns():
     # each family takes a stack of points' rows, Alice's and Bob's, here of one point
-    a, b = side_rows(make_squeeze(0.9), make_squeeze(0.4), 7)
+    a, b = point_rows(make_squeeze(0.9), make_squeeze(0.4), 7)
     families = (marginal_entropies(a, b)[0], negativity(a, b)[0], joint_entropy(a, b)[0])
     names = [name for family in families for name in family]
     assert sorted(names + ["i_num", "trace_deficit"]) == sorted(COLUMNS)
@@ -272,7 +272,7 @@ def test_rejects_cutoff_below_one(monkeypatch):
     def no_blocks(*args):
         raise AssertionError("rows built before the cutoffs were checked")
 
-    monkeypatch.setattr(density, "_side_rows", no_blocks)
+    monkeypatch.setattr(density, "side_rows", no_blocks)
     sq = make_squeeze(0.5)
     for n_max in (0, -3):
         with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
@@ -286,7 +286,7 @@ def test_oracle_refuses_a_cutoff_past_its_cap_before_building(monkeypatch):
     def no_blocks(*args):
         raise AssertionError("rows built before the cutoffs were checked")
 
-    monkeypatch.setattr(density, "_side_rows", no_blocks)
+    monkeypatch.setattr(density, "side_rows", no_blocks)
     sq = make_squeeze(0.5)
     with pytest.raises(NumericCapError, match=f"needs cutoff {NUMERIC_CAP + 1}, above the oracle cap of {NUMERIC_CAP}"):
         pair_measures(sq, sq, NUMERIC_CAP + 1)
@@ -336,7 +336,7 @@ def test_structured_oracle_invariants(r_a, r_b, n_max):
 
 
 def negativity_at(r_a, r_b, n_max):
-    return negativity(*side_rows(make_squeeze(r_a), make_squeeze(r_b), n_max))[0]
+    return negativity(*point_rows(make_squeeze(r_a), make_squeeze(r_b), n_max))[0]
 
 
 @properties
@@ -441,7 +441,7 @@ def test_symmetric_point_solves_mirrored_blocks_once(monkeypatch, n_max):
     # Bob's rows passed as Alice's own solve blocks k = 0..N of every point; an
     # equal copy is solved in full, and gives the same spectra bit for bit
     squeezings = [make_squeeze(r) for r in SYMMETRIC_CHUNK]
-    a = _side_rows(squeezings, n_max)
+    a = side_rows(squeezings, n_max)
     unshared = _block_eigenvalues(a, tuple(x.copy() for x in a))
     shapes = counted_eigvalsh(monkeypatch)
     assert _block_eigenvalues(a, a).tobytes() == unshared.tobytes()
@@ -620,7 +620,7 @@ def test_oracle_equals_its_point_by_point_set_up(monkeypatch):
     got = oracle(points)
     monkeypatch.setattr(
         density,
-        "_side_rows",
+        "side_rows",
         lambda squeezings, n_max: tuple(np.stack(m) for m in zip(*(rows_term_by_term(sq, n_max) for sq in squeezings))),
     )
     monkeypatch.setattr(density, "_entropy_bits", entropy_bits_masked)

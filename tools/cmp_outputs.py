@@ -2,7 +2,7 @@
 
     python tools/cmp_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two hawkpair checkouts. Each of the 16
+PARENT and CHANGE are the roots of two hawkpair checkouts. Each of the 17
 calls below runs as `python -m hawkpair.cli ...` from each checkout's
 `src/`, with one BLAS thread, in an empty working directory; its stdout,
 stderr and exit code must be the same on both sides. Prints one line per
@@ -29,8 +29,10 @@ from pathlib import Path
 # marginal takes its own cutoff and the Euler-Maclaurin paths run), 40
 # asymmetric and 40 symmetric points at one cutoff as JSON (the oracle's
 # chunks of 18, 18 and 4, plain and mirrored, and the series' batches at full
-# precision), the seed-0 calls of the benchmark's oracle-sweep workload, and
-# one call per error exit code (3, 3, 2, 4)
+# precision), the seed-0 calls of the benchmark's oracle-sweep workload, a
+# closed-only asymmetric sweep at r 2-3 whose small explicit cutoff leaves
+# fewer than 2 stencils past each head (closed_form._axis_plan adds every
+# term), and one call per error exit code (3, 3, 2, 4)
 CALLS = (
     ("fig2",),
     ("fig2", "--format", "json"),
@@ -47,6 +49,8 @@ CALLS = (
     ),
     ("compare", "--r", "0.9", "--nmax", "14"),
     ("point", "--mass", "0.025", "--omega", "1.0", "--omega-prime", "2.0", "--nmax", "14", "--format", "json"),
+    ("sweep", "--r-min", "2", "--r-max", "3", "--steps", "3", "--omega-ratio", "0.5", "--nmax", "14",
+     "--methods", "closed", "--format", "json"),
     ("point", "--r", "20", "--methods", "closed"),
     ("compare", "--r", "1.0", "--nmax", "201"),
     ("point", "--r", "-1"),
